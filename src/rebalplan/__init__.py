@@ -8,7 +8,6 @@ results compare exactly.
 
 from .bruteforce import brute_force_solve, enumerate_joint_outcomes
 from .dp import (
-    ControlSet,
     Policy,
     ValueNode,
     ValueTable,
@@ -55,7 +54,6 @@ from .trace import build_trace_rows, trace_text, write_trace
 
 __all__ = [
     "Broker",
-    "ControlSet",
     "DiscreteDistribution",
     "FeeTable",
     "LedgerState",

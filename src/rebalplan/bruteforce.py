@@ -5,7 +5,7 @@ through the ledger, so it shares no enumeration or pruning logic with the
 staged solver it validates. Per-stage candidate vectors come from a plain
 Cartesian product of per-security delta ranges under a deliberately loose
 affordability bound; the ledger's own admissibility check filters them.
-Determinism over speed: single-threaded, fixed iteration order, and the same
+Determinism over speed: serial, fixed iteration order, and the same
 tie-break as the staged solver (fewest lots, then lexicographic sequence).
 """
 

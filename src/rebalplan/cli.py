@@ -46,10 +46,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"scenario OK: {args.scenario}")
         return EXIT_OK
     if args.command == "solve":
-        return run_solve(scenario, args.output, single_thread=args.single_thread,
-                         max_states=args.max_states)
-    return run_oracle_check(scenario, single_thread=args.single_thread,
-                            max_states=args.max_states)
+        return run_solve(scenario, args.output, max_states=args.max_states)
+    return run_oracle_check(scenario, max_states=args.max_states)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -73,9 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--output", metavar="PATH",
                              help="trace CSV destination (default: stdout)")
             cmd.add_argument("--max-states", type=int, metavar="N",
-                             help="override the solver frontier cap")
-            cmd.add_argument("--single-thread", action="store_true",
-                             help="force single-threaded layer expansion")
+                             help="override the solver's per-layer node cap")
     return parser
 
 
@@ -95,10 +91,10 @@ def _load(args) -> Scenario | int:
 
 
 def run_solve(scenario: Scenario, out_path: str | None, *,
-              single_thread: bool = False, max_states: int | None = None) -> int:
+              max_states: int | None = None) -> int:
     """Solve, emit the trace, print a summary line with the terminal wealth."""
     try:
-        policy, value, trace_scenario = _solve(scenario, single_thread, max_states)
+        policy, value, trace_scenario = _solve(scenario, max_states)
     except (StateBudgetExceededError, InstanceTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -120,11 +116,10 @@ def run_solve(scenario: Scenario, out_path: str | None, *,
     return EXIT_OK
 
 
-def run_oracle_check(scenario: Scenario, *, single_thread: bool = False,
-                     max_states: int | None = None) -> int:
+def run_oracle_check(scenario: Scenario, *, max_states: int | None = None) -> int:
     """Exit 0 iff the staged solver and the brute-force reference agree exactly."""
     try:
-        policy, value, _ = _solve(scenario, single_thread, max_states)
+        policy, value, _ = _solve(scenario, max_states)
         oracle_policy, oracle_value = brute_force_solve(scenario)
     except (StateBudgetExceededError, InstanceTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -145,13 +140,11 @@ def run_oracle_check(scenario: Scenario, *, single_thread: bool = False,
     return EXIT_MISMATCH
 
 
-def _solve(scenario: Scenario, single_thread: bool, max_states: int | None):
+def _solve(scenario: Scenario, max_states: int | None):
     if scenario.options.mode == MODE_EXPECTED:
-        policy, value = solve_stochastic(scenario, single_thread=single_thread,
-                                         max_states=max_states)
+        policy, value = solve_stochastic(scenario, max_states=max_states)
         return policy, value, build_expected_market(scenario)
-    policy, _ = solve_deterministic(scenario, single_thread=single_thread,
-                                    max_states=max_states)
+    policy, _ = solve_deterministic(scenario, max_states=max_states)
     return policy, policy.terminal_wealth, scenario
 
 

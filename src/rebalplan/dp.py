@@ -23,11 +23,9 @@ is deterministic and agrees with the brute-force reference policy-for-policy.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import EmptyTableError, InadmissibleTradeError, StateBudgetExceededError
 from .ledger import (
@@ -44,10 +42,6 @@ from .scenario import Scenario
 
 # One flattened trade: (grid time, security id, lot delta).
 TradeEntry = tuple[int, str, int]
-
-# Frontiers below this size are expanded serially even in multi-worker mode.
-PARALLEL_THRESHOLD = 32
-MAX_WORKERS = 8
 
 
 @dataclass(frozen=True)
@@ -66,14 +60,6 @@ class ValueNode:
     trade: Optional[dict[str, int]]
     lots: int
     seq: tuple[TradeEntry, ...]
-
-
-@dataclass(frozen=True)
-class ControlSet:
-    """All admissible trade vectors at one decision time for one state."""
-
-    time_index: int
-    trades: tuple[dict[str, int], ...]
 
 
 @dataclass(frozen=True)
@@ -107,7 +93,7 @@ def trade_entries(t: int, trade: dict[str, int]) -> tuple[TradeEntry, ...]:
 
 
 def enumerate_controls(state: LedgerState, market: Market, fees: FeeTable,
-                       rules: TradeRules = DEFAULT_RULES) -> ControlSet:
+                       rules: TradeRules = DEFAULT_RULES) -> tuple[dict[str, int], ...]:
     """Every admissible trade vector at the state's decision time.
 
     Deltas compose security by security in id order; the budget bound is
@@ -116,11 +102,6 @@ def enumerate_controls(state: LedgerState, market: Market, fees: FeeTable,
     any vector whose aggregate cash stays non-negative. Selling one security
     to fund buying another in the same step is admissible, and enumerated.
     """
-    return ControlSet(state.time_index, tuple(_iter_controls(state, market, fees, rules)))
-
-
-def _iter_controls(state: LedgerState, market: Market, fees: FeeTable,
-                   rules: TradeRules) -> Iterator[dict[str, int]]:
     t = market.grid.points[state.time_index]
     lot = rules.lot_size
     econ = []
@@ -176,7 +157,7 @@ def _iter_controls(state: LedgerState, market: Market, fees: FeeTable,
             yield from compose(idx + 1, next_cash, partial)
             partial.pop()
 
-    yield from compose(0, state.cash, [])
+    return tuple(compose(0, state.cash, []))
 
 
 def delta_wealth(prev: LedgerState, nxt: LedgerState, market: Market,
@@ -188,13 +169,13 @@ def delta_wealth(prev: LedgerState, nxt: LedgerState, market: Market,
 
 
 def solve_deterministic(scenario: Scenario, *, prune: bool = True,
-                        single_thread: bool = False,
                         max_states: int | None = None) -> tuple[Policy, ValueTable]:
     """Maximize terminal cash over all admissible trade sequences, exactly.
 
     Returns the tie-broken optimal policy and the table of surviving nodes.
     ``prune=False`` keeps every reachable node (for audits; the result must
-    not change). ``max_states`` overrides the scenario's frontier cap.
+    not change). ``max_states`` overrides the scenario's cap on the nodes a
+    layer holds while it is built.
     """
     market = scenario.market
     fees = scenario.fees
@@ -209,16 +190,11 @@ def solve_deterministic(scenario: Scenario, *, prune: bool = True,
         parent=None, trade=None, lots=0, seq=(),
     )
     layers: list[list[ValueNode]] = [[root]]
-    frontier = [root]
     for i in range(stages):
-        forced = (i == stages - 1) and not scenario.options.hold_to_end
         terminal = i == stages - 1
-        expanded = _expand_layer(frontier, market, fees, rules, forced, terminal,
-                                 single_thread)
-        frontier = _merge_best(expanded) if prune else expanded
-        if len(frontier) > cap:
-            raise StateBudgetExceededError(cap, len(frontier))
-        layers.append(frontier)
+        forced = terminal and not scenario.options.hold_to_end
+        layers.append(_expand(layers[-1], market, fees, rules, forced, terminal,
+                              prune, cap, len(layers)))
 
     table = ValueTable(grid, layers)
     return extract_policy(table), table
@@ -228,10 +204,7 @@ def extract_policy(table: ValueTable) -> Policy:
     """Walk parent pointers back from the best terminal node."""
     if not table.layers or not table.layers[-1]:
         raise EmptyTableError("value table has no terminal nodes")
-    best = table.layers[-1][0]
-    for node in table.layers[-1][1:]:
-        if _terminal_better(node, best):
-            best = node
+    best = min(table.layers[-1], key=_rank)
 
     steps: list[tuple[int, dict[str, int]]] = []
     node = best
@@ -243,76 +216,60 @@ def extract_policy(table: ValueTable) -> Policy:
     return Policy(tuple(steps), best.value)
 
 
-def _expand_layer(frontier: list[ValueNode], market: Market, fees: FeeTable,
-                  rules: TradeRules, forced: bool, terminal: bool,
-                  single_thread: bool) -> list[ValueNode]:
-    if single_thread or len(frontier) < PARALLEL_THRESHOLD:
-        return _expand_chunk(frontier, market, fees, rules, forced, terminal)
-    workers = min(MAX_WORKERS, os.cpu_count() or 1)
-    size = (len(frontier) + workers - 1) // workers
-    chunks = [frontier[i:i + size] for i in range(0, len(frontier), size)]
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = list(pool.map(
-            lambda chunk: _expand_chunk(chunk, market, fees, rules, forced, terminal),
-            chunks,
-        ))
-    return [node for part in parts for node in part]
+def _expand(frontier: list[ValueNode], market: Market, fees: FeeTable,
+            rules: TradeRules, forced: bool, terminal: bool, prune: bool,
+            cap: int, layer: int) -> list[ValueNode]:
+    """Build layer ``layer`` from its predecessor, keeping at most ``cap`` nodes.
 
-
-def _expand_chunk(nodes: list[ValueNode], market: Market, fees: FeeTable,
-                  rules: TradeRules, forced: bool, terminal: bool) -> list[ValueNode]:
+    With ``prune`` only the best node per holdings vector is kept; a
+    successor with less cash than the incumbent is dropped before its history
+    and value are built.
+    """
     grid = market.grid
+    best: dict[tuple[tuple[str, int], ...], ValueNode] = {}
     out: list[ValueNode] = []
-    for node in nodes:
+    for node in frontier:
         t = grid.points[node.state.time_index]
         if forced:
-            trades: Iterator[dict[str, int]] = iter([full_sale(node.state, market, t)])
+            trades = (full_sale(node.state, market, t),)
         else:
-            trades = _iter_controls(node.state, market, fees, rules)
+            trades = enumerate_controls(node.state, market, fees, rules)
         for trade in trades:
             try:
                 successor = apply_rebalance(node.state, trade, market, fees, rules)
             except InadmissibleTradeError:
                 # only the forced sale can fail here (closing shorts needs cash)
                 continue
+            cur = None
+            if prune:
+                key = successor.holdings_key()
+                cur = best.get(key)
+                if cur is not None and successor.cash < cur.state.cash:
+                    continue
+            lots = node.lots + trade_lots(trade)
+            seq = node.seq + trade_entries(t, trade)
+            if cur is not None and (-successor.cash, lots, seq) >= _rank(cur):
+                continue
             if terminal:
                 value = successor.cash
             else:
                 value = wealth(successor, market, grid.points[successor.time_index], rules)
-            out.append(ValueNode(
-                state=successor,
-                value=value,
-                parent=node,
-                trade=trade,
-                lots=node.lots + trade_lots(trade),
-                seq=node.seq + trade_entries(t, trade),
-            ))
-    return out
+            child = ValueNode(successor, value, node, trade, lots, seq)
+            if prune:
+                best[key] = child
+            else:
+                out.append(child)
+            held = len(best) if prune else len(out)
+            if held > cap:
+                raise StateBudgetExceededError(cap, held, layer)
+    return [best[key] for key in sorted(best)] if prune else out
 
 
-def _merge_best(nodes: list[ValueNode]) -> list[ValueNode]:
-    best: dict[tuple[tuple[str, int], ...], ValueNode] = {}
-    for node in nodes:
-        key = node.state.holdings_key()
-        cur = best.get(key)
-        if cur is None or _node_better(node, cur):
-            best[key] = node
-    return [best[key] for key in sorted(best)]
+def _rank(node: ValueNode) -> tuple[Decimal, int, tuple[TradeEntry, ...]]:
+    """Sort key, best first: most cash, then fewest lots, then smallest sequence.
 
-
-def _node_better(a: ValueNode, b: ValueNode) -> bool:
-    """Strict total order for same-holdings nodes: cash, then cheap history.
-
-    Equal terminal wealth between same-holdings nodes forces equal cash, so
-    applying the policy tie-break at equal cash reproduces the global
-    tie-broken optimum.
+    Same-holdings nodes with equal terminal wealth have equal cash, so
+    breaking cash ties by the policy tie-break reproduces the global
+    tie-broken optimum. On the terminal layer value and cash coincide.
     """
-    if a.state.cash != b.state.cash:
-        return a.state.cash > b.state.cash
-    return (a.lots, a.seq) < (b.lots, b.seq)
-
-
-def _terminal_better(a: ValueNode, b: ValueNode) -> bool:
-    if a.value != b.value:
-        return a.value > b.value
-    return (a.lots, a.seq) < (b.lots, b.seq)
+    return (-node.state.cash, node.lots, node.seq)

@@ -103,14 +103,19 @@ class ShortCapExceededError(RebalplanError):
 
 
 class StateBudgetExceededError(RebalplanError):
-    """The solver frontier grew past the configured node cap."""
+    """A layer being built grew past the configured node cap.
 
-    def __init__(self, max_states: int, frontier: int):
+    ``layer`` is the layer's index in ``ValueTable.layers`` (the root is 0)
+    and ``frontier`` the number of nodes it held when the cap was passed.
+    """
+
+    def __init__(self, max_states: int, frontier: int, layer: int):
         super().__init__(
-            f"frontier of {frontier} states exceeds the cap of {max_states}"
+            f"layer {layer} reached {frontier} states, over the cap of {max_states}"
         )
         self.max_states = max_states
         self.frontier = frontier
+        self.layer = layer
 
 
 class InstanceTooLargeError(RebalplanError):

@@ -90,10 +90,8 @@ def expected_fee_table(fees: FeeTable, price_scale: int) -> FeeTable:
 
 
 def solve_stochastic(scenario: Scenario, *, prune: bool = True,
-                     single_thread: bool = False,
                      max_states: int | None = None) -> tuple[Policy, Decimal]:
     """Best open-loop policy under expected prices, and its expected wealth."""
     derived = build_expected_market(scenario)
-    policy, _ = solve_deterministic(derived, prune=prune, single_thread=single_thread,
-                                    max_states=max_states)
+    policy, _ = solve_deterministic(derived, prune=prune, max_states=max_states)
     return policy, policy.terminal_wealth

@@ -62,11 +62,6 @@ class LedgerState:
         return tuple(sorted(self.holdings.items()))
 
 
-def canonical_trade(trade: TradeVector) -> dict[str, int]:
-    """Drop zero deltas; the empty dict is the do-nothing trade."""
-    return {sid: delta for sid, delta in trade.items() if delta != 0}
-
-
 def trade_lots(trade: TradeVector) -> int:
     """Total lots moved by the trade, buys and sells both counted."""
     return sum(abs(delta) for delta in trade.values())

@@ -1,9 +1,8 @@
 """Static market description: securities, quotes, fees, discrete distributions.
 
-Everything here is immutable after construction and safe to share across
-solver workers. Prices are per unit of a security; a security is tradable
-exactly on the closed window [issue_time, issue_time + maturity] and is
-worthless outside it.
+Everything here is immutable after construction. Prices are per unit of a
+security; a security is tradable exactly on the closed window
+[issue_time, issue_time + maturity] and is worthless outside it.
 """
 
 from __future__ import annotations
@@ -45,12 +44,6 @@ class TimeGrid:
     def end(self) -> int:
         """The horizon end T (last grid point)."""
         return self.points[-1]
-
-    def index_of(self, t: int) -> int:
-        try:
-            return self.points.index(t)
-        except ValueError:
-            raise ValueError(f"time {t} is not on the grid {self.points}") from None
 
 
 @dataclass(frozen=True)
@@ -145,9 +138,6 @@ class Market:
             (s for s in self.securities if is_active(s, t)),
             key=lambda s: s.security_id,
         )
-
-    def price(self, security_id: str, t: int) -> Decimal:
-        return price_at(self.security(security_id), t)
 
 
 def is_active(security: Security, t: int) -> bool:

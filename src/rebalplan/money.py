@@ -53,6 +53,11 @@ def parse_decimal(text: str | int | Decimal, scale: int, *, what: str = "value")
         raise FixedPointError(
             f"{what} {text!r} has more than {scale} fractional digits"
         ) from exc
+    except decimal.InvalidOperation as exc:
+        raise FixedPointError(
+            f"{what} {text!r} needs more than {decimal.getcontext().prec} "
+            f"significant digits at scale {scale}"
+        ) from exc
 
 
 def format_decimal(value: Decimal, scale: int) -> str:

@@ -260,16 +260,23 @@ def _wide_scenario() -> Scenario:
                 return big
 
 
-def test_criterion_9_determinism_across_worker_modes(tmp_path):
-    with report(9, "single-threaded and multi-worker traces are byte-identical") as info:
+def test_criterion_9_state_budget_bounds_the_widest_layer(tmp_path, capsys):
+    with report(9, "a cap at the widest layer changes nothing; one less exits 3") as info:
         scn = _wide_scenario()
+        _, table = solve_deterministic(scn)
+        sizes = [len(layer) for layer in table.layers]
+        widest = max(sizes)
+        layer = sizes.index(widest)
         path = tmp_path / "wide.json"
         path.write_text(dump_scenario(scn), encoding="utf-8")
         out_a = tmp_path / "a.csv"
         out_b = tmp_path / "b.csv"
-        assert cli.main(["solve", "--scenario", str(path),
-                         "--output", str(out_a)]) == 0
-        assert cli.main(["solve", "--scenario", str(path),
-                         "--output", str(out_b), "--single-thread"]) == 0
+        solve = ["solve", "--scenario", str(path)]
+        assert cli.main(solve + ["--output", str(out_a)]) == 0
+        assert cli.main(solve + ["--output", str(out_b),
+                                 "--max-states", str(widest)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
-        info["detail"] = "(frontier wide enough to engage parallel expansion)"
+        capsys.readouterr()
+        assert cli.main(solve + ["--max-states", str(widest - 1)]) == 3
+        assert f"layer {layer} reached {widest} states" in capsys.readouterr().err
+        info["detail"] = f"(layer {layer} holds {widest} nodes)"

@@ -16,6 +16,7 @@ from rebalplan import (
     delta_wealth,
     enumerate_controls,
     extract_policy,
+    price_at,
     solve_deterministic,
     wealth,
 )
@@ -32,28 +33,28 @@ def test_enumerate_controls_budget_bound():
     scn = fee_050_scenario()
     controls = enumerate_controls(scn.initial_state(), scn.market, scn.fees,
                                   scn.trade_rules())
-    got = sorted(trade.get("A", 0) for trade in controls.trades)
+    got = sorted(trade.get("A", 0) for trade in controls)
     # independent check: filter every lot count by cost <= cash
     expected = sorted(
         h for h in range(0, 50)
         if D("10.50") * h <= D("100.00")
     )
     assert got == expected == list(range(0, 10))
-    assert {} in controls.trades
+    assert {} in controls
 
 
 def test_enumerate_controls_can_only_sell_without_cash():
     scn = fee_050_scenario()
     state = LedgerState(0, {"A": 2}, D("0.00"))
     controls = enumerate_controls(state, scn.market, scn.fees, scn.trade_rules())
-    assert sorted(t.get("A", 0) for t in controls.trades) == [-2, -1, 0]
+    assert sorted(t.get("A", 0) for t in controls) == [-2, -1, 0]
 
 
 def test_enumerate_controls_without_active_securities():
     scn = simple_scenario(issue_time=2, maturity=1)
     controls = enumerate_controls(scn.initial_state(), scn.market, scn.fees,
                                   scn.trade_rules())
-    assert controls.trades == ({},)
+    assert controls == ({},)
 
 
 def test_enumerate_controls_allows_selling_to_fund_buying():
@@ -66,9 +67,9 @@ def test_enumerate_controls_allows_selling_to_fund_buying():
     state = LedgerState(0, {"B": 3}, D("0.00"))
     controls = enumerate_controls(state, market, fees, scn.trade_rules())
     # with no cash at all, buying A is only reachable through selling B
-    assert {"A": 3, "B": -3} in controls.trades
-    assert {"A": 1, "B": -1} in controls.trades
-    assert {"A": 1} not in controls.trades
+    assert {"A": 3, "B": -3} in controls
+    assert {"A": 1, "B": -1} in controls
+    assert {"A": 1} not in controls
 
 
 def test_delta_wealth():
@@ -150,6 +151,14 @@ def test_state_budget_cap_bites():
         solve_deterministic(fee_050_scenario(), max_states=3)
 
 
+def test_state_budget_trips_inside_the_layer_being_built():
+    # unpruned, layer 1 would hold all 10 lot counts; the cap stops it at 4
+    with pytest.raises(StateBudgetExceededError) as caught:
+        solve_deterministic(fee_050_scenario(), prune=False, max_states=3)
+    assert (caught.value.layer, caught.value.frontier) == (1, 4)
+    assert "layer 1" in str(caught.value)
+
+
 def test_value_nodes_carry_their_own_wealth():
     scn = fee_050_scenario()
     _, table = solve_deterministic(scn)
@@ -203,18 +212,8 @@ def test_rising_prices_with_zero_fees_hold_the_maximum():
     states = replay_policy(scn, policy)
     for state in states[1:-1]:
         t = scn.market.grid.points[state.time_index]
-        price = scn.market.price("A", t)
+        price = price_at(scn.market.security("A"), t)
         assert state.holdings.get("A", 0) == 10
         assert state.cash < price  # cannot afford one more lot
     # ten lots bought at 10.00, sold into the forced liquidation at 12.00
     assert policy.terminal_wealth == D("120.00")
-
-
-def test_multithreaded_expansion_matches_single_thread():
-    rng = random.Random(125)
-    for _ in range(8):
-        scn = random_scenario(rng)
-        serial, _ = solve_deterministic(scn, single_thread=True)
-        threaded, _ = solve_deterministic(scn, single_thread=False)
-        assert serial.terminal_wealth == threaded.terminal_wealth
-        assert serial.trades == threaded.trades

@@ -19,6 +19,9 @@ def test_parse_accepts_exact_values():
 def test_parse_rejects_excess_digits():
     with pytest.raises(FixedPointError):
         parse_decimal("10.00001", 4)
+    # 29 significant digits: more than the default context can quantize
+    with pytest.raises(FixedPointError):
+        parse_decimal("1234567890123456789012345.6789", 4)
 
 
 def test_parse_rejects_floats_and_garbage():

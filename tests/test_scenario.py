@@ -8,6 +8,7 @@ from rebalplan import (
     Scenario,
     dump_scenario,
     load_scenario,
+    price_at,
     scenario_from_dict,
     validate_scenario,
 )
@@ -46,7 +47,7 @@ def test_load_documented_example():
     assert len(scn.market.grid) == 3
     assert len(scn.market.securities) == 1
     assert scn.initial_capital == D("100.0000")
-    assert scn.market.price("A", 2) == D("11.5000")
+    assert price_at(scn.market.security("A"), 2) == D("11.5000")
 
 
 def test_documented_examples_round_trip(tmp_path):

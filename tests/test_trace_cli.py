@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 from decimal import Decimal
 from pathlib import Path
 
@@ -132,11 +133,10 @@ def test_cli_oracle_mismatch_exits_five(monkeypatch, capsys):
     assert "oracle mismatch" in capsys.readouterr().err
 
 
-def test_cli_single_thread_flag_matches_default(tmp_path):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    scenario = str(DOCS / "buy_then_liquidate.json")
-    assert cli.main(["solve", "--scenario", scenario, "--output", str(a)]) == 0
-    assert cli.main(["solve", "--scenario", scenario, "--output", str(b),
-                     "--single-thread"]) == 0
-    assert a.read_bytes() == b.read_bytes()
+def test_cli_validate_rejects_capital_too_long_to_hold(tmp_path, capsys):
+    doc = json.loads((DOCS / "buy_then_liquidate.json").read_text(encoding="utf-8"))
+    doc["initial_capital"] = "1234567890123456789012345.6789"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["validate", "--scenario", str(path)]) == 2
+    assert "BadCapital" in capsys.readouterr().err
