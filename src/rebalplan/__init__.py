@@ -11,7 +11,6 @@ from .dp import (
     Policy,
     ValueNode,
     ValueTable,
-    delta_wealth,
     enumerate_controls,
     extract_policy,
     solve_deterministic,
@@ -22,8 +21,6 @@ from .ledger import (
     LedgerState,
     TradeRules,
     apply_rebalance,
-    liquidate_all,
-    rebalance_amount,
     wealth,
 )
 from .market import (
@@ -73,7 +70,6 @@ __all__ = [
     "brute_force_solve",
     "build_expected_market",
     "build_trace_rows",
-    "delta_wealth",
     "dump_scenario",
     "effective_fee",
     "enumerate_controls",
@@ -81,10 +77,8 @@ __all__ = [
     "expected_price",
     "extract_policy",
     "is_active",
-    "liquidate_all",
     "load_scenario",
     "price_at",
-    "rebalance_amount",
     "replay_policy",
     "replay_terminal_wealth",
     "save_scenario",

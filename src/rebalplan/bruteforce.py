@@ -20,7 +20,7 @@ from .errors import InadmissibleTradeError, InstanceTooLargeError
 from .expectation import build_expected_market, expected_fee_table
 from .ledger import LedgerState, apply_rebalance, full_sale, trade_lots
 from .market import Market, Security, effective_fee, price_at
-from .money import EXACT_CONTEXT
+from .money import EXACT_CONTEXT, exact_arithmetic
 from .scenario import MODE_DETERMINISTIC, MODE_EXPECTED, Scenario
 
 POLICY_CAP = 10_000_000
@@ -34,6 +34,8 @@ def brute_force_solve(scenario: Scenario, mode: str | None = None, *,
     ``mode`` defaults to the scenario's own; expected mode first reduces to
     mean prices and fees. ``cap`` bounds the number of trade vectors applied
     during the walk (a complete policy costs at least one application).
+    The walk raises :class:`InexactArithmeticError` where a cash amount would
+    need rounding; the expected-mode reduction rounds means before it.
     """
     mode = scenario.options.mode if mode is None else mode
     if mode == MODE_EXPECTED:
@@ -77,7 +79,8 @@ def brute_force_solve(scenario: Scenario, mode: str | None = None, *,
                  seq + trade_entries(t, trade))
             trades.pop()
 
-    walk(scenario.initial_state(), 0, [], 0, ())
+    with exact_arithmetic():
+        walk(scenario.initial_state(), 0, [], 0, ())
     assert best_key is not None  # the all-zero-trades sequence always survives
     return Policy(best_trades, -best_key[0]), -best_key[0]
 

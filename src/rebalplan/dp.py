@@ -38,6 +38,7 @@ from .ledger import (
     wealth,
 )
 from .market import FeeTable, Market, TimeGrid, effective_fee, price_at
+from .money import exact_arithmetic
 from .scenario import Scenario
 
 # One flattened trade: (grid time, security id, lot delta).
@@ -104,13 +105,17 @@ def enumerate_controls(state: LedgerState, market: Market, fees: FeeTable,
     """
     t = market.grid.points[state.time_index]
     lot = rules.lot_size
+    cheapest = fees.cheapest()
     econ = []
-    for sec in market.active_securities(t):
-        price = price_at(sec, t)
-        fee = effective_fee(sec, t, fees)
-        held = state.holdings.get(sec.security_id, 0)
+    for sid, price in market.quotes_at(t).items():
+        fee = cheapest.get((sid, t))
+        if price is None or fee is None:
+            # raises the typed error for the missing entry
+            sec = market.security(sid)
+            price, fee = price_at(sec, t), effective_fee(sec, t, fees)
+        held = state.holdings.get(sid, 0)
         econ.append((
-            sec.security_id,
+            sid,
             (price + fee) * lot,          # cash out per lot bought
             (price - fee) * lot,          # cash in per lot sold (may be negative)
             held - rules.position_floor,  # lots sellable down to the floor
@@ -160,14 +165,6 @@ def enumerate_controls(state: LedgerState, market: Market, fees: FeeTable,
     return tuple(compose(0, state.cash, []))
 
 
-def delta_wealth(prev: LedgerState, nxt: LedgerState, market: Market,
-                 rules: TradeRules = DEFAULT_RULES) -> Decimal:
-    """Wealth increment between a state and its successor, each at own time."""
-    t_prev = market.grid.points[prev.time_index]
-    t_next = market.grid.points[nxt.time_index]
-    return wealth(nxt, market, t_next, rules) - wealth(prev, market, t_prev, rules)
-
-
 def solve_deterministic(scenario: Scenario, *, prune: bool = True,
                         max_states: int | None = None) -> tuple[Policy, ValueTable]:
     """Maximize terminal cash over all admissible trade sequences, exactly.
@@ -175,7 +172,8 @@ def solve_deterministic(scenario: Scenario, *, prune: bool = True,
     Returns the tie-broken optimal policy and the table of surviving nodes.
     ``prune=False`` keeps every reachable node (for audits; the result must
     not change). ``max_states`` overrides the scenario's cap on the nodes a
-    layer holds while it is built.
+    layer holds while it is built. A cash amount that would need rounding
+    raises :class:`InexactArithmeticError`.
     """
     market = scenario.market
     fees = scenario.fees
@@ -190,11 +188,12 @@ def solve_deterministic(scenario: Scenario, *, prune: bool = True,
         parent=None, trade=None, lots=0, seq=(),
     )
     layers: list[list[ValueNode]] = [[root]]
-    for i in range(stages):
-        terminal = i == stages - 1
-        forced = terminal and not scenario.options.hold_to_end
-        layers.append(_expand(layers[-1], market, fees, rules, forced, terminal,
-                              prune, cap, len(layers)))
+    with exact_arithmetic():
+        for i in range(stages):
+            terminal = i == stages - 1
+            forced = terminal and not scenario.options.hold_to_end
+            layers.append(_expand(layers[-1], market, fees, rules, forced, terminal,
+                                  prune, cap, len(layers)))
 
     table = ValueTable(grid, layers)
     return extract_policy(table), table

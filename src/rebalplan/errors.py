@@ -118,6 +118,21 @@ class StateBudgetExceededError(RebalplanError):
         self.layer = layer
 
 
+class InexactArithmeticError(RebalplanError):
+    """An exact result needs more significant digits than the context holds.
+
+    Raised instead of letting the decimal context round a cash amount
+    silently.
+    """
+
+    def __init__(self, precision: int):
+        super().__init__(
+            f"an exact result needs more than {precision} significant digits; "
+            "scale the amounts down or use fewer fractional digits"
+        )
+        self.precision = precision
+
+
 class InstanceTooLargeError(RebalplanError):
     """A brute-force enumeration would exceed its hard cap."""
 

@@ -6,6 +6,10 @@ plus the cheapest broker fee per unit, fees charged on the absolute quantity
 traded for buys and sells alike. Cash must never go negative: that single
 constraint defines admissibility. States are immutable values; every
 operation returns a new state.
+
+Prices, fees and circulation are read from the indexes the market and the
+fee table build once, on first use (the cheapest broker per deal is chosen
+there), so a trade costs dict lookups per lot delta.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from decimal import Decimal
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import InactiveSecurityError, InadmissibleTradeError, ShortCapExceededError
+from .errors import InadmissibleTradeError, ShortCapExceededError
 from .market import FeeTable, Market, effective_fee, is_active, price_at
 
 # A trade vector: security id -> lot delta (holdings after minus holdings
@@ -76,25 +80,16 @@ def wealth(state: LedgerState, market: Market, t: int,
     held. Normal use evaluates a state at its own grid time; the self-
     financing identity also evaluates a successor state at the trade time.
     """
+    quotes = market.quotes_at(t)
     total = state.cash
     for sid, qty in state.holdings.items():
-        sec = market.security(sid)
-        if is_active(sec, t):
-            total += price_at(sec, t) * rules.lot_size * qty
-    return total
-
-
-def rebalance_amount(trade: TradeVector, market: Market, t: int,
-                     rules: TradeRules = DEFAULT_RULES) -> Decimal:
-    """Signed cash redistributed by the trade: positive buys, negative sells."""
-    total = Decimal(0)
-    for sid, delta in sorted(trade.items()):
-        if delta == 0:
-            continue
-        sec = market.security(sid)
-        if not is_active(sec, t):
-            raise InactiveSecurityError(sid, t)
-        total += price_at(sec, t) * rules.lot_size * delta
+        price = quotes.get(sid)
+        if price is None:
+            sec = market.security(sid)
+            if not is_active(sec, t):
+                continue
+            price = price_at(sec, t)  # raises QuoteMissingError
+        total += price * rules.lot_size * qty
     return total
 
 
@@ -112,6 +107,8 @@ def apply_rebalance(state: LedgerState, trade: TradeVector, market: Market,
     if state.time_index + 1 >= len(grid):
         raise ValueError("cannot trade at the horizon end")
     t = grid.points[state.time_index]
+    quotes = market.quotes_at(t)
+    cheapest = fees.cheapest()
 
     spend = Decimal(0)
     fee_total = Decimal(0)
@@ -119,11 +116,12 @@ def apply_rebalance(state: LedgerState, trade: TradeVector, market: Market,
     for sid, delta in sorted(trade.items()):
         if delta == 0:
             continue
-        sec = market.security(sid)
-        if not is_active(sec, t):
-            raise InactiveSecurityError(sid, t)
-        price = price_at(sec, t)
-        fee = effective_fee(sec, t, fees)
+        price = quotes.get(sid)
+        fee = cheapest.get((sid, t))
+        if price is None or fee is None:
+            # raises the typed error for the missing entry
+            sec = market.security(sid)
+            price, fee = price_at(sec, t), effective_fee(sec, t, fees)
         spend += price * rules.lot_size * delta
         fee_total += fee * rules.lot_size * abs(delta)
         qty = new_holdings.get(sid, 0) + delta
@@ -138,33 +136,12 @@ def apply_rebalance(state: LedgerState, trade: TradeVector, market: Market,
     if new_cash < 0:
         raise InadmissibleTradeError(-new_cash)
 
-    next_t = grid.points[state.time_index + 1]
-    surviving = {
-        sid: qty for sid, qty in new_holdings.items()
-        if is_active(market.security(sid), next_t)
-    }
+    circulating = market.quotes_at(grid.points[state.time_index + 1])
+    surviving = {sid: qty for sid, qty in new_holdings.items() if sid in circulating}
     return LedgerState(state.time_index + 1, surviving, new_cash)
 
 
 def full_sale(state: LedgerState, market: Market, t: int) -> dict[str, int]:
     """The trade closing every position still in circulation at ``t``."""
-    return {
-        sid: -qty
-        for sid, qty in state.holdings.items()
-        if is_active(market.security(sid), t)
-    }
-
-
-def liquidate_all(state: LedgerState, market: Market, fees: FeeTable, t: int,
-                  rules: TradeRules = DEFAULT_RULES) -> Decimal:
-    """Sell every active position at ``t`` and return the resulting cash.
-
-    ``t`` must be the state's own grid time and must not be the horizon end.
-    Matured positions are forfeited: no proceeds, no fee. The sale itself
-    must be admissible (closing a short position costs cash). The returned
-    cash is the terminal wealth when ``t`` is the last decision time.
-    """
-    if market.grid.points[state.time_index] != t:
-        raise ValueError(f"state is at {market.grid.points[state.time_index]}, not {t}")
-    after = apply_rebalance(state, full_sale(state, market, t), market, fees, rules)
-    return after.cash
+    circulating = market.quotes_at(t)
+    return {sid: -qty for sid, qty in state.holdings.items() if sid in circulating}

@@ -3,6 +3,14 @@
 Everything here is immutable after construction. Prices are per unit of a
 security; a security is tradable exactly on the closed window
 [issue_time, issue_time + maturity] and is worthless outside it.
+
+Lookups the solver repeats for every successor are indexed once per
+object, on first use: a :class:`Market` keeps, per time, the securities in
+circulation with their quotes, and a :class:`FeeTable` keeps the cheapest
+broker's fee per (security, time), so the cheapest-broker choice is made
+once, when the fee index is built, and not per trade. :func:`price_at` and
+:func:`effective_fee` stay the checked lookups that raise the typed error
+for a missing entry.
 """
 
 from __future__ import annotations
@@ -100,18 +108,32 @@ class Broker:
 
 @dataclass(frozen=True)
 class FeeTable:
-    """All brokers' fee quotes; queries take the cheapest broker per deal."""
+    """All brokers' fee quotes, indexed by the cheapest broker per deal."""
 
     brokers: tuple[Broker, ...]
 
-    def quotes_for(self, security_id: str, t: int) -> list[Decimal]:
-        """Scalar fees quoted by any broker for this (security, time)."""
-        fees = []
-        for broker in self.brokers:
-            fee = broker.fees.get((security_id, t))
-            if isinstance(fee, Decimal):
-                fees.append(fee)
-        return fees
+    def __post_init__(self):
+        object.__setattr__(self, "_cheapest", None)
+
+    def cheapest(self) -> dict[tuple[str, int], Decimal]:
+        """Cheapest scalar fee per (security id, time); read-only.
+
+        Built on first use: the first minimal scalar fee in broker order.
+        Fee distributions are skipped, as expected mode replaces them by
+        their means before solving; a pair no broker quotes a scalar fee
+        for has no entry.
+        """
+        index = self._cheapest
+        if index is None:
+            index = {}
+            for broker in self.brokers:
+                for key, fee in broker.fees.items():
+                    if isinstance(fee, Decimal):
+                        best = index.get(key)
+                        if best is None or fee < best:
+                            index[key] = fee
+            object.__setattr__(self, "_cheapest", index)
+        return index
 
 
 @dataclass(frozen=True)
@@ -123,21 +145,32 @@ class Market:
 
     def __post_init__(self):
         by_id = {}
-        for sec in self.securities:
+        for sec in sorted(self.securities, key=lambda s: s.security_id):
             if sec.security_id in by_id:
                 raise ValueError(f"duplicate security id {sec.security_id!r}")
             by_id[sec.security_id] = sec
         object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_circulation", {})
 
     def security(self, security_id: str) -> Security:
         return self._by_id[security_id]
 
-    def active_securities(self, t: int) -> list[Security]:
+    def quotes_at(self, t: int) -> dict[str, Decimal | None]:
+        """Every security in circulation at ``t``, in id order, with its quote.
+
+        The quote is ``None`` where the security has none at ``t``. Built on
+        the first query for ``t``; read-only.
+        """
+        at_t = self._circulation.get(t)
+        if at_t is None:
+            at_t = self._circulation[t] = {
+                sid: sec.quotes.get(t) for sid, sec in self._by_id.items() if is_active(sec, t)
+            }
+        return at_t
+
+    def active_securities(self, t: int) -> tuple[Security, ...]:
         """Securities in circulation at ``t``, in id order."""
-        return sorted(
-            (s for s in self.securities if is_active(s, t)),
-            key=lambda s: s.security_id,
-        )
+        return tuple(self._by_id[sid] for sid in self.quotes_at(t))
 
 
 def is_active(security: Security, t: int) -> bool:
@@ -163,10 +196,10 @@ def effective_fee(security: Security, t: int, fees: FeeTable) -> Decimal:
     """Cheapest per-unit fee across brokers for trading the security at ``t``."""
     if not is_active(security, t):
         raise InactiveSecurityError(security.security_id, t)
-    quotes = fees.quotes_for(security.security_id, t)
-    if not quotes:
+    fee = fees.cheapest().get((security.security_id, t))
+    if fee is None:
         raise FeeMissingError(security.security_id, t)
-    return min(quotes)
+    return fee
 
 
 def validate_distribution(dist: DiscreteDistribution) -> None:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import decimal
 from decimal import Decimal
 
+from .errors import InexactArithmeticError
+
 PRICE_SCALE_DEFAULT = 4
 PROB_SCALE_DEFAULT = 6
 
@@ -20,6 +22,14 @@ PROB_SCALE_DEFAULT = 6
 # default 28-digit context would silently round them. Wrap any computation
 # whose exactness matters beyond ~28 digits in this context.
 EXACT_CONTEXT = decimal.Context(prec=120)
+
+# The solver, the replay and the oracle run in this context: the default
+# precision, but a result that would have to round raises instead.
+LEDGER_CONTEXT = decimal.Context(
+    prec=28,
+    traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow,
+           decimal.Inexact],
+)
 
 
 class FixedPointError(ValueError):
@@ -58,6 +68,23 @@ def parse_decimal(text: str | int | Decimal, scale: int, *, what: str = "value")
             f"{what} {text!r} needs more than {decimal.getcontext().prec} "
             f"significant digits at scale {scale}"
         ) from exc
+
+
+class exact_arithmetic:
+    """Context manager running its block in :data:`LEDGER_CONTEXT`.
+
+    A result that would be rounded raises :class:`InexactArithmeticError`.
+    """
+
+    def __enter__(self):
+        self._local = decimal.localcontext(LEDGER_CONTEXT)
+        self._local.__enter__()
+
+    def __exit__(self, kind, exc, tb):
+        self._local.__exit__(kind, exc, tb)
+        if kind is not None and issubclass(kind, decimal.Inexact):
+            raise InexactArithmeticError(LEDGER_CONTEXT.prec) from exc
+        return False
 
 
 def format_decimal(value: Decimal, scale: int) -> str:

@@ -6,6 +6,7 @@ from decimal import Decimal
 
 from .dp import Policy
 from .ledger import LedgerState, apply_rebalance
+from .money import exact_arithmetic
 from .scenario import Scenario
 
 
@@ -13,21 +14,23 @@ def replay_policy(scenario: Scenario, policy: Policy) -> list[LedgerState]:
     """States visited by the policy, initial state first.
 
     Raises whatever the ledger raises if a trade is inadmissible on this
-    scenario; the policy's trade times must match the grid step for step.
+    scenario, and :class:`InexactArithmeticError` if a cash amount would need
+    rounding; the policy's trade times must match the grid step for step.
     """
     market = scenario.market
     fees = scenario.fees
     rules = scenario.trade_rules()
     state = scenario.initial_state()
     states = [state]
-    for t, trade in policy.trades:
-        if market.grid.points[state.time_index] != t:
-            raise ValueError(
-                f"policy trades at {t} but the next decision time is "
-                f"{market.grid.points[state.time_index]}"
-            )
-        state = apply_rebalance(state, trade, market, fees, rules)
-        states.append(state)
+    with exact_arithmetic():
+        for t, trade in policy.trades:
+            if market.grid.points[state.time_index] != t:
+                raise ValueError(
+                    f"policy trades at {t} but the next decision time is "
+                    f"{market.grid.points[state.time_index]}"
+                )
+            state = apply_rebalance(state, trade, market, fees, rules)
+            states.append(state)
     return states
 
 

@@ -67,6 +67,25 @@ def fee_100_scenario() -> Scenario:
     return simple_scenario(fee="1.0000")
 
 
+def twenty_nine_digit_doc(late_quote: str = "5000000000000001") -> dict:
+    """One security, one affordable lot, capital with 28 significant digits.
+
+    Buying the lot at 5e15 and selling it at ``late_quote`` at price scale 12
+    ends on ``capital - 5e15 + late_quote``: at the default quote that needs
+    29 significant digits, one more than the solver's decimal context holds.
+    """
+    return {
+        "initial_capital": "9999999999999999.999999999999",
+        "times": [1, 2, 3],
+        "securities": [{
+            "id": "A", "issue_time": 1, "maturity": 2,
+            "quotes": {"1": "5000000000000000", "2": late_quote, "3": late_quote},
+        }],
+        "brokers": [{"id": "b1", "fees": {"A": {"1": "0", "2": "0", "3": "0"}}}],
+        "options": {"price_scale": 12},
+    }
+
+
 # ---------------------------------------------------------------------------
 # randomized instances
 

@@ -8,23 +8,31 @@ from rebalplan import (
     FeeTable,
     LedgerState,
     Market,
+    Policy,
     Scenario,
     Security,
     SolverOptions,
     TimeGrid,
     apply_rebalance,
-    delta_wealth,
+    brute_force_solve,
     enumerate_controls,
     extract_policy,
     price_at,
+    scenario_from_dict,
     solve_deterministic,
     wealth,
 )
 from rebalplan.dp import ValueTable
-from rebalplan.errors import EmptyTableError, StateBudgetExceededError
+from rebalplan.errors import EmptyTableError, InexactArithmeticError, StateBudgetExceededError
 from rebalplan.replay import replay_policy, replay_terminal_wealth
 
-from scenariogen import fee_050_scenario, fee_100_scenario, random_scenario, simple_scenario
+from scenariogen import (
+    fee_050_scenario,
+    fee_100_scenario,
+    random_scenario,
+    simple_scenario,
+    twenty_nine_digit_doc,
+)
 
 D = Decimal
 
@@ -73,18 +81,24 @@ def test_enumerate_controls_allows_selling_to_fund_buying():
 
 
 def test_delta_wealth():
+    def delta(prev, nxt, market):
+        """Wealth increment between two states, each valued at its own time."""
+        def at(state):
+            return wealth(state, market, market.grid.points[state.time_index])
+        return at(nxt) - at(prev)
+
     scn = fee_050_scenario()
     market = scn.market
     prev = LedgerState(0, {}, D("100.00"))
     nxt = LedgerState(1, {"A": 9}, D("5.50"))
     # W(t2) = 5.50 + 9 * 11.50 = 109.00
-    assert delta_wealth(prev, nxt, market) == D("9.00")
+    assert delta(prev, nxt, market) == D("9.00")
     same_prices = simple_scenario(quotes={1: "10.0000", 2: "10.0000", 3: "10.0000"})
     held = LedgerState(0, {"A": 5}, D("50.00"))
     still = LedgerState(1, {"A": 5}, D("50.00"))
-    assert delta_wealth(held, still, same_prices.market) == D("0.00")
+    assert delta(held, still, same_prices.market) == D("0.00")
     dropped = simple_scenario(quotes={1: "10.0000", 2: "9.0000", 3: "9.0000"})
-    assert delta_wealth(held, still, dropped.market) == D("-5.00")
+    assert delta(held, still, dropped.market) == D("-5.00")
 
 
 def test_solver_buys_nine_lots_then_liquidates():
@@ -217,3 +231,22 @@ def test_rising_prices_with_zero_fees_hold_the_maximum():
         assert state.cash < price  # cannot afford one more lot
     # ten lots bought at 10.00, sold into the forced liquidation at 12.00
     assert policy.terminal_wealth == D("120.00")
+
+
+def test_a_result_that_would_round_raises():
+    # at 28 significant digits the round trip is exact and breaks even
+    exact = scenario_from_dict(twenty_nine_digit_doc("5000000000000000"))
+    policy, _ = solve_deterministic(exact)
+    assert repr(policy.terminal_wealth) == "Decimal('9999999999999999.999999999999')"
+    assert brute_force_solve(exact)[1] == policy.terminal_wealth
+
+    scn = scenario_from_dict(twenty_nine_digit_doc())
+    round_trip = Policy(((1, {"A": 1}), (2, {"A": -1})), D(0))
+    with pytest.raises(InexactArithmeticError):
+        solve_deterministic(scn)
+    with pytest.raises(InexactArithmeticError):
+        solve_deterministic(scn, prune=False)
+    with pytest.raises(InexactArithmeticError):
+        replay_policy(scn, round_trip)
+    with pytest.raises(InexactArithmeticError):
+        brute_force_solve(scn)

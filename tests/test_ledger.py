@@ -2,9 +2,12 @@ import random
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rebalplan import (
     Broker,
+    DiscreteDistribution,
     FeeTable,
     LedgerState,
     Market,
@@ -12,15 +15,17 @@ from rebalplan import (
     TimeGrid,
     TradeRules,
     apply_rebalance,
-    liquidate_all,
-    rebalance_amount,
+    effective_fee,
     wealth,
 )
 from rebalplan.errors import (
+    FeeMissingError,
     InactiveSecurityError,
     InadmissibleTradeError,
+    QuoteMissingError,
     ShortCapExceededError,
 )
+from rebalplan.ledger import full_sale
 
 D = Decimal
 
@@ -57,17 +62,6 @@ def test_wealth_of_pure_cash():
 def test_wealth_ignores_matured_positions():
     state = LedgerState(1, {"M": 5}, D("50.00"))
     assert wealth(state, MARKET, 2) == D("50.00")
-
-
-def test_rebalance_amount_signs():
-    assert rebalance_amount({"A": 2}, MARKET, 1) == D("20.00")
-    assert rebalance_amount({"A": -3}, MARKET, 1) == D("-30.00")
-    assert rebalance_amount({}, MARKET, 1) == D("0.00")
-
-
-def test_rebalance_amount_rejects_inactive():
-    with pytest.raises(InactiveSecurityError):
-        rebalance_amount({"M": 1}, MARKET, 2)
 
 
 def test_apply_rebalance_charges_price_plus_fee():
@@ -115,23 +109,30 @@ def test_expiring_positions_are_forfeited_on_advance():
     assert dict(after.holdings) == {}  # M's window closed before t=2
 
 
+def liquidate_all(state, market, fees):
+    """Cash after selling every position still in circulation."""
+    t = market.grid.points[state.time_index]
+    return apply_rebalance(state, full_sale(state, market, t), market, fees).cash
+
+
 def test_liquidate_all_books_proceeds_minus_fees():
     grid = TimeGrid((1, 2, 3))
     a = Security("A", 1, 2, {1: D("10.00"), 2: D("12.00"), 3: D("12.00")}, {})
     market = Market(grid, (a,))
     state = LedgerState(1, {"A": 2}, D("79.00"))
     # 79.00 + 2 * 12.00 - 2 * 0.50
-    assert liquidate_all(state, market, FEES, 2) == D("102.00")
+    assert liquidate_all(state, market, FEES) == D("102.00")
 
 
 def test_liquidate_all_with_nothing_to_sell():
     state = LedgerState(1, {}, D("100.00"))
-    assert liquidate_all(state, MARKET, FEES, 2) == D("100.00")
+    assert liquidate_all(state, MARKET, FEES) == D("100.00")
 
 
 def test_liquidate_all_forfeits_matured_positions():
     state = LedgerState(1, {"M": 3}, D("50.00"))
-    assert liquidate_all(state, MARKET, FEES, 2) == D("50.00")
+    assert full_sale(state, MARKET, 2) == {}
+    assert liquidate_all(state, MARKET, FEES) == D("50.00")
 
 
 def test_fractional_lot_size_scales_cash_flows():
@@ -210,3 +211,123 @@ def test_successful_rebalances_never_go_negative():
         except InadmissibleTradeError:
             continue
         assert after.cash >= 0
+
+
+# ---------------------------------------------------------------------------
+# the market and fee indexes against the raw quotes and fees
+
+IDS = ("A", "B", "C")
+
+
+# equal fees at different exponents: the index must keep the first in
+# broker order, as min() does
+FEES_DRAWN = st.sampled_from(("0.50", "0.5", "0.30", "0.3", "0", "0.00", "1.25"))
+
+
+def amount(draw, lo, hi):
+    # the same value may come at different exponents (5, 5.0, 5.00)
+    digits = draw(st.integers(0, 2))
+    return D(hi - draw(st.integers(0, hi - lo))).scaleb(-digits)
+
+
+@st.composite
+def rebalance_cases(draw):
+    """A small market with gaps, a state on its grid and a trade.
+
+    Each choice shrinks towards a complete market and a trade that applies.
+    """
+    times = tuple(range(1, draw(st.integers(2, 4)) + 1))
+    securities = []
+    for sid in IDS[:draw(st.integers(1, 3))]:
+        # mostly in circulation over the whole grid
+        issue = draw(st.sampled_from((1, 1, 1) + times))
+        maturity = draw(st.sampled_from((len(times),) * 3 + tuple(range(len(times)))))
+        quotes = {t: amount(draw, 1, 30) for t in times if draw(st.integers(0, 5)) < 5}
+        securities.append(Security(sid, issue, maturity, quotes, {}))
+    brokers = []
+    for b in range(draw(st.integers(1, 3))):
+        fees = {}
+        for sec in securities:
+            for t in times:
+                kind = draw(st.sampled_from(("scalar", "scalar", "none", "dist")))
+                if kind == "scalar":
+                    fees[(sec.security_id, t)] = D(draw(FEES_DRAWN))
+                elif kind == "dist":
+                    fees[(sec.security_id, t)] = DiscreteDistribution(
+                        ((D(draw(FEES_DRAWN)), D(1)),))
+        brokers.append(Broker(f"b{b}", fees))
+    market = Market(TimeGrid(times), tuple(securities))
+    ids = [sec.security_id for sec in securities]
+    deltas = st.sampled_from((1, -1, 2, -2, 3, 4, -3, 0))
+    state = LedgerState(
+        draw(st.integers(0, len(times) - 2)),
+        {sid: draw(deltas) for sid in ids if not draw(st.booleans())},
+        amount(draw, 0, 300),
+    )
+    trade = {sid: draw(deltas) for sid in ids if not draw(st.booleans())}
+    short_cap = draw(st.integers(0, 3))
+    rules = TradeRules(lot_size=draw(st.sampled_from((D(1), D("0.5"), D("2.00")))),
+                       allow_short=short_cap > 0, short_cap=short_cap)
+    return market, FeeTable(tuple(brokers)), state, trade, rules
+
+
+def circulating(sec, t):
+    return sec.issue_time <= t <= sec.issue_time + sec.maturity
+
+
+def reference_fee(sec, t, fees):
+    """The first smallest scalar fee in broker order, or None."""
+    scalar = [broker.fees[(sec.security_id, t)] for broker in fees.brokers
+              if isinstance(broker.fees.get((sec.security_id, t)), Decimal)]
+    return min(scalar) if scalar else None
+
+
+def reference_rebalance(state, trade, market, fees, rules):
+    """The successor state, or the error class, from the raw quotes and fees."""
+    t = market.grid.points[state.time_index]
+    next_t = market.grid.points[state.time_index + 1]
+    spend = fee_total = D(0)
+    holdings = dict(state.holdings)
+    for sid, delta in sorted(trade.items()):
+        if delta == 0:
+            continue
+        sec = market.security(sid)
+        if not circulating(sec, t):
+            return InactiveSecurityError
+        if t not in sec.quotes:
+            return QuoteMissingError
+        fee = reference_fee(sec, t, fees)
+        if fee is None:
+            return FeeMissingError
+        spend += sec.quotes[t] * rules.lot_size * delta
+        fee_total += fee * rules.lot_size * abs(delta)
+        holdings[sid] = holdings.get(sid, 0) + delta
+        if holdings[sid] < rules.position_floor:
+            return ShortCapExceededError
+    cash = state.cash - spend - fee_total
+    if cash < 0:
+        return InadmissibleTradeError
+    return LedgerState(state.time_index + 1, {
+        sid: qty for sid, qty in holdings.items()
+        if circulating(market.security(sid), next_t)
+    }, cash)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rebalance_cases())
+def test_indexed_rebalance_matches_the_raw_quotes_and_fees(case):
+    market, fees, state, trade, rules = case
+    expected = reference_rebalance(state, trade, market, fees, rules)
+    try:
+        got = apply_rebalance(state, trade, market, fees, rules)
+    except (InactiveSecurityError, QuoteMissingError, FeeMissingError,
+            ShortCapExceededError, InadmissibleTradeError) as exc:
+        assert type(exc) is expected
+    else:
+        assert got == expected
+        assert repr(got.cash) == repr(expected.cash)
+    for sec in market.securities:
+        for t in market.grid.points:
+            fee = reference_fee(sec, t, fees)
+            if circulating(sec, t) and fee is not None:
+                assert repr(effective_fee(sec, t, fees)) == repr(fee)

@@ -17,7 +17,7 @@ from rebalplan import (
 )
 from rebalplan.trace import TRACE_HEADER
 
-from scenariogen import fee_050_scenario, random_scenario
+from scenariogen import fee_050_scenario, random_scenario, twenty_nine_digit_doc
 
 D = Decimal
 
@@ -140,3 +140,13 @@ def test_cli_validate_rejects_capital_too_long_to_hold(tmp_path, capsys):
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert cli.main(["validate", "--scenario", str(path)]) == 2
     assert "BadCapital" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_cli_reports_a_result_that_would_round(command, tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(twenty_nine_digit_doc()), encoding="utf-8")
+    assert cli.main([command, "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "more than 28 significant digits" in err
+    assert "Traceback" not in err
