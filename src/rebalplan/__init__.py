@@ -43,11 +43,10 @@ from .scenario import (
     SolverOptions,
     dump_scenario,
     load_scenario,
-    save_scenario,
     scenario_from_dict,
     validate_scenario,
 )
-from .trace import build_trace_rows, trace_text, write_trace
+from .trace import build_trace_rows, trace_text
 
 __all__ = [
     "Broker",
@@ -81,7 +80,6 @@ __all__ = [
     "price_at",
     "replay_policy",
     "replay_terminal_wealth",
-    "save_scenario",
     "scenario_from_dict",
     "solve_deterministic",
     "solve_stochastic",
@@ -89,5 +87,4 @@ __all__ = [
     "validate_distribution",
     "validate_scenario",
     "wealth",
-    "write_trace",
 ]

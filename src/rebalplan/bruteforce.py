@@ -27,18 +27,16 @@ POLICY_CAP = 10_000_000
 JOINT_CAP = 64
 
 
-def brute_force_solve(scenario: Scenario, mode: str | None = None, *,
+def brute_force_solve(scenario: Scenario, *,
                       cap: int = POLICY_CAP) -> tuple[Policy, Decimal]:
     """Exhaustive search for the tie-broken optimal policy.
 
-    ``mode`` defaults to the scenario's own; expected mode first reduces to
-    mean prices and fees. ``cap`` bounds the number of trade vectors applied
+    An expected-mode scenario is first reduced to mean prices and fees. ``cap`` bounds the number of trade vectors applied
     during the walk (a complete policy costs at least one application).
     The walk raises :class:`InexactArithmeticError` where a cash amount would
     need rounding; the expected-mode reduction rounds means before it.
     """
-    mode = scenario.options.mode if mode is None else mode
-    if mode == MODE_EXPECTED:
+    if scenario.options.mode == MODE_EXPECTED:
         scenario = build_expected_market(scenario)
     market = scenario.market
     fees = scenario.fees

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .bruteforce import brute_force_solve
-from .dp import solve_deterministic
+from .dp import Policy, solve_deterministic
 from .errors import (
     InstanceTooLargeError,
     RebalplanError,
@@ -20,7 +20,7 @@ from .errors import (
     ScenarioValidationError,
     StateBudgetExceededError,
 )
-from .expectation import build_expected_market, solve_stochastic
+from .expectation import build_expected_market
 from .money import format_decimal
 from .scenario import MODE_EXPECTED, Scenario, load_scenario
 from .trace import trace_text
@@ -94,7 +94,7 @@ def run_solve(scenario: Scenario, out_path: str | None, *,
               max_states: int | None = None) -> int:
     """Solve, emit the trace, print a summary line with the terminal wealth."""
     try:
-        policy, value, trace_scenario = _solve(scenario, max_states)
+        policy, solved = _solve(scenario, max_states)
     except (StateBudgetExceededError, InstanceTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -102,7 +102,7 @@ def run_solve(scenario: Scenario, out_path: str | None, *,
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    text = trace_text(trace_scenario, policy)
+    text = trace_text(solved, policy)
     if out_path is None:
         sys.stdout.write(text)
     else:
@@ -112,15 +112,15 @@ def run_solve(scenario: Scenario, out_path: str | None, *,
             print(f"error: cannot write trace: {exc}", file=sys.stderr)
             return EXIT_IO
     scale = scenario.options.price_scale
-    print(f"terminal wealth {format_decimal(value, scale)}")
+    print(f"terminal wealth {format_decimal(policy.terminal_wealth, scale)}")
     return EXIT_OK
 
 
 def run_oracle_check(scenario: Scenario, *, max_states: int | None = None) -> int:
     """Exit 0 iff the staged solver and the brute-force reference agree exactly."""
     try:
-        policy, value, _ = _solve(scenario, max_states)
-        oracle_policy, oracle_value = brute_force_solve(scenario)
+        policy, solved = _solve(scenario, max_states)
+        oracle_policy, oracle_value = brute_force_solve(solved)
     except (StateBudgetExceededError, InstanceTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -129,6 +129,7 @@ def run_oracle_check(scenario: Scenario, *, max_states: int | None = None) -> in
         return EXIT_VALIDATION
 
     scale = scenario.options.price_scale
+    value = policy.terminal_wealth
     if value == oracle_value and policy.trades == oracle_policy.trades:
         print(f"oracle check OK: terminal wealth {format_decimal(value, scale)}")
         return EXIT_OK
@@ -140,12 +141,16 @@ def run_oracle_check(scenario: Scenario, *, max_states: int | None = None) -> in
     return EXIT_MISMATCH
 
 
-def _solve(scenario: Scenario, max_states: int | None):
+def _solve(scenario: Scenario, max_states: int | None) -> tuple[Policy, Scenario]:
+    """The optimal policy and the deterministic instance it was solved on.
+
+    An expected-mode scenario is reduced to its mean instance here, once; the
+    trace and the oracle read that same instance.
+    """
     if scenario.options.mode == MODE_EXPECTED:
-        policy, value = solve_stochastic(scenario, max_states=max_states)
-        return policy, value, build_expected_market(scenario)
+        scenario = build_expected_market(scenario)
     policy, _ = solve_deterministic(scenario, max_states=max_states)
-    return policy, policy.terminal_wealth, scenario
+    return policy, scenario
 
 
 if __name__ == "__main__":

@@ -35,7 +35,6 @@ from .ledger import (
     apply_rebalance,
     full_sale,
     trade_lots,
-    wealth,
 )
 from .market import FeeTable, Market, TimeGrid, effective_fee, price_at
 from .money import exact_arithmetic
@@ -47,16 +46,15 @@ TradeEntry = tuple[int, str, int]
 
 @dataclass(frozen=True)
 class ValueNode:
-    """A reachable state, its value, and the best history reaching it.
+    """A reachable state and the best history reaching it.
 
-    ``value`` is the mark-to-market wealth of the state at its own grid time;
-    for nodes on the final layer it is the ending cash (positions left at the
-    horizon end are worthless). ``lots`` and ``seq`` cache the tie-break key
-    of the trade history.
+    ``parent`` and ``trade`` link the history back to the root; ``lots`` and
+    ``seq`` cache its tie-break key. A node carries no derived wealth: the
+    search ranks nodes by cash, lots and ``seq`` alone, and on the final
+    layer the cash is the terminal wealth.
     """
 
     state: LedgerState
-    value: Decimal
     parent: Optional["ValueNode"]
     trade: Optional[dict[str, int]]
     lots: int
@@ -69,15 +67,6 @@ class Policy:
 
     trades: tuple[tuple[int, dict[str, int]], ...]
     terminal_wealth: Decimal
-
-    def total_lots(self) -> int:
-        return sum(trade_lots(trade) for _, trade in self.trades)
-
-    def sequence(self) -> tuple[TradeEntry, ...]:
-        entries: list[TradeEntry] = []
-        for t, trade in self.trades:
-            entries.extend(trade_entries(t, trade))
-        return tuple(entries)
 
 
 @dataclass
@@ -182,25 +171,25 @@ def solve_deterministic(scenario: Scenario, *, prune: bool = True,
     cap = scenario.options.max_states if max_states is None else max_states
     stages = len(grid) - 1
 
-    root = ValueNode(
-        state=scenario.initial_state(),
-        value=scenario.initial_capital,
-        parent=None, trade=None, lots=0, seq=(),
-    )
+    root = ValueNode(state=scenario.initial_state(), parent=None, trade=None,
+                     lots=0, seq=())
     layers: list[list[ValueNode]] = [[root]]
     with exact_arithmetic():
         for i in range(stages):
-            terminal = i == stages - 1
-            forced = terminal and not scenario.options.hold_to_end
-            layers.append(_expand(layers[-1], market, fees, rules, forced, terminal,
-                                  prune, cap, len(layers)))
+            forced = i == stages - 1 and not scenario.options.hold_to_end
+            layers.append(_expand(layers[-1], market, fees, rules, forced, prune,
+                                  cap, len(layers)))
 
     table = ValueTable(grid, layers)
     return extract_policy(table), table
 
 
 def extract_policy(table: ValueTable) -> Policy:
-    """Walk parent pointers back from the best terminal node."""
+    """Walk parent pointers back from the best terminal node.
+
+    The terminal wealth is that node's cash: positions left at the horizon
+    end are worthless.
+    """
     if not table.layers or not table.layers[-1]:
         raise EmptyTableError("value table has no terminal nodes")
     best = min(table.layers[-1], key=_rank)
@@ -212,21 +201,21 @@ def extract_policy(table: ValueTable) -> Policy:
         steps.append((traded_at, dict(node.trade or {})))
         node = node.parent
     steps.reverse()
-    return Policy(tuple(steps), best.value)
+    return Policy(tuple(steps), best.state.cash)
 
 
 def _expand(frontier: list[ValueNode], market: Market, fees: FeeTable,
-            rules: TradeRules, forced: bool, terminal: bool, prune: bool,
-            cap: int, layer: int) -> list[ValueNode]:
+            rules: TradeRules, forced: bool, prune: bool, cap: int,
+            layer: int) -> list[ValueNode]:
     """Build layer ``layer`` from its predecessor, keeping at most ``cap`` nodes.
 
-    With ``prune`` only the best node per holdings vector is kept; a
-    successor with less cash than the incumbent is dropped before its history
-    and value are built.
+    The layer is one dict. With ``prune`` it is keyed by holdings and keeps
+    only the best node per holdings vector; a successor with less cash than
+    the incumbent is dropped before its history is built. Without, it is
+    keyed by arrival order and keeps every successor in the order made.
     """
     grid = market.grid
-    best: dict[tuple[tuple[str, int], ...], ValueNode] = {}
-    out: list[ValueNode] = []
+    kept: dict[tuple[tuple[str, int], ...] | int, ValueNode] = {}
     for node in frontier:
         t = grid.points[node.state.time_index]
         if forced:
@@ -239,29 +228,18 @@ def _expand(frontier: list[ValueNode], market: Market, fees: FeeTable,
             except InadmissibleTradeError:
                 # only the forced sale can fail here (closing shorts needs cash)
                 continue
-            cur = None
-            if prune:
-                key = successor.holdings_key()
-                cur = best.get(key)
-                if cur is not None and successor.cash < cur.state.cash:
-                    continue
+            key = successor.holdings_key() if prune else len(kept)
+            cur = kept.get(key)
+            if cur is not None and successor.cash < cur.state.cash:
+                continue
             lots = node.lots + trade_lots(trade)
             seq = node.seq + trade_entries(t, trade)
             if cur is not None and (-successor.cash, lots, seq) >= _rank(cur):
                 continue
-            if terminal:
-                value = successor.cash
-            else:
-                value = wealth(successor, market, grid.points[successor.time_index], rules)
-            child = ValueNode(successor, value, node, trade, lots, seq)
-            if prune:
-                best[key] = child
-            else:
-                out.append(child)
-            held = len(best) if prune else len(out)
-            if held > cap:
-                raise StateBudgetExceededError(cap, held, layer)
-    return [best[key] for key in sorted(best)] if prune else out
+            kept[key] = ValueNode(successor, node, trade, lots, seq)
+            if len(kept) > cap:
+                raise StateBudgetExceededError(cap, len(kept), layer)
+    return [kept[key] for key in sorted(kept)]
 
 
 def _rank(node: ValueNode) -> tuple[Decimal, int, tuple[TradeEntry, ...]]:
@@ -269,6 +247,6 @@ def _rank(node: ValueNode) -> tuple[Decimal, int, tuple[TradeEntry, ...]]:
 
     Same-holdings nodes with equal terminal wealth have equal cash, so
     breaking cash ties by the policy tie-break reproduces the global
-    tie-broken optimum. On the terminal layer value and cash coincide.
+    tie-broken optimum. On the terminal layer cash is the terminal wealth.
     """
     return (-node.state.cash, node.lots, node.seq)

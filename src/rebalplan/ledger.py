@@ -110,9 +110,10 @@ def apply_rebalance(state: LedgerState, trade: TradeVector, market: Market,
     quotes = market.quotes_at(t)
     cheapest = fees.cheapest()
 
+    circulating = market.quotes_at(grid.points[state.time_index + 1])
+    new_holdings = {sid: qty for sid, qty in state.holdings.items() if sid in circulating}
     spend = Decimal(0)
     fee_total = Decimal(0)
-    new_holdings = dict(state.holdings)
     for sid, delta in sorted(trade.items()):
         if delta == 0:
             continue
@@ -124,21 +125,16 @@ def apply_rebalance(state: LedgerState, trade: TradeVector, market: Market,
             price, fee = price_at(sec, t), effective_fee(sec, t, fees)
         spend += price * rules.lot_size * delta
         fee_total += fee * rules.lot_size * abs(delta)
-        qty = new_holdings.get(sid, 0) + delta
+        qty = state.holdings.get(sid, 0) + delta
         if qty < rules.position_floor:
             raise ShortCapExceededError(sid, qty, rules.position_floor)
-        if qty == 0:
-            new_holdings.pop(sid, None)
-        else:
-            new_holdings[sid] = qty
+        if sid in circulating:
+            new_holdings[sid] = qty  # a zero is dropped by LedgerState
 
     new_cash = state.cash - spend - fee_total
     if new_cash < 0:
         raise InadmissibleTradeError(-new_cash)
-
-    circulating = market.quotes_at(grid.points[state.time_index + 1])
-    surviving = {sid: qty for sid, qty in new_holdings.items() if sid in circulating}
-    return LedgerState(state.time_index + 1, surviving, new_cash)
+    return LedgerState(state.time_index + 1, new_holdings, new_cash)
 
 
 def full_sale(state: LedgerState, market: Market, t: int) -> dict[str, int]:

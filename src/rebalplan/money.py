@@ -91,14 +91,17 @@ def format_decimal(value: Decimal, scale: int) -> str:
     """Canonical string form: padded to ``scale`` digits, never rounded.
 
     Values genuinely finer than ``scale`` (possible with a fractional lot
-    size) are emitted with all their digits intact.
+    size) are emitted with all their digits intact. The padding runs in
+    :data:`EXACT_CONTEXT`, so it does not depend on the caller's precision,
+    and the result is always positional, never in exponent form.
     """
-    try:
-        with decimal.localcontext() as ctx:
-            ctx.traps[decimal.Inexact] = True
-            return str(value.quantize(quantum(scale)))
-    except decimal.Inexact:
-        return format(value.normalize(), "f")
+    with decimal.localcontext(EXACT_CONTEXT) as ctx:
+        ctx.traps[decimal.Inexact] = True
+        try:
+            value = value.quantize(quantum(scale))
+        except decimal.Inexact:
+            value = value.normalize()
+    return format(value, "f")
 
 
 def round_half_even(value: Decimal, scale: int) -> Decimal:

@@ -117,10 +117,6 @@ def load_scenario(path: str | Path, mode: str | None = None) -> Scenario:
     return scenario_from_dict(data, mode=mode)
 
 
-def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    Path(path).write_text(dump_scenario(scenario), encoding="utf-8")
-
-
 def dump_scenario(scenario: Scenario) -> str:
     """Canonical JSON text; loading it back yields an equal Scenario."""
     return json.dumps(scenario_to_dict(scenario), indent=2) + "\n"

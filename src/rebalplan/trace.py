@@ -74,13 +74,9 @@ def build_trace_rows(scenario: Scenario, policy: Policy) -> list[list[str]]:
     return rows
 
 
-def write_trace(scenario: Scenario, policy: Policy, stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(TRACE_HEADER)
-    writer.writerows(build_trace_rows(scenario, policy))
-
-
 def trace_text(scenario: Scenario, policy: Policy) -> str:
     buffer = io.StringIO()
-    write_trace(scenario, policy, buffer)
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(TRACE_HEADER)
+    writer.writerows(build_trace_rows(scenario, policy))
     return buffer.getvalue()

@@ -173,12 +173,11 @@ def test_state_budget_trips_inside_the_layer_being_built():
     assert "layer 1" in str(caught.value)
 
 
-def test_value_nodes_carry_their_own_wealth():
+def test_value_nodes_replay_to_their_own_state():
     scn = fee_050_scenario()
-    _, table = solve_deterministic(scn)
+    policy, table = solve_deterministic(scn)
     market, rules = scn.market, scn.trade_rules()
-    for layer_idx, layer in enumerate(table.layers):
-        terminal = layer_idx == len(table.layers) - 1
+    for layer in table.layers:
         for node in layer:
             # replay the parent chain through the ledger
             chain = []
@@ -191,9 +190,7 @@ def test_value_nodes_carry_their_own_wealth():
             for t, trade in reversed(chain):
                 state = apply_rebalance(state, trade, market, scn.fees, rules)
             assert state == node.state
-            t_node = market.grid.points[node.state.time_index]
-            expected = state.cash if terminal else wealth(state, market, t_node, rules)
-            assert node.value == expected
+    assert max(node.state.cash for node in table.layers[-1]) == policy.terminal_wealth
 
 
 def test_disabling_pruning_changes_nothing():

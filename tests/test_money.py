@@ -36,6 +36,12 @@ def test_parse_rejects_floats_and_garbage():
 def test_format_pads_to_scale():
     assert format_decimal(Decimal("10.5"), 4) == "10.5000"
     assert format_decimal(Decimal("104.50000000"), 4) == "104.5000"
+    # more digits than the default 28-digit context once padded
+    assert format_decimal(Decimal("10000000000000000.00000000000"), 12) == \
+        "10000000000000000.000000000000"
+    # small exponents print positionally, not as 0E-7 or 1.2E-7
+    assert format_decimal(Decimal("0"), 7) == "0.0000000"
+    assert format_decimal(Decimal("0.00000012"), 8) == "0.00000012"
 
 
 def test_format_keeps_finer_digits_intact():

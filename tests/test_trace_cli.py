@@ -6,10 +6,13 @@ from pathlib import Path
 
 import pytest
 
+import rebalplan.bruteforce as bruteforce
 import rebalplan.cli as cli
+import rebalplan.expectation as expectation
 from rebalplan import (
     Policy,
     brute_force_solve,
+    build_expected_market,
     build_trace_rows,
     load_scenario,
     solve_deterministic,
@@ -123,14 +126,28 @@ def test_cli_oracle_agrees_on_the_examples(capsys):
 
 
 def test_cli_oracle_mismatch_exits_five(monkeypatch, capsys):
-    def wrong_oracle(scenario, mode=None, **kwargs):
-        policy, value = brute_force_solve(scenario, mode, **kwargs)
+    def wrong_oracle(scenario, **kwargs):
+        policy, value = brute_force_solve(scenario, **kwargs)
         return Policy(policy.trades, value + 1), value + 1
 
     monkeypatch.setattr(cli, "brute_force_solve", wrong_oracle)
     code = cli.main(["oracle", "--scenario", str(DOCS / "buy_then_liquidate.json")])
     assert code == 5
     assert "oracle mismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_cli_reduces_an_expected_scenario_once(command, monkeypatch, capsys):
+    reductions = []
+
+    def counted(scenario):
+        reductions.append(scenario)
+        return build_expected_market(scenario)
+
+    for module in (cli, bruteforce, expectation):
+        monkeypatch.setattr(module, "build_expected_market", counted)
+    assert cli.main([command, "--scenario", str(DOCS / "two_point_upside.json")]) == 0
+    assert len(reductions) == 1
 
 
 def test_cli_validate_rejects_capital_too_long_to_hold(tmp_path, capsys):
@@ -150,3 +167,14 @@ def test_cli_reports_a_result_that_would_round(command, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "more than 28 significant digits" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_cli_prints_an_exact_result_longer_than_28_digits(command, tmp_path, capsys):
+    # exact at 28 significant digits, 29 once padded to price scale 12
+    path = tmp_path / "long.json"
+    doc = twenty_nine_digit_doc("5000000000000000.000000000001")
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main([command, "--scenario", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "terminal wealth 10000000000000000.000000000000" in out
