@@ -10,6 +10,14 @@ pruning) is exact. Cash is a sparse set of exact decimals, which is why the
 engine expands reachable states forward instead of iterating a value
 function over a cash grid.
 
+A node's trade vectors are streamed, one at a time, by an iterative walk
+over the securities in id order that reads its per-lot amounts from the
+ledger's deal book. Each vector is replayed through the ledger step as it
+comes, and the layer's node cap is checked as each successor is kept, so
+the cap bounds the memory of a layer even inside one node's expansion, and
+the number of securities is not limited by the interpreter's recursion
+depth.
+
 At the final decision time the default policy is to sell every position
 still in circulation; with ``hold_to_end`` set, trading stays free and any
 position left at the horizon end is valued at zero. Either way the terminal
@@ -25,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import EmptyTableError, InadmissibleTradeError, StateBudgetExceededError
 from .ledger import (
@@ -33,10 +41,12 @@ from .ledger import (
     LedgerState,
     TradeRules,
     apply_rebalance,
+    deals_at,
     full_sale,
+    raise_unpriced,
     trade_lots,
 )
-from .market import FeeTable, Market, TimeGrid, effective_fee, price_at
+from .market import FeeTable, Market, TimeGrid
 from .money import exact_arithmetic
 from .scenario import Scenario
 
@@ -83,75 +93,106 @@ def trade_entries(t: int, trade: dict[str, int]) -> tuple[TradeEntry, ...]:
 
 
 def enumerate_controls(state: LedgerState, market: Market, fees: FeeTable,
-                       rules: TradeRules = DEFAULT_RULES) -> tuple[dict[str, int], ...]:
-    """Every admissible trade vector at the state's decision time.
+                       rules: TradeRules = DEFAULT_RULES) -> Iterator[dict[str, int]]:
+    """Every admissible trade vector at the state's decision time, streamed.
 
     Deltas compose security by security in id order; the budget bound is
     tightened incrementally using the best cash the still-unassigned
     securities could raise, so the product space is cut without excluding
     any vector whose aggregate cash stays non-negative. Selling one security
     to fund buying another in the same step is admissible, and enumerated.
-    """
-    t = market.grid.points[state.time_index]
-    lot = rules.lot_size
-    cheapest = fees.cheapest()
-    econ = []
-    for sid, price in market.quotes_at(t).items():
-        fee = cheapest.get((sid, t))
-        if price is None or fee is None:
-            # raises the typed error for the missing entry
-            sec = market.security(sid)
-            price, fee = price_at(sec, t), effective_fee(sec, t, fees)
-        held = state.holdings.get(sid, 0)
-        econ.append((
-            sid,
-            (price + fee) * lot,          # cash out per lot bought
-            (price - fee) * lot,          # cash in per lot sold (may be negative)
-            held - rules.position_floor,  # lots sellable down to the floor
-        ))
 
-    # raise[i]: most cash securities i.. could still contribute by selling
-    raisable = [Decimal(0)] * (len(econ) + 1)
-    for i in range(len(econ) - 1, -1, -1):
-        _, _, sell_net, sell_bound = econ[i]
+    The per-lot amounts come from the ledger's deal book, and a missing
+    quote or fee raises its typed error here, before the first vector. The
+    vectors are then made one at a time, in lexicographic order of their
+    deltas, by an iterative walk: memory stays linear in the number of
+    securities whatever the number of vectors.
+    """
+    page = deals_at(market, fees, rules.lot_size, state.time_index)
+    held = state.holdings
+    floor = rules.position_floor
+    terms = []
+    for sid, deal in page.per_lot.items():
+        if deal is None:
+            raise_unpriced(market, fees, sid, page.time)
+        # cash out per lot bought, cash in per lot sold (may be negative),
+        # lots sellable down to the floor
+        terms.append((sid, deal[0], deal[1], held.get(sid, 0) - floor))
+    if not terms:
+        return iter(({},))
+
+    # raisable[i]: most cash securities i.. could still contribute by selling
+    raisable = [Decimal(0)] * (len(terms) + 1)
+    for i in range(len(terms) - 1, -1, -1):
+        _, _, sell_net, sell_bound = terms[i]
         gain = sell_net * sell_bound if sell_net > 0 else Decimal(0)
         raisable[i] = raisable[i + 1] + gain
+    return _walk(terms, raisable, state.cash)
 
-    def compose(idx: int, cash: Decimal, partial: list[tuple[str, int]]):
-        if idx == len(econ):
-            yield {sid: delta for sid, delta in partial if delta != 0}
-            return
-        sid, buy_cost, sell_net, sell_bound = econ[idx]
-        headroom = cash + raisable[idx + 1]
-        if headroom >= 0:
-            # Decimal // truncates; operands are non-negative here, so it floors.
-            hi = int(headroom // buy_cost)
-            if sell_net < 0:
-                lo = -min(sell_bound, int(headroom // -sell_net))
-            else:
-                lo = -sell_bound
+
+def _deltas(term: tuple[str, Decimal, Decimal, int], headroom: Decimal) -> range:
+    """The lot deltas of one security that keep ``headroom`` recoverable.
+
+    ``headroom`` is the cash left before this security plus what the later
+    ones could still raise.
+    """
+    _, buy_cost, sell_net, sell_bound = term
+    if headroom >= 0:
+        # Decimal // truncates; operands are non-negative here, so it floors.
+        hi = int(headroom // buy_cost)
+        if sell_net < 0:
+            lo = -min(sell_bound, int(headroom // -sell_net))
         else:
-            # Cash committed to earlier securities must be recovered by
-            # selling this one; only net-positive sales can do that.
-            if sell_net <= 0:
-                return
-            lots_needed = int(-headroom // sell_net)
-            if lots_needed * sell_net < -headroom:
-                lots_needed += 1
-            hi = -lots_needed
             lo = -sell_bound
-            if hi < lo:
-                return
-        for delta in range(lo, hi + 1):
-            if delta >= 0:
-                next_cash = cash - buy_cost * delta
-            else:
-                next_cash = cash + sell_net * -delta
-            partial.append((sid, delta))
-            yield from compose(idx + 1, next_cash, partial)
-            partial.pop()
+        return range(lo, hi + 1)
+    # Cash committed to earlier securities must be recovered by selling
+    # this one; only net-positive sales can do that.
+    if sell_net <= 0:
+        return range(0)
+    lots_needed = int(-headroom // sell_net)
+    if lots_needed * sell_net < -headroom:
+        lots_needed += 1
+    return range(-sell_bound, -lots_needed + 1)
 
-    return tuple(compose(0, state.cash, []))
+
+def _walk(terms: list[tuple[str, Decimal, Decimal, int]], raisable: list[Decimal],
+          cash: Decimal) -> Iterator[dict[str, int]]:
+    """Depth-first over the securities with an explicit stack of open levels.
+
+    A level is (index, cash left, nonzero deltas so far, remaining deltas).
+    The last security's deltas need no cash: its loop only copies the
+    prefix.
+    """
+    last = len(terms) - 1
+    last_sid = terms[last][0]
+    stack = [(0, cash, {}, iter(_deltas(terms[0], cash + raisable[1])))]
+    while stack:
+        level, cash, prefix, deltas = stack[-1]
+        if level == last:
+            stack.pop()
+            for delta in deltas:
+                trade = prefix.copy()
+                if delta:
+                    trade[last_sid] = delta
+                yield trade
+            continue
+        sid, buy_cost, sell_net, _ = terms[level]
+        for delta in deltas:
+            if delta >= 0:
+                after = cash - buy_cost * delta
+            else:
+                after = cash + sell_net * -delta
+            if delta:
+                chosen = prefix.copy()
+                chosen[sid] = delta
+            else:
+                chosen = prefix
+            nxt = level + 1
+            stack.append((nxt, after, chosen,
+                          iter(_deltas(terms[nxt], after + raisable[nxt + 1]))))
+            break
+        else:
+            stack.pop()
 
 
 def solve_deterministic(scenario: Scenario, *, prune: bool = True,

@@ -1,26 +1,35 @@
-"""Investor state and the per-step accounting identities.
+"""Investor state, the per-stage deal book and the per-step accounting.
 
 A ledger state is (time index, holdings, cash). A trade maps security ids to
 integer lot deltas; applying it at time t costs the quoted price per unit
 plus the cheapest broker fee per unit, fees charged on the absolute quantity
 traded for buys and sells alike. Cash must never go negative: that single
 constraint defines admissibility. States are immutable values; every
-operation returns a new state.
+operation returns a new state. Holdings are canonical: in security id order
+and without zero positions, so two states with the same positions compare
+and key alike.
 
-Prices, fees and circulation are read from the indexes the market and the
-fee table build once, on first use (the cheapest broker per deal is chosen
-there), so a trade costs dict lookups per lot delta.
+The deal book is the one place that prices a lot. For each decision time
+(grid index) it holds the time, ``(price + fee) * lot`` and
+``(price - fee) * lot`` for every security in circulation there, and the
+securities still in circulation at the next time. It is built lazily, one
+page per grid index, from the market's quote index and the fee table's
+cheapest-broker index, always in :data:`~rebalplan.money.LEDGER_CONTEXT`, so
+no caller's decimal context can leave a rounded value in it. A trade step
+then costs one multiplication per lot delta, and the solver's enumerator
+reads the same page.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, Inexact, localcontext
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple, NoReturn
 
-from .errors import InadmissibleTradeError, ShortCapExceededError
+from .errors import InadmissibleTradeError, InexactArithmeticError, ShortCapExceededError
 from .market import FeeTable, Market, effective_fee, is_active, price_at
+from .money import LEDGER_CONTEXT
 
 # A trade vector: security id -> lot delta (holdings after minus holdings
 # before). Canonical form carries no zero entries.
@@ -51,24 +60,104 @@ DEFAULT_RULES = TradeRules()
 
 @dataclass(frozen=True)
 class LedgerState:
-    """Position on the grid, holdings carried into that time, and cash."""
+    """Position on the grid, holdings carried into that time, and cash.
+
+    The holdings are stored canonical: id order, zero positions dropped.
+    """
 
     time_index: int
     holdings: Mapping[str, int]
     cash: Decimal
 
     def __post_init__(self):
-        clean = {sid: qty for sid, qty in self.holdings.items() if qty != 0}
+        held = self.holdings
+        clean = {sid: held[sid] for sid in sorted(held) if held[sid] != 0}
         object.__setattr__(self, "holdings", MappingProxyType(clean))
 
     def holdings_key(self) -> tuple[tuple[str, int], ...]:
         """Canonical hashable form of the holdings map."""
-        return tuple(sorted(self.holdings.items()))
+        return tuple(self.holdings.items())
+
+
+def _canonical_state(time_index: int, holdings: dict[str, int], cash: Decimal) -> LedgerState:
+    """A state from holdings the caller built canonical, not cleaned again."""
+    state = object.__new__(LedgerState)
+    fields = state.__dict__
+    fields["time_index"] = time_index
+    fields["holdings"] = MappingProxyType(holdings)
+    fields["cash"] = cash
+    return state
+
+
+class Deals(NamedTuple):
+    """One page of the deal book: the terms of trading at one grid index.
+
+    ``per_lot`` maps each security in circulation at ``time``, in id order,
+    to the cash paid per lot bought and the cash received per lot sold (the
+    latter negative where the fee exceeds the price). The entry is ``None``
+    where the security has no quote or no scalar fee at ``time``, or where a
+    per-lot amount would need rounding. ``carried`` is the market's index of
+    the securities in circulation at the next grid time, keyed in id order.
+    """
+
+    time: int
+    per_lot: dict[str, tuple[Decimal, Decimal] | None]
+    carried: dict[str, Decimal | None]
+
+
+def deals_at(market: Market, fees: FeeTable, lot: Decimal, index: int) -> Deals:
+    """The deal book's page for trading at grid index ``index``.
+
+    The market holds one book, for the fee table and lot size it was last
+    asked for, and builds each page on its first use. Lots are told apart
+    by their digits, as a lot of 1 and one of 1.0 give amounts of different
+    exponents. There is no page for the horizon end, where no trading
+    happens.
+    """
+    if index + 1 >= len(market.grid.points):
+        raise ValueError("cannot trade at the horizon end")
+    book_fees, book_lot, pages = market._deal_book
+    if book_fees is not fees or book_lot is not lot:
+        if book_fees is not fees or str(book_lot) != str(lot):
+            pages = [None] * (len(market.grid.points) - 1)
+        # holding the fee table keeps its id from being reused
+        object.__setattr__(market, "_deal_book", (fees, lot, pages))
+    page = pages[index]
+    if page is None:
+        page = pages[index] = _page(market, fees, lot, index)
+    return page
+
+
+def _page(market: Market, fees: FeeTable, lot: Decimal, index: int) -> Deals:
+    points = market.grid.points
+    t = points[index]
+    cheapest = fees.cheapest()
+    per_lot: dict[str, tuple[Decimal, Decimal] | None] = {}
+    with localcontext(LEDGER_CONTEXT):
+        for sid, price in market.quotes_at(t).items():
+            fee = cheapest.get((sid, t))
+            deal = None
+            if price is not None and fee is not None:
+                try:
+                    deal = ((price + fee) * lot, (price - fee) * lot)
+                except Inexact:
+                    pass  # trading it raises InexactArithmeticError
+            per_lot[sid] = deal
+    return Deals(t, per_lot, market.quotes_at(points[index + 1]))
+
+
+def raise_unpriced(market: Market, fees: FeeTable, sid: str, t: int) -> NoReturn:
+    """Raise the typed error for a security a page holds no terms for."""
+    sec = market.security(sid)
+    price_at(sec, t)
+    effective_fee(sec, t, fees)
+    # quoted and charged at t: its per-lot amount would have to round
+    raise InexactArithmeticError(LEDGER_CONTEXT.prec)
 
 
 def trade_lots(trade: TradeVector) -> int:
     """Total lots moved by the trade, buys and sells both counted."""
-    return sum(abs(delta) for delta in trade.values())
+    return sum(map(abs, trade.values()))
 
 
 def wealth(state: LedgerState, market: Market, t: int,
@@ -97,44 +186,36 @@ def apply_rebalance(state: LedgerState, trade: TradeVector, market: Market,
                     fees: FeeTable, rules: TradeRules = DEFAULT_RULES) -> LedgerState:
     """Apply a trade at the state's grid time and advance one step.
 
-    New cash is old cash minus the signed redistribution minus fees on every
-    lot moved. The trade is admissible iff that cash is non-negative; there
-    is no lower bound on selling beyond the position floor. Positions whose
-    window has closed by the next grid time are forfeited (dropped at zero
-    value), keeping states canonical.
+    New cash is old cash minus, per lot delta in id order, the page's per-lot
+    amount for its side times the delta: the signed redistribution plus fees
+    on every lot moved. The trade is admissible iff that cash is
+    non-negative; there is no lower bound on selling beyond the position
+    floor. Positions whose window has closed by the next grid time are
+    forfeited (dropped at zero value), keeping states canonical.
     """
-    grid = market.grid
-    if state.time_index + 1 >= len(grid):
-        raise ValueError("cannot trade at the horizon end")
-    t = grid.points[state.time_index]
-    quotes = market.quotes_at(t)
-    cheapest = fees.cheapest()
-
-    circulating = market.quotes_at(grid.points[state.time_index + 1])
-    new_holdings = {sid: qty for sid, qty in state.holdings.items() if sid in circulating}
-    spend = Decimal(0)
-    fee_total = Decimal(0)
-    for sid, delta in sorted(trade.items()):
+    index = state.time_index
+    page = deals_at(market, fees, rules.lot_size, index)
+    per_lot = page.per_lot
+    floor = rules.position_floor
+    held = state.holdings
+    cash = state.cash
+    for sid in sorted(trade):
+        delta = trade[sid]
         if delta == 0:
             continue
-        price = quotes.get(sid)
-        fee = cheapest.get((sid, t))
-        if price is None or fee is None:
-            # raises the typed error for the missing entry
-            sec = market.security(sid)
-            price, fee = price_at(sec, t), effective_fee(sec, t, fees)
-        spend += price * rules.lot_size * delta
-        fee_total += fee * rules.lot_size * abs(delta)
-        qty = state.holdings.get(sid, 0) + delta
-        if qty < rules.position_floor:
-            raise ShortCapExceededError(sid, qty, rules.position_floor)
-        if sid in circulating:
-            new_holdings[sid] = qty  # a zero is dropped by LedgerState
+        deal = per_lot.get(sid)
+        if deal is None:
+            raise_unpriced(market, fees, sid, page.time)
+        cash -= deal[0 if delta > 0 else 1] * delta
+        qty = held.get(sid, 0) + delta
+        if qty < floor:
+            raise ShortCapExceededError(sid, qty, floor)
 
-    new_cash = state.cash - spend - fee_total
-    if new_cash < 0:
-        raise InadmissibleTradeError(-new_cash)
-    return LedgerState(state.time_index + 1, new_holdings, new_cash)
+    if cash < 0:
+        raise InadmissibleTradeError(-cash)
+    carried = {sid: qty for sid in page.carried
+               if (qty := held.get(sid, 0) + trade.get(sid, 0)) != 0}
+    return _canonical_state(index + 1, carried, cash)
 
 
 def full_sale(state: LedgerState, market: Market, t: int) -> dict[str, int]:

@@ -4,13 +4,15 @@ Everything here is immutable after construction. Prices are per unit of a
 security; a security is tradable exactly on the closed window
 [issue_time, issue_time + maturity] and is worthless outside it.
 
-Lookups the solver repeats for every successor are indexed once per
-object, on first use: a :class:`Market` keeps, per time, the securities in
-circulation with their quotes, and a :class:`FeeTable` keeps the cheapest
-broker's fee per (security, time), so the cheapest-broker choice is made
-once, when the fee index is built, and not per trade. :func:`price_at` and
-:func:`effective_fee` stay the checked lookups that raise the typed error
-for a missing entry.
+Lookups are indexed once per object, on first use: a :class:`Market` keeps,
+per time, the securities in circulation with their quotes, and a
+:class:`FeeTable` keeps the cheapest broker's fee per (security, time), so
+the cheapest-broker choice is made once, when the fee index is built, and
+not per trade. The ledger combines the two into its per-stage deal book
+(per-lot amounts and next-time circulation), which a :class:`Market` holds
+for it; the solver reads prices and fees only through that book.
+:func:`price_at` and :func:`effective_fee` stay the checked lookups that
+raise the typed error for a missing entry.
 """
 
 from __future__ import annotations
@@ -151,6 +153,8 @@ class Market:
             by_id[sec.security_id] = sec
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_circulation", {})
+        # the ledger's deal book: fee table, lot size, pages (ledger.deals_at)
+        object.__setattr__(self, "_deal_book", (None, None, ()))
 
     def security(self, security_id: str) -> Security:
         return self._by_id[security_id]

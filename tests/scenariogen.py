@@ -86,6 +86,20 @@ def twenty_nine_digit_doc(late_quote: str = "5000000000000001") -> dict:
     }
 
 
+def flat_doc(securities: int, capital: str) -> dict:
+    """``securities`` securities quoted 1.0000 at times 1-3, with zero fees."""
+    ids = [f"S{i:04d}" for i in range(securities)]
+    flat = {"1": "1.0000", "2": "1.0000", "3": "1.0000"}
+    return {
+        "initial_capital": capital,
+        "times": [1, 2, 3],
+        "securities": [{"id": sid, "issue_time": 1, "maturity": 2, "quotes": flat}
+                       for sid in ids],
+        "brokers": [{"id": "b1", "fees": {sid: {"1": "0", "2": "0", "3": "0"}
+                                          for sid in ids}}],
+    }
+
+
 # ---------------------------------------------------------------------------
 # randomized instances
 

@@ -2,12 +2,22 @@ import random
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rebalplan import (
+    Broker,
+    FeeTable,
+    Market,
     Policy,
+    Scenario,
+    Security,
+    SolverOptions,
+    TimeGrid,
     brute_force_solve,
     enumerate_joint_outcomes,
     replay_terminal_wealth,
+    solve_deterministic,
 )
 from rebalplan.errors import InstanceTooLargeError
 
@@ -59,6 +69,47 @@ def test_oracle_work_cap():
     scn = fee_050_scenario()
     with pytest.raises(InstanceTooLargeError):
         brute_force_solve(scn, cap=3)
+
+
+def cents(draw, lo, hi):
+    return D(draw(st.integers(lo, hi))) / 100
+
+
+@st.composite
+def small_scenarios(draw):
+    """1-2 securities over 2-4 times, small enough for the oracle.
+
+    Shorting, ``hold_to_end`` and maturities before the horizon end are all
+    drawn; each choice shrinks towards one security living to the end, no
+    shorting and liquidation at the last decision time.
+    """
+    times = tuple(range(1, draw(st.integers(2, 4)) + 1))
+    securities = []
+    fees = {}
+    for i in range(draw(st.integers(1, 2))):
+        issue = draw(st.integers(1, len(times) - 1))
+        end = len(times) - draw(st.integers(0, len(times) - issue))
+        quotes = {t: cents(draw, 500, 2000) for t in times[issue - 1:end]}
+        securities.append(Security(f"S{i}", issue, end - issue, quotes, {}))
+        for t in quotes:
+            fees[(f"S{i}", t)] = cents(draw, 0, 100)
+    short_cap = draw(st.integers(0, 2))
+    options = SolverOptions(allow_short=short_cap > 0, short_cap=short_cap,
+                            hold_to_end=draw(st.booleans()))
+    return Scenario(cents(draw, 0, 2500), Market(TimeGrid(times), tuple(securities)),
+                    FeeTable((Broker("b1", fees),)), options)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_scenarios())
+def test_the_solver_agrees_with_the_oracle_and_with_itself_unpruned(scn):
+    policy, _ = solve_deterministic(scn)
+    oracle_policy, oracle_wealth = brute_force_solve(scn)
+    assert policy.trades == oracle_policy.trades
+    assert policy.terminal_wealth == oracle_wealth
+    unpruned, _ = solve_deterministic(scn, prune=False)
+    assert unpruned.trades == policy.trades
+    assert unpruned.terminal_wealth == policy.terminal_wealth
 
 
 def test_joint_outcomes_two_point_distribution():

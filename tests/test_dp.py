@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from decimal import Decimal
 
 import pytest
@@ -20,6 +21,7 @@ from rebalplan import (
     price_at,
     scenario_from_dict,
     solve_deterministic,
+    trace_text,
     wealth,
 )
 from rebalplan.dp import ValueTable
@@ -29,6 +31,7 @@ from rebalplan.replay import replay_policy, replay_terminal_wealth
 from scenariogen import (
     fee_050_scenario,
     fee_100_scenario,
+    flat_doc,
     random_scenario,
     simple_scenario,
     twenty_nine_digit_doc,
@@ -39,8 +42,8 @@ D = Decimal
 
 def test_enumerate_controls_budget_bound():
     scn = fee_050_scenario()
-    controls = enumerate_controls(scn.initial_state(), scn.market, scn.fees,
-                                  scn.trade_rules())
+    controls = tuple(enumerate_controls(scn.initial_state(), scn.market, scn.fees,
+                                        scn.trade_rules()))
     got = sorted(trade.get("A", 0) for trade in controls)
     # independent check: filter every lot count by cost <= cash
     expected = sorted(
@@ -54,14 +57,14 @@ def test_enumerate_controls_budget_bound():
 def test_enumerate_controls_can_only_sell_without_cash():
     scn = fee_050_scenario()
     state = LedgerState(0, {"A": 2}, D("0.00"))
-    controls = enumerate_controls(state, scn.market, scn.fees, scn.trade_rules())
+    controls = tuple(enumerate_controls(state, scn.market, scn.fees, scn.trade_rules()))
     assert sorted(t.get("A", 0) for t in controls) == [-2, -1, 0]
 
 
 def test_enumerate_controls_without_active_securities():
     scn = simple_scenario(issue_time=2, maturity=1)
-    controls = enumerate_controls(scn.initial_state(), scn.market, scn.fees,
-                                  scn.trade_rules())
+    controls = tuple(enumerate_controls(scn.initial_state(), scn.market, scn.fees,
+                                        scn.trade_rules()))
     assert controls == ({},)
 
 
@@ -73,7 +76,7 @@ def test_enumerate_controls_allows_selling_to_fund_buying():
     fees = FeeTable((Broker("b1", {(s, t): D("0.00") for s in "AB" for t in (1, 2, 3)}),))
     scn = Scenario(D("0.00"), market, fees, SolverOptions())
     state = LedgerState(0, {"B": 3}, D("0.00"))
-    controls = enumerate_controls(state, market, fees, scn.trade_rules())
+    controls = tuple(enumerate_controls(state, market, fees, scn.trade_rules()))
     # with no cash at all, buying A is only reachable through selling B
     assert {"A": 3, "B": -3} in controls
     assert {"A": 1, "B": -1} in controls
@@ -171,6 +174,61 @@ def test_state_budget_trips_inside_the_layer_being_built():
         solve_deterministic(fee_050_scenario(), prune=False, max_states=3)
     assert (caught.value.layer, caught.value.frontier) == (1, 4)
     assert "layer 1" in str(caught.value)
+
+
+def test_the_budget_bounds_memory_inside_one_node():
+    # the root alone has 501,501 trades; the cap must trip after 11 of them
+    scn = scenario_from_dict(flat_doc(2, "1000"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateBudgetExceededError) as caught:
+            solve_deterministic(scn, max_states=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert caught.value.layer == 1
+    assert peak < 1 << 20
+
+
+def _solved(scn):
+    """Policy and layers, cash by repr, or the error a solve raises."""
+    try:
+        policy, table = solve_deterministic(scn)
+    except InexactArithmeticError as exc:
+        return type(exc), str(exc)
+    layers = [[(node.state.holdings_key(), repr(node.state.cash)) for node in layer]
+              for layer in table.layers]
+    return policy.trades, repr(policy.terminal_wealth), layers
+
+
+def _fractional_lot_doc():
+    # (price + fee) * lot needs 29 significant digits: no exact per-lot amount
+    doc = twenty_nine_digit_doc("999999999999999.999999999999")
+    doc["initial_capital"] = "1"
+    doc["securities"][0]["quotes"]["1"] = "999999999999999.999999999999"
+    doc["options"]["lot_size"] = "1.5"
+    return doc
+
+
+@pytest.mark.parametrize("first_use", ["apply_rebalance", "trace_text"])
+@pytest.mark.parametrize("doc", [
+    twenty_nine_digit_doc(),
+    twenty_nine_digit_doc("5000000000000000"),
+    _fractional_lot_doc(),
+    flat_doc(2, "3"),
+], ids=["rounds", "exact", "fractional-lot", "flat"])
+def test_the_deal_book_does_not_depend_on_its_first_caller(doc, first_use):
+    fresh = _solved(scenario_from_dict(doc))
+    scn = scenario_from_dict(doc)
+    hold = Policy(((1, {}), (2, {})), D(0))
+    # a first use in the default decimal context, which rounds silently
+    if first_use == "apply_rebalance":
+        state = scn.initial_state()
+        for _ in hold.trades:
+            state = apply_rebalance(state, {}, scn.market, scn.fees, scn.trade_rules())
+    else:
+        trace_text(scn, hold)
+    assert _solved(scn) == fresh
 
 
 def test_value_nodes_replay_to_their_own_state():

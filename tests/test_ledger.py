@@ -49,6 +49,13 @@ MARKET = two_security_market()
 FEES = flat_fees("0.50")
 
 
+def test_holdings_are_kept_in_id_order_without_zeros():
+    state = LedgerState(0, {"B": 1, "A": 2, "C": 0}, D("1.00"))
+    assert list(state.holdings.items()) == [("A", 2), ("B", 1)]
+    assert state.holdings_key() == (("A", 2), ("B", 1))
+    assert state == LedgerState(0, {"A": 2, "B": 1}, D("1.00"))
+
+
 def test_wealth_marks_holdings_to_market():
     state = LedgerState(0, {"A": 5}, D("100.00"))
     assert wealth(state, MARKET, 1) == D("150.00")

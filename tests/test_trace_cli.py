@@ -20,7 +20,7 @@ from rebalplan import (
 )
 from rebalplan.trace import TRACE_HEADER
 
-from scenariogen import fee_050_scenario, random_scenario, twenty_nine_digit_doc
+from scenariogen import fee_050_scenario, flat_doc, random_scenario, twenty_nine_digit_doc
 
 D = Decimal
 
@@ -178,3 +178,14 @@ def test_cli_prints_an_exact_result_longer_than_28_digits(command, tmp_path, cap
     assert cli.main([command, "--scenario", str(path)]) == 0
     out = capsys.readouterr().out
     assert "terminal wealth 10000000000000000.000000000000" in out
+
+
+def test_cli_solves_a_document_with_many_securities(tmp_path, capsys):
+    # one walk level per security: more securities than the recursion limit
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(flat_doc(1200, "0")), encoding="utf-8")
+    assert cli.main(["solve", "--scenario", str(path),
+                     "--output", str(tmp_path / "trace.csv")]) == 0
+    captured = capsys.readouterr()
+    assert "terminal wealth 0.0000" in captured.out
+    assert captured.err == ""
