@@ -9,14 +9,13 @@ results compare exactly.
 from .bruteforce import brute_force_solve, enumerate_joint_outcomes
 from .dp import (
     Policy,
-    ValueNode,
     ValueTable,
     enumerate_controls,
     extract_policy,
     solve_deterministic,
 )
 from .errors import RebalplanError
-from .expectation import build_expected_market, expected_price, solve_stochastic
+from .expectation import build_expected_market, expected_price
 from .ledger import (
     LedgerState,
     TradeRules,
@@ -63,7 +62,6 @@ __all__ = [
     "SolverOptions",
     "TimeGrid",
     "TradeRules",
-    "ValueNode",
     "ValueTable",
     "apply_rebalance",
     "brute_force_solve",
@@ -82,7 +80,6 @@ __all__ = [
     "replay_terminal_wealth",
     "scenario_from_dict",
     "solve_deterministic",
-    "solve_stochastic",
     "trace_text",
     "validate_distribution",
     "validate_scenario",

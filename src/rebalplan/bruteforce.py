@@ -25,16 +25,22 @@ from .scenario import MODE_DETERMINISTIC, MODE_EXPECTED, Scenario
 
 POLICY_CAP = 10_000_000
 JOINT_CAP = 64
+# The walk recurses once per stage; a deeper one would exhaust the
+# interpreter's stack.
+STAGE_CAP = 500
 
 
 def brute_force_solve(scenario: Scenario, *,
                       cap: int = POLICY_CAP) -> tuple[Policy, Decimal]:
     """Exhaustive search for the tie-broken optimal policy.
 
-    An expected-mode scenario is first reduced to mean prices and fees. ``cap`` bounds the number of trade vectors applied
-    during the walk (a complete policy costs at least one application).
-    The walk raises :class:`InexactArithmeticError` where a cash amount would
-    need rounding; the expected-mode reduction rounds means before it.
+    An expected-mode scenario is first reduced to mean prices and fees.
+    ``cap`` bounds the number of trade vectors applied during the walk (a
+    complete policy costs at least one application); a grid of more than
+    :data:`STAGE_CAP` stages raises :class:`InstanceTooLargeError` before
+    the walk starts. The walk raises :class:`InexactArithmeticError` where
+    a cash amount would need rounding; the expected-mode reduction rounds
+    means before it.
     """
     if scenario.options.mode == MODE_EXPECTED:
         scenario = build_expected_market(scenario)
@@ -43,6 +49,8 @@ def brute_force_solve(scenario: Scenario, *,
     rules = scenario.trade_rules()
     grid = market.grid
     stages = len(grid) - 1
+    if stages > STAGE_CAP:
+        raise InstanceTooLargeError(stages, STAGE_CAP, "stages")
     hold_to_end = scenario.options.hold_to_end
 
     applied = 0

@@ -13,13 +13,7 @@ from pathlib import Path
 
 from .bruteforce import brute_force_solve
 from .dp import Policy, solve_deterministic
-from .errors import (
-    InstanceTooLargeError,
-    RebalplanError,
-    ScenarioParseError,
-    ScenarioValidationError,
-    StateBudgetExceededError,
-)
+from .errors import InstanceTooLargeError, RebalplanError, StateBudgetExceededError
 from .expectation import build_expected_market
 from .money import format_decimal
 from .scenario import MODE_EXPECTED, Scenario, load_scenario
@@ -35,12 +29,28 @@ _MODE_FLAGS = {"det": "deterministic", "exp": "expected"}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and map its outcome to the exit code.
 
-    scenario = _load(args)
-    if isinstance(scenario, int):
-        return scenario
+    This is the one place a package error becomes an exit code: budget
+    errors exit 3, every other :class:`RebalplanError` exits 2.
+    """
+    args = _build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except RebalplanError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, (StateBudgetExceededError, InstanceTooLargeError)):
+            return EXIT_BUDGET
+        return EXIT_VALIDATION
+
+
+def _run(args) -> int:
+    mode = _MODE_FLAGS.get(args.mode) if args.mode else None
+    try:
+        scenario = load_scenario(args.scenario, mode=mode)
+    except OSError as exc:
+        print(f"error: cannot read scenario: {exc}", file=sys.stderr)
+        return EXIT_IO
 
     if args.command == "validate":
         print(f"scenario OK: {args.scenario}")
@@ -75,33 +85,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> Scenario | int:
-    mode = _MODE_FLAGS.get(args.mode) if args.mode else None
-    try:
-        return load_scenario(args.scenario, mode=mode)
-    except OSError as exc:
-        print(f"error: cannot read scenario: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ScenarioParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ScenarioValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-
 def run_solve(scenario: Scenario, out_path: str | None, *,
               max_states: int | None = None) -> int:
-    """Solve, emit the trace, print a summary line with the terminal wealth."""
-    try:
-        policy, solved = _solve(scenario, max_states)
-    except (StateBudgetExceededError, InstanceTooLargeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except RebalplanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    """Solve, emit the trace, print a summary line with the terminal wealth.
 
+    Package errors propagate to :func:`main`.
+    """
+    policy, solved = _solve(scenario, max_states)
     text = trace_text(solved, policy)
     if out_path is None:
         sys.stdout.write(text)
@@ -117,16 +107,12 @@ def run_solve(scenario: Scenario, out_path: str | None, *,
 
 
 def run_oracle_check(scenario: Scenario, *, max_states: int | None = None) -> int:
-    """Exit 0 iff the staged solver and the brute-force reference agree exactly."""
-    try:
-        policy, solved = _solve(scenario, max_states)
-        oracle_policy, oracle_value = brute_force_solve(solved)
-    except (StateBudgetExceededError, InstanceTooLargeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except RebalplanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    """Exit 0 iff the staged solver and the brute-force reference agree exactly.
+
+    Package errors propagate to :func:`main`.
+    """
+    policy, solved = _solve(scenario, max_states)
+    oracle_policy, oracle_value = brute_force_solve(solved)
 
     scale = scenario.options.price_scale
     value = policy.terminal_wealth

@@ -27,6 +27,8 @@ Ties in terminal wealth are broken by fewest total lots traded, then by the
 lexicographically smallest flattened trade sequence ordered by (time,
 security id, lot delta). The same total order drives pruning, so the solver
 is deterministic and agrees with the brute-force reference policy-for-policy.
+A node keeps its history only as its parent chain: the sequence is
+flattened from that chain, and only when two nodes tie on cash and lots.
 """
 
 from __future__ import annotations
@@ -58,17 +60,16 @@ TradeEntry = tuple[int, str, int]
 class ValueNode:
     """A reachable state and the best history reaching it.
 
-    ``parent`` and ``trade`` link the history back to the root; ``lots`` and
-    ``seq`` cache its tie-break key. A node carries no derived wealth: the
-    search ranks nodes by cash, lots and ``seq`` alone, and on the final
-    layer the cash is the terminal wealth.
+    ``parent`` and ``trade`` link the history back to the root; ``lots`` is
+    the total lots it trades. A node carries no derived wealth: the search
+    ranks nodes by cash, lots and the history's flattened sequence, and on
+    the final layer the cash is the terminal wealth.
     """
 
     state: LedgerState
     parent: Optional["ValueNode"]
     trade: Optional[dict[str, int]]
     lots: int
-    seq: tuple[TradeEntry, ...]
 
 
 @dataclass(frozen=True)
@@ -212,8 +213,7 @@ def solve_deterministic(scenario: Scenario, *, prune: bool = True,
     cap = scenario.options.max_states if max_states is None else max_states
     stages = len(grid) - 1
 
-    root = ValueNode(state=scenario.initial_state(), parent=None, trade=None,
-                     lots=0, seq=())
+    root = ValueNode(state=scenario.initial_state(), parent=None, trade=None, lots=0)
     layers: list[list[ValueNode]] = [[root]]
     with exact_arithmetic():
         for i in range(stages):
@@ -233,16 +233,13 @@ def extract_policy(table: ValueTable) -> Policy:
     """
     if not table.layers or not table.layers[-1]:
         raise EmptyTableError("value table has no terminal nodes")
-    best = min(table.layers[-1], key=_rank)
-
-    steps: list[tuple[int, dict[str, int]]] = []
-    node = best
-    while node.parent is not None:
-        traded_at = table.grid.points[node.state.time_index - 1]
-        steps.append((traded_at, dict(node.trade or {})))
-        node = node.parent
-    steps.reverse()
-    return Policy(tuple(steps), best.state.cash)
+    points = table.grid.points
+    best, *rest = table.layers[-1]
+    for node in rest:
+        if _precedes(node, best, points):
+            best = node
+    steps = tuple((t, dict(trade)) for t, trade in _history(best, points))
+    return Policy(steps, best.state.cash)
 
 
 def _expand(frontier: list[ValueNode], market: Market, fees: FeeTable,
@@ -252,13 +249,13 @@ def _expand(frontier: list[ValueNode], market: Market, fees: FeeTable,
 
     The layer is one dict. With ``prune`` it is keyed by holdings and keeps
     only the best node per holdings vector; a successor with less cash than
-    the incumbent is dropped before its history is built. Without, it is
+    the incumbent is dropped before its node is built. Without, it is
     keyed by arrival order and keeps every successor in the order made.
     """
-    grid = market.grid
+    points = market.grid.points
     kept: dict[tuple[tuple[str, int], ...] | int, ValueNode] = {}
     for node in frontier:
-        t = grid.points[node.state.time_index]
+        t = points[node.state.time_index]
         if forced:
             trades = (full_sale(node.state, market, t),)
         else:
@@ -273,21 +270,42 @@ def _expand(frontier: list[ValueNode], market: Market, fees: FeeTable,
             cur = kept.get(key)
             if cur is not None and successor.cash < cur.state.cash:
                 continue
-            lots = node.lots + trade_lots(trade)
-            seq = node.seq + trade_entries(t, trade)
-            if cur is not None and (-successor.cash, lots, seq) >= _rank(cur):
+            child = ValueNode(successor, node, trade, node.lots + trade_lots(trade))
+            if cur is not None and not _precedes(child, cur, points):
                 continue
-            kept[key] = ValueNode(successor, node, trade, lots, seq)
+            kept[key] = child
             if len(kept) > cap:
                 raise StateBudgetExceededError(cap, len(kept), layer)
     return [kept[key] for key in sorted(kept)]
 
 
-def _rank(node: ValueNode) -> tuple[Decimal, int, tuple[TradeEntry, ...]]:
-    """Sort key, best first: most cash, then fewest lots, then smallest sequence.
+def _precedes(a: ValueNode, b: ValueNode, points: tuple[int, ...]) -> bool:
+    """True iff ``a`` ranks strictly before ``b`` in the tie-broken order.
 
-    Same-holdings nodes with equal terminal wealth have equal cash, so
-    breaking cash ties by the policy tie-break reproduces the global
-    tie-broken optimum. On the terminal layer cash is the terminal wealth.
+    Most cash first, then fewest lots, then the smallest flattened trade
+    sequence, which is built only when cash and lots tie. Same-holdings
+    nodes with equal terminal wealth have equal cash, so breaking cash ties
+    by the policy tie-break reproduces the global tie-broken optimum. On
+    the terminal layer cash is the terminal wealth.
     """
-    return (-node.state.cash, node.lots, node.seq)
+    if a.state.cash != b.state.cash:
+        return a.state.cash > b.state.cash
+    if a.lots != b.lots:
+        return a.lots < b.lots
+    return _sequence(a, points) < _sequence(b, points)
+
+
+def _history(node: ValueNode, points: tuple[int, ...]) -> list[tuple[int, dict[str, int]]]:
+    """The (time, trade) steps from the root to ``node``, root first."""
+    steps = []
+    while node.parent is not None:
+        steps.append((points[node.state.time_index - 1], node.trade))
+        node = node.parent
+    steps.reverse()
+    return steps
+
+
+def _sequence(node: ValueNode, points: tuple[int, ...]) -> tuple[TradeEntry, ...]:
+    """The node's history flattened to (time, security id, delta) entries."""
+    return tuple(entry for t, trade in _history(node, points)
+                 for entry in trade_entries(t, trade))

@@ -136,8 +136,8 @@ class InexactArithmeticError(RebalplanError):
 class InstanceTooLargeError(RebalplanError):
     """A brute-force enumeration would exceed its hard cap."""
 
-    def __init__(self, count: int, cap: int):
-        super().__init__(f"enumeration reached {count} items, cap is {cap}")
+    def __init__(self, count: int, cap: int, what: str = "items"):
+        super().__init__(f"enumeration reached {count} {what}, cap is {cap}")
         self.count = count
         self.cap = cap
 

@@ -4,8 +4,8 @@ Wealth, redistribution and fees are all linear in prices for a fixed trade
 plan, so expectations push straight through the recurrences: optimizing the
 expected terminal wealth of an open-loop policy is the same as solving the
 deterministic problem on mean prices and mean fees. This module builds that
-derived deterministic instance and delegates to the exact solver. Adaptive
-policies that react to observed prices are out of scope.
+derived deterministic instance; solving it is the exact solver's job.
+Adaptive policies that react to observed prices are out of scope.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import replace
 from decimal import Decimal
 
-from .dp import Policy, solve_deterministic
 from .errors import BadNormalizationError, NegativeWeightError, NonpositivePriceError
 from .market import (
     Broker,
@@ -87,11 +86,3 @@ def expected_fee_table(fees: FeeTable, price_scale: int) -> FeeTable:
                 flat[key] = fee
         brokers.append(Broker(broker.broker_id, flat))
     return FeeTable(tuple(brokers))
-
-
-def solve_stochastic(scenario: Scenario, *, prune: bool = True,
-                     max_states: int | None = None) -> tuple[Policy, Decimal]:
-    """Best open-loop policy under expected prices, and its expected wealth."""
-    derived = build_expected_market(scenario)
-    policy, _ = solve_deterministic(derived, prune=prune, max_states=max_states)
-    return policy, policy.terminal_wealth

@@ -13,9 +13,9 @@ The deal book is the one place that prices a lot. For each decision time
 (grid index) it holds the time, ``(price + fee) * lot`` and
 ``(price - fee) * lot`` for every security in circulation there, and the
 securities still in circulation at the next time. It is built lazily, one
-page per grid index, from the market's quote index and the fee table's
-cheapest-broker index, always in :data:`~rebalplan.money.LEDGER_CONTEXT`, so
-no caller's decimal context can leave a rounded value in it. A trade step
+page per grid index, read straight from the securities' quotes and the
+brokers' fees, always in :data:`~rebalplan.money.LEDGER_CONTEXT`, so no
+caller's decimal context can leave a rounded value in it. A trade step
 then costs one multiplication per lot delta, and the solver's enumerator
 reads the same page.
 """
@@ -28,7 +28,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple, NoReturn
 
 from .errors import InadmissibleTradeError, InexactArithmeticError, ShortCapExceededError
-from .market import FeeTable, Market, effective_fee, is_active, price_at
+from .market import FeeTable, Market, effective_fee, is_active, lowest_fee, price_at
 from .money import LEDGER_CONTEXT
 
 # A trade vector: security id -> lot delta (holdings after minus holdings
@@ -96,13 +96,13 @@ class Deals(NamedTuple):
     to the cash paid per lot bought and the cash received per lot sold (the
     latter negative where the fee exceeds the price). The entry is ``None``
     where the security has no quote or no scalar fee at ``time``, or where a
-    per-lot amount would need rounding. ``carried`` is the market's index of
-    the securities in circulation at the next grid time, keyed in id order.
+    per-lot amount would need rounding. ``carried`` holds the ids of the
+    securities in circulation at the next grid time, in id order.
     """
 
     time: int
     per_lot: dict[str, tuple[Decimal, Decimal] | None]
-    carried: dict[str, Decimal | None]
+    carried: tuple[str, ...]
 
 
 def deals_at(market: Market, fees: FeeTable, lot: Decimal, index: int) -> Deals:
@@ -131,11 +131,12 @@ def deals_at(market: Market, fees: FeeTable, lot: Decimal, index: int) -> Deals:
 def _page(market: Market, fees: FeeTable, lot: Decimal, index: int) -> Deals:
     points = market.grid.points
     t = points[index]
-    cheapest = fees.cheapest()
     per_lot: dict[str, tuple[Decimal, Decimal] | None] = {}
     with localcontext(LEDGER_CONTEXT):
-        for sid, price in market.quotes_at(t).items():
-            fee = cheapest.get((sid, t))
+        for sec in market.active_securities(t):
+            sid = sec.security_id
+            price = sec.quotes.get(t)
+            fee = lowest_fee(fees, sid, t)
             deal = None
             if price is not None and fee is not None:
                 try:
@@ -143,7 +144,8 @@ def _page(market: Market, fees: FeeTable, lot: Decimal, index: int) -> Deals:
                 except Inexact:
                     pass  # trading it raises InexactArithmeticError
             per_lot[sid] = deal
-    return Deals(t, per_lot, market.quotes_at(points[index + 1]))
+    following = market.active_securities(points[index + 1])
+    return Deals(t, per_lot, tuple(sec.security_id for sec in following))
 
 
 def raise_unpriced(market: Market, fees: FeeTable, sid: str, t: int) -> NoReturn:
@@ -169,16 +171,11 @@ def wealth(state: LedgerState, market: Market, t: int,
     held. Normal use evaluates a state at its own grid time; the self-
     financing identity also evaluates a successor state at the trade time.
     """
-    quotes = market.quotes_at(t)
     total = state.cash
     for sid, qty in state.holdings.items():
-        price = quotes.get(sid)
-        if price is None:
-            sec = market.security(sid)
-            if not is_active(sec, t):
-                continue
-            price = price_at(sec, t)  # raises QuoteMissingError
-        total += price * rules.lot_size * qty
+        sec = market.security(sid)
+        if is_active(sec, t):
+            total += price_at(sec, t) * rules.lot_size * qty
     return total
 
 
@@ -220,5 +217,5 @@ def apply_rebalance(state: LedgerState, trade: TradeVector, market: Market,
 
 def full_sale(state: LedgerState, market: Market, t: int) -> dict[str, int]:
     """The trade closing every position still in circulation at ``t``."""
-    circulating = market.quotes_at(t)
-    return {sid: -qty for sid, qty in state.holdings.items() if sid in circulating}
+    return {sid: -qty for sid, qty in state.holdings.items()
+            if is_active(market.security(sid), t)}

@@ -4,15 +4,13 @@ Everything here is immutable after construction. Prices are per unit of a
 security; a security is tradable exactly on the closed window
 [issue_time, issue_time + maturity] and is worthless outside it.
 
-Lookups are indexed once per object, on first use: a :class:`Market` keeps,
-per time, the securities in circulation with their quotes, and a
-:class:`FeeTable` keeps the cheapest broker's fee per (security, time), so
-the cheapest-broker choice is made once, when the fee index is built, and
-not per trade. The ledger combines the two into its per-stage deal book
-(per-lot amounts and next-time circulation), which a :class:`Market` holds
-for it; the solver reads prices and fees only through that book.
-:func:`price_at` and :func:`effective_fee` stay the checked lookups that
-raise the typed error for a missing entry.
+The ledger's per-stage deal book (per-lot amounts and next-time
+circulation), which a :class:`Market` holds for it, is the one cache of
+prices and fees, and the solver reads them only through that book; nothing
+else here is indexed beyond the securities by id. :func:`price_at` and
+:func:`effective_fee` stay the checked lookups that raise the typed error
+for a missing entry, and :func:`lowest_fee` is the one cheapest-broker
+choice, made for the book and for :func:`effective_fee` alike.
 """
 
 from __future__ import annotations
@@ -110,32 +108,9 @@ class Broker:
 
 @dataclass(frozen=True)
 class FeeTable:
-    """All brokers' fee quotes, indexed by the cheapest broker per deal."""
+    """All brokers' fee quotes; the cheapest broker is chosen per deal."""
 
     brokers: tuple[Broker, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "_cheapest", None)
-
-    def cheapest(self) -> dict[tuple[str, int], Decimal]:
-        """Cheapest scalar fee per (security id, time); read-only.
-
-        Built on first use: the first minimal scalar fee in broker order.
-        Fee distributions are skipped, as expected mode replaces them by
-        their means before solving; a pair no broker quotes a scalar fee
-        for has no entry.
-        """
-        index = self._cheapest
-        if index is None:
-            index = {}
-            for broker in self.brokers:
-                for key, fee in broker.fees.items():
-                    if isinstance(fee, Decimal):
-                        best = index.get(key)
-                        if best is None or fee < best:
-                            index[key] = fee
-            object.__setattr__(self, "_cheapest", index)
-        return index
 
 
 @dataclass(frozen=True)
@@ -152,30 +127,15 @@ class Market:
                 raise ValueError(f"duplicate security id {sec.security_id!r}")
             by_id[sec.security_id] = sec
         object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_circulation", {})
         # the ledger's deal book: fee table, lot size, pages (ledger.deals_at)
         object.__setattr__(self, "_deal_book", (None, None, ()))
 
     def security(self, security_id: str) -> Security:
         return self._by_id[security_id]
 
-    def quotes_at(self, t: int) -> dict[str, Decimal | None]:
-        """Every security in circulation at ``t``, in id order, with its quote.
-
-        The quote is ``None`` where the security has none at ``t``. Built on
-        the first query for ``t``; read-only.
-        """
-        at_t = self._circulation.get(t)
-        if at_t is None:
-            at_t = self._circulation[t] = {
-                sid: sec.quotes.get(t) for sid, sec in self._by_id.items() if is_active(sec, t)
-            }
-        return at_t
-
     def active_securities(self, t: int) -> tuple[Security, ...]:
         """Securities in circulation at ``t``, in id order."""
-        return tuple(self._by_id[sid] for sid in self.quotes_at(t))
-
+        return tuple(sec for sec in self._by_id.values() if is_active(sec, t))
 
 def is_active(security: Security, t: int) -> bool:
     """True iff ``t`` lies in the closed circulation window of the security."""
@@ -200,10 +160,24 @@ def effective_fee(security: Security, t: int, fees: FeeTable) -> Decimal:
     """Cheapest per-unit fee across brokers for trading the security at ``t``."""
     if not is_active(security, t):
         raise InactiveSecurityError(security.security_id, t)
-    fee = fees.cheapest().get((security.security_id, t))
+    fee = lowest_fee(fees, security.security_id, t)
     if fee is None:
         raise FeeMissingError(security.security_id, t)
     return fee
+
+
+def lowest_fee(fees: FeeTable, security_id: str, t: int) -> Decimal | None:
+    """The first minimal scalar fee in broker order, or ``None`` if there is none.
+
+    Fee distributions are skipped, as expected mode replaces them by their
+    means before solving.
+    """
+    best = None
+    for broker in fees.brokers:
+        fee = broker.fees.get((security_id, t))
+        if isinstance(fee, Decimal) and (best is None or fee < best):
+            best = fee
+    return best
 
 
 def validate_distribution(dist: DiscreteDistribution) -> None:

@@ -8,6 +8,10 @@ so the running cash column never dips below zero; the wealth column is the
 mark-to-market value after each row, which between rows of one time falls
 exactly by the fee paid. The file ends with a summary row carrying the
 terminal cash and wealth.
+
+The rows are computed in the solver's exact context, so an amount that
+would need rounding raises :class:`~rebalplan.errors.InexactArithmeticError`
+rather than printing a rounded figure.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from decimal import Decimal
 from .dp import Policy
 from .ledger import apply_rebalance
 from .market import effective_fee, is_active, price_at
-from .money import format_decimal
+from .money import exact_arithmetic, format_decimal
 from .scenario import Scenario
 
 TRACE_HEADER = (
@@ -29,6 +33,11 @@ TRACE_HEADER = (
 
 
 def build_trace_rows(scenario: Scenario, policy: Policy) -> list[list[str]]:
+    with exact_arithmetic():
+        return _rows(scenario, policy)
+
+
+def _rows(scenario: Scenario, policy: Policy) -> list[list[str]]:
     market = scenario.market
     fees = scenario.fees
     rules = scenario.trade_rules()

@@ -288,6 +288,20 @@ def test_rising_prices_with_zero_fees_hold_the_maximum():
     assert policy.terminal_wealth == D("120.00")
 
 
+def test_a_cash_and_lots_tie_breaks_on_the_trade_sequence():
+    # buying the ten lots at time 1 or at time 2, or any split of them, ends
+    # with the same cash and lots; the smallest flattened sequence wins
+    scn = simple_scenario(
+        fee="0.0000",
+        times=(1, 2, 3, 4),
+        quotes={1: "10.0000", 2: "10.0000", 3: "12.0000", 4: "12.0000"},
+    )
+    for prune in (True, False):
+        policy, _ = solve_deterministic(scn, prune=prune)
+        assert policy.trades == ((1, {"A": 1}), (2, {"A": 9}), (3, {"A": -10}))
+        assert policy.terminal_wealth == D("120.00")
+
+
 def test_a_result_that_would_round_raises():
     # at 28 significant digits the round trip is exact and breaks even
     exact = scenario_from_dict(twenty_nine_digit_doc("5000000000000000"))

@@ -17,7 +17,6 @@ from rebalplan import (
     effective_fee,
     expected_price,
     solve_deterministic,
-    solve_stochastic,
 )
 from rebalplan.errors import BadNormalizationError
 from rebalplan.scenario import MODE_EXPECTED
@@ -103,7 +102,8 @@ def test_expected_fees_are_averaged_then_minimized():
 
 
 def test_solve_stochastic_buys_into_positive_expected_drift():
-    policy, value = solve_stochastic(stochastic_scenario())
+    policy, _ = solve_deterministic(build_expected_market(stochastic_scenario()))
+    value = policy.terminal_wealth
     assert value == D("120.00")
     assert policy.trades == ((1, {"A": 10}), (2, {"A": -10}))
     # brute force on the expected price of 12.00, zero fees
@@ -116,7 +116,8 @@ def test_solve_stochastic_reduces_to_deterministic_on_degenerate_inputs():
     for _ in range(10):
         scn = random_scenario(rng)
         det_policy, _ = solve_deterministic(scn)
-        sto_policy, sto_value = solve_stochastic(degenerate_twin(scn))
+        sto_policy, _ = solve_deterministic(build_expected_market(degenerate_twin(scn)))
+        sto_value = sto_policy.terminal_wealth
         assert sto_value == det_policy.terminal_wealth
         assert sto_policy.trades == det_policy.trades
 
@@ -127,7 +128,8 @@ def test_zero_drift_ties_break_to_no_trading():
     flat = Security("A", 1, 1, {1: D("10.00")},
                     {2: dist(("12.00", "0.5"), ("8.00", "0.5"))})
     scn = replace(base, market=Market(base.market.grid, (flat,)))
-    policy, value = solve_stochastic(scn)
+    policy, _ = solve_deterministic(build_expected_market(scn))
+    value = policy.terminal_wealth
     assert value == D("100.00")
     assert policy.trades == ((1, {}), (2, {}))
     assert sec.quotes[1] == D("10.00")

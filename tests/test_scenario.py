@@ -1,8 +1,11 @@
+import copy
 import json
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rebalplan import (
     Scenario,
@@ -12,7 +15,7 @@ from rebalplan import (
     scenario_from_dict,
     validate_scenario,
 )
-from rebalplan.errors import ScenarioParseError, ScenarioValidationError
+from rebalplan.errors import RebalplanError, ScenarioParseError, ScenarioValidationError
 
 from scenariogen import random_scenario
 
@@ -194,3 +197,50 @@ def test_grid_needs_two_points():
     with pytest.raises(ScenarioValidationError) as info:
         scenario_from_dict(doc)
     assert "BadGrid" in issue_codes(info)
+
+
+# ---------------------------------------------------------------------------
+# any JSON document loads or fails with a package error
+
+EXAMPLES = tuple(json.loads(path.read_text(encoding="utf-8"))
+                 for path in sorted(DOCS.glob("*.json")))
+
+WORDS = st.sampled_from((
+    "", "A", "b1", "1", "-1", "0", "0.5", "1.5", "1e400", "-1E-400", "NaN", "Infinity",
+    "99999999999999999999999999999", "0.000000000001", "deterministic", "expected",
+))
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6) | WORDS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4) | WORDS, inner, max_size=4)),
+    max_leaves=10,
+)
+
+
+@st.composite
+def near_valid_documents(draw):
+    """A documented example with up to three values replaced by arbitrary JSON."""
+    doc = copy.deepcopy(draw(st.sampled_from(EXAMPLES)))
+    for _ in range(draw(st.integers(1, 3))):
+        node = doc
+        while True:
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                       else range(len(node))))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+                node = child
+                continue
+            node[key] = draw(JSON)
+            break
+    return doc
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(JSON | near_valid_documents(), st.sampled_from((None, "deterministic", "expected")))
+def test_any_json_document_loads_or_raises_a_package_error(doc, mode):
+    try:
+        scenario = scenario_from_dict(doc, mode=mode)
+    except RebalplanError:
+        return
+    assert isinstance(scenario, Scenario)

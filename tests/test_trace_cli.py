@@ -189,3 +189,36 @@ def test_cli_solves_a_document_with_many_securities(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "terminal wealth 0.0000" in captured.out
     assert captured.err == ""
+
+
+def test_cli_solve_reports_a_trace_row_that_would_round(tmp_path, capsys):
+    # (price + fee) * lot fits in 28 digits, but a trace row's price * lot
+    # needs 29: the trace must refuse it rather than print a rounded figure
+    doc = {
+        "initial_capital": "2000000000000000",
+        "times": [1, 2, 3],
+        "securities": [{"id": "A", "issue_time": 1, "maturity": 2, "quotes": {
+            "1": "3999999999999999.999999999999", "2": "5000000000000000",
+            "3": "5000000000000000"}}],
+        "brokers": [{"id": "b1", "fees": {"A": {"1": "0.000000000001", "2": "0", "3": "0"}}}],
+        "options": {"price_scale": 12, "lot_size": "0.5"},
+    }
+    path = tmp_path / "row.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["solve", "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "more than 28 significant digits" in captured.err
+    assert "terminal wealth" not in captured.out
+
+
+def test_cli_oracle_refuses_a_grid_too_deep_to_walk(tmp_path, capsys):
+    # the solver handles 1,199 stages; the oracle's walk recurses per stage
+    doc = {"initial_capital": "0", "times": list(range(1, 1201)),
+           "securities": [], "brokers": []}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["solve", "--scenario", str(path),
+                     "--output", str(tmp_path / "trace.csv")]) == 0
+    assert "terminal wealth 0.0000" in capsys.readouterr().out
+    assert cli.main(["oracle", "--scenario", str(path)]) == 3
+    assert "1199 stages" in capsys.readouterr().err
