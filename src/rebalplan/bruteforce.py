@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import replace
 from decimal import Decimal, localcontext
+from typing import Iterable, Iterator
 
 from .dp import Policy, TradeEntry, trade_entries
 from .errors import InadmissibleTradeError, InstanceTooLargeError
@@ -69,7 +70,7 @@ def brute_force_solve(scenario: Scenario, *,
             return
         t = grid.points[stage]
         if stage == stages - 1 and not hold_to_end:
-            candidates: list[dict[str, int]] = [full_sale(state, market, t)]
+            candidates: Iterable[dict[str, int]] = [full_sale(state, market, t)]
         else:
             candidates = _stage_candidates(state, market, fees, rules, t)
         for trade in candidates:
@@ -92,16 +93,20 @@ def brute_force_solve(scenario: Scenario, *,
 
 
 def _stage_candidates(state: LedgerState, market: Market, fees, rules,
-                      t: int) -> list[dict[str, int]]:
+                      t: int) -> Iterator[dict[str, int]]:
     """Superset of the admissible vectors at one time, loosely bounded.
 
     Buying power for each security is capped by current cash plus the gross
     sale value of every other position (fees ignored), which can never
     exclude an admissible vector; exact filtering happens on application.
+    The vectors are yielded one at a time, in the lexicographic order of
+    their deltas, by turning the per-security ranges as an odometer, so
+    the caller's cap trips however wide a range is.
     """
     secs = market.active_securities(t)
     if not secs:
-        return [{}]
+        yield {}
+        return
     lot = rules.lot_size
     gross: list[Decimal] = []
     sellable: list[int] = []
@@ -120,13 +125,22 @@ def _stage_candidates(state: LedgerState, market: Market, fees, rules,
         budget = state.cash + gross_total - gross[i]
         hi = int(budget // unit_cost[i])
         ranges.append(range(-sellable[i], hi + 1))
-    vectors = []
-    for combo in itertools.product(*ranges):
-        vectors.append({
-            sec.security_id: delta
-            for sec, delta in zip(secs, combo) if delta != 0
-        })
-    return vectors
+    if not all(ranges):
+        return
+    ids = [sec.security_id for sec in secs]
+    deltas = [r.start for r in ranges]
+    last = len(ranges) - 1
+    while True:
+        yield {sid: delta for sid, delta in zip(ids, deltas) if delta != 0}
+        # the last wheel turns fastest; a wheel past its range wraps and
+        # carries into the one before it
+        i = last
+        while deltas[i] + 1 == ranges[i].stop:
+            deltas[i] = ranges[i].start
+            i -= 1
+            if i < 0:
+                return
+        deltas[i] += 1
 
 
 def enumerate_joint_outcomes(scenario: Scenario, *,

@@ -56,7 +56,7 @@ from .scenario import Scenario
 TradeEntry = tuple[int, str, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValueNode:
     """A reachable state and the best history reaching it.
 
@@ -72,7 +72,7 @@ class ValueNode:
     lots: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Policy:
     """One trade vector per decision time, plus the wealth it achieves."""
 
@@ -80,7 +80,7 @@ class Policy:
     terminal_wealth: Decimal
 
 
-@dataclass
+@dataclass(slots=True)
 class ValueTable:
     """Per-time layers of surviving nodes, root first, horizon end last."""
 

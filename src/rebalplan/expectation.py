@@ -22,15 +22,19 @@ from .market import (
     Security,
     validate_distribution,
 )
-from .money import round_half_even
+from .money import EXACT_CONTEXT, round_half_even
 from .scenario import MODE_DETERMINISTIC, Scenario
 
 
 def expected_value(dist: DiscreteDistribution) -> Decimal:
-    """Probability-weighted mean of the outcomes, unrounded."""
+    """Probability-weighted mean of the outcomes, exact and unrounded.
+
+    The sum runs in :data:`EXACT_CONTEXT`, whatever the caller's context:
+    rounding it to 28 digits first would round a fine-scaled mean twice.
+    """
     total = Decimal(0)
     for value, weight in dist.outcomes:
-        total += value * weight
+        total = value.fma(weight, total, context=EXACT_CONTEXT)
     return total
 
 

@@ -36,7 +36,7 @@ from .money import LEDGER_CONTEXT
 TradeVector = Mapping[str, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TradeRules:
     """Scenario-level trading conventions the ledger needs.
 
@@ -58,7 +58,7 @@ class TradeRules:
 DEFAULT_RULES = TradeRules()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerState:
     """Position on the grid, holdings carried into that time, and cash.
 
@@ -79,13 +79,18 @@ class LedgerState:
         return tuple(self.holdings.items())
 
 
+# the slots' own setters, which a frozen record's __setattr__ does not guard
+_SET_TIME_INDEX = LedgerState.time_index.__set__
+_SET_HOLDINGS = LedgerState.holdings.__set__
+_SET_CASH = LedgerState.cash.__set__
+
+
 def _canonical_state(time_index: int, holdings: dict[str, int], cash: Decimal) -> LedgerState:
     """A state from holdings the caller built canonical, not cleaned again."""
     state = object.__new__(LedgerState)
-    fields = state.__dict__
-    fields["time_index"] = time_index
-    fields["holdings"] = MappingProxyType(holdings)
-    fields["cash"] = cash
+    _SET_TIME_INDEX(state, time_index)
+    _SET_HOLDINGS(state, MappingProxyType(holdings))
+    _SET_CASH(state, cash)
     return state
 
 

@@ -28,7 +28,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimeGrid:
     """Ordered decision times t_1 < t_2 < ... < t_f (abstract integer ticks).
 
@@ -54,7 +54,7 @@ class TimeGrid:
         return self.points[-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiscreteDistribution:
     """Finite list of (value, probability) outcomes.
 
@@ -75,7 +75,7 @@ class DiscreteDistribution:
         return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Security:
     """One instrument type with its circulation window and price series.
 
@@ -94,7 +94,7 @@ class Security:
         return self.issue_time + self.maturity
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Broker:
     """Per-unit fees one brokerage charges, keyed by (security id, time).
 
@@ -106,19 +106,22 @@ class Broker:
     fees: dict[tuple[str, int], Decimal | DiscreteDistribution] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeeTable:
     """All brokers' fee quotes; the cheapest broker is chosen per deal."""
 
     brokers: tuple[Broker, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Market:
     """A time grid plus securities, indexed for lookup."""
 
     grid: TimeGrid
     securities: tuple[Security, ...]
+    _by_id: dict[str, Security] = field(init=False, repr=False, compare=False)
+    # the ledger's deal book: fee table, lot size, pages (ledger.deals_at)
+    _deal_book: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         by_id = {}
@@ -127,7 +130,6 @@ class Market:
                 raise ValueError(f"duplicate security id {sec.security_id!r}")
             by_id[sec.security_id] = sec
         object.__setattr__(self, "_by_id", by_id)
-        # the ledger's deal book: fee table, lot size, pages (ledger.deals_at)
         object.__setattr__(self, "_deal_book", (None, None, ()))
 
     def security(self, security_id: str) -> Security:

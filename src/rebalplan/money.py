@@ -4,8 +4,22 @@ Every monetary amount (price, fee, cash) and every probability in this
 package is a ``decimal.Decimal`` quantized to a configurable number of
 fractional digits. Sums, differences and products of such values are exact,
 so solver results can be compared with ``==`` instead of a float tolerance.
-Division appears in exactly one place (expected values) and is rounded
-half-even, once.
+
+Each conversion runs in one fixed context of this module, never in the
+caller's, so a value parses, prints and rounds alike whatever precision
+the calling code has set:
+
+- :func:`parse_decimal` reads in :data:`LEDGER_CONTEXT`: a value that needs
+  more than its 28 digits at the scale, or more fractional digits than the
+  scale, is rejected.
+- :func:`format_decimal` pads in :data:`EXACT_CONTEXT`'s precision with
+  ``Inexact`` trapped, so padding never rounds.
+- :func:`round_half_even` rounds in :data:`EXACT_CONTEXT`, the one place a
+  value is rounded: an expected value is summed there exactly and then
+  rounded half-even, once.
+
+The contexts are passed to each operation, so no ``localcontext`` is
+entered per value.
 """
 
 from __future__ import annotations
@@ -32,13 +46,26 @@ LEDGER_CONTEXT = decimal.Context(
 )
 
 
+# Padding to a scale: exact, or an error that format_decimal handles.
+_PADDING_CONTEXT = decimal.Context(
+    prec=EXACT_CONTEXT.prec,
+    traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow,
+           decimal.Inexact],
+)
+
+# quantum(scale) for every scale a scenario may declare (0..12)
+_QUANTA = tuple(Decimal((0, (1,), -scale)) for scale in range(13))
+
+
 class FixedPointError(ValueError):
     """A value cannot be represented exactly at the requested scale."""
 
 
 def quantum(scale: int) -> Decimal:
     """The smallest representable step at ``scale`` fractional digits."""
-    return Decimal(1).scaleb(-scale)
+    if 0 <= scale < len(_QUANTA):
+        return _QUANTA[scale]
+    return Decimal((0, (1,), -scale))
 
 
 def parse_decimal(text: str | int | Decimal, scale: int, *, what: str = "value") -> Decimal:
@@ -50,22 +77,20 @@ def parse_decimal(text: str | int | Decimal, scale: int, *, what: str = "value")
     if isinstance(text, float):
         raise FixedPointError(f"{what} must be a string, not a float: {text!r}")
     try:
-        raw = Decimal(str(text))
+        raw = Decimal(str(text), LEDGER_CONTEXT)
     except decimal.InvalidOperation as exc:
         raise FixedPointError(f"{what} is not a decimal number: {text!r}") from exc
     if not raw.is_finite():
         raise FixedPointError(f"{what} must be finite: {text!r}")
     try:
-        with decimal.localcontext() as ctx:
-            ctx.traps[decimal.Inexact] = True
-            return raw.quantize(quantum(scale))
+        return raw.quantize(quantum(scale), context=LEDGER_CONTEXT)
     except decimal.Inexact as exc:
         raise FixedPointError(
             f"{what} {text!r} has more than {scale} fractional digits"
         ) from exc
     except decimal.InvalidOperation as exc:
         raise FixedPointError(
-            f"{what} {text!r} needs more than {decimal.getcontext().prec} "
+            f"{what} {text!r} needs more than {LEDGER_CONTEXT.prec} "
             f"significant digits at scale {scale}"
         ) from exc
 
@@ -91,18 +116,18 @@ def format_decimal(value: Decimal, scale: int) -> str:
     """Canonical string form: padded to ``scale`` digits, never rounded.
 
     Values genuinely finer than ``scale`` (possible with a fractional lot
-    size) are emitted with all their digits intact. The padding runs in
-    :data:`EXACT_CONTEXT`, so it does not depend on the caller's precision,
-    and the result is always positional, never in exponent form.
+    size) are emitted with all their digits intact. The padding runs at
+    :data:`EXACT_CONTEXT`'s precision, so it does not depend on the
+    caller's, and the result is always positional, never in exponent form.
     """
-    with decimal.localcontext(EXACT_CONTEXT) as ctx:
-        ctx.traps[decimal.Inexact] = True
-        try:
-            value = value.quantize(quantum(scale))
-        except decimal.Inexact:
-            value = value.normalize()
+    try:
+        value = value.quantize(quantum(scale), context=_PADDING_CONTEXT)
+    except decimal.Inexact:
+        value = value.normalize(context=_PADDING_CONTEXT)
     return format(value, "f")
 
 
 def round_half_even(value: Decimal, scale: int) -> Decimal:
-    return value.quantize(quantum(scale), rounding=decimal.ROUND_HALF_EVEN)
+    """``value`` rounded half-even to ``scale`` digits, in :data:`EXACT_CONTEXT`."""
+    return value.quantize(quantum(scale), rounding=decimal.ROUND_HALF_EVEN,
+                          context=EXACT_CONTEXT)

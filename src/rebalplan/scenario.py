@@ -67,7 +67,7 @@ MODES = (MODE_DETERMINISTIC, MODE_EXPECTED)
 MAX_STATES_DEFAULT = 1_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolverOptions:
     mode: str = MODE_DETERMINISTIC
     lot_size: Decimal = Decimal(1)
@@ -79,7 +79,7 @@ class SolverOptions:
     prob_scale: int = PROB_SCALE_DEFAULT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scenario:
     """A full problem instance ready for the solvers."""
 

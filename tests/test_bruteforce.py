@@ -17,6 +17,7 @@ from rebalplan import (
     brute_force_solve,
     enumerate_joint_outcomes,
     replay_terminal_wealth,
+    scenario_from_dict,
     solve_deterministic,
 )
 from rebalplan.errors import InstanceTooLargeError
@@ -28,6 +29,7 @@ from scenariogen import (
     random_audit_scenario,
     random_scenario,
     simple_scenario,
+    twenty_nine_digit_doc,
 )
 
 D = Decimal
@@ -69,6 +71,15 @@ def test_oracle_work_cap():
     scn = fee_050_scenario()
     with pytest.raises(InstanceTooLargeError):
         brute_force_solve(scn, cap=3)
+
+
+def test_oracle_work_cap_trips_inside_a_wide_stage():
+    # about 10**16 affordable lots at price 1 at time 2: the cap must trip
+    # before the stage's candidates are all made
+    doc = twenty_nine_digit_doc("1")
+    doc["options"]["hold_to_end"] = True
+    with pytest.raises(InstanceTooLargeError):
+        brute_force_solve(scenario_from_dict(doc), cap=1000)
 
 
 def cents(draw, lo, hi):

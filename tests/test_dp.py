@@ -1,6 +1,8 @@
+import json
 import random
 import tracemalloc
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,7 @@ from rebalplan import (
     TimeGrid,
     apply_rebalance,
     brute_force_solve,
+    build_expected_market,
     enumerate_controls,
     extract_policy,
     price_at,
@@ -38,6 +41,8 @@ from scenariogen import (
 )
 
 D = Decimal
+
+DOCS = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
 
 def test_enumerate_controls_budget_bound():
@@ -319,3 +324,18 @@ def test_a_result_that_would_round_raises():
         replay_policy(scn, round_trip)
     with pytest.raises(InexactArithmeticError):
         brute_force_solve(scn)
+
+
+def test_the_records_keep_no_instance_dict():
+    # every loaded document and every kept node pays for these records
+    doc = json.loads((DOCS / "two_point_upside.json").read_text(encoding="utf-8"))
+    loaded = scenario_from_dict(doc)
+    scn = build_expected_market(loaded)
+    policy, table = solve_deterministic(scn)
+    sec = loaded.market.securities[0]
+    node = table.layers[-1][0]
+    records = [loaded.market.grid, next(iter(sec.distributions.values())), sec,
+               scn.fees.brokers[0], scn.fees, scn.market, scn.trade_rules(),
+               scn.initial_state(), node.state, node, policy, table,
+               scn.options, scn]
+    assert [type(r).__name__ for r in records if hasattr(r, "__dict__")] == []

@@ -16,6 +16,7 @@ from rebalplan import (
     build_expected_market,
     effective_fee,
     expected_price,
+    scenario_from_dict,
     solve_deterministic,
 )
 from rebalplan.errors import BadNormalizationError
@@ -39,6 +40,26 @@ def test_expected_price_is_the_weighted_mean():
 def test_expected_price_rounds_half_even_once():
     assert expected_price(dist(("10.0001", "0.5"), ("10.0002", "0.5")), 4) == D("10.0002")
     assert expected_price(dist(("10.0002", "0.5"), ("10.0003", "0.5")), 4) == D("10.0002")
+
+
+def test_a_fine_scaled_mean_is_rounded_once():
+    # the exact mean has 29 significant digits: a sum rounded to 28 digits
+    # and then to the price scale would lose its last quantum
+    outcomes = [["5000000000000000.000000000001", "0.500000"],
+                ["0.000000000001", "0.500000"]]
+    doc = {
+        "initial_capital": "1",
+        "times": [1, 2, 3],
+        "securities": [{"id": "A", "issue_time": 1, "maturity": 2,
+                        "quotes": {"1": "1", "3": "1"},
+                        "distributions": {"2": outcomes}}],
+        "brokers": [{"id": "b1", "fees": {"A": {"1": "0", "2": outcomes, "3": "0"}}}],
+        "options": {"mode": "expected", "price_scale": 12},
+    }
+    derived = build_expected_market(scenario_from_dict(doc))
+    mean = D("2500000000000000.000000000001")
+    assert derived.market.security("A").quotes[2] == mean
+    assert derived.fees.brokers[0].fees[("A", 2)] == mean
 
 
 def test_expected_price_validates_first():
