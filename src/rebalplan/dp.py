@@ -16,7 +16,10 @@ ledger's deal book. Each vector is replayed through the ledger step as it
 comes, and the layer's node cap is checked as each successor is kept, so
 the cap bounds the memory of a layer even inside one node's expansion, and
 the number of securities is not limited by the interpreter's recursion
-depth.
+depth. Per successor, the ledger replay is the one step that builds a
+state: the walk hands out its prefix dict itself where the last delta is
+zero, the successor's canonical holdings are the layer key, and a node is
+built only for a successor that is kept or ranked against the incumbent.
 
 At the final decision time the default policy is to sell every position
 still in circulation; with ``hold_to_end`` set, trading stays free and any
@@ -161,8 +164,10 @@ def _walk(terms: list[tuple[str, Decimal, Decimal, int]], raisable: list[Decimal
     """Depth-first over the securities with an explicit stack of open levels.
 
     A level is (index, cash left, nonzero deltas so far, remaining deltas).
-    The last security's deltas need no cash: its loop only copies the
-    prefix.
+    The last security's deltas need no cash: its loop extends a copy of the
+    prefix, or yields the prefix itself for a zero delta. That dict is
+    shared with no other vector: a prefix is never changed once pushed, and
+    it reaches the last level unextended only along its all-zero path.
     """
     last = len(terms) - 1
     last_sid = terms[last][0]
@@ -172,10 +177,12 @@ def _walk(terms: list[tuple[str, Decimal, Decimal, int]], raisable: list[Decimal
         if level == last:
             stack.pop()
             for delta in deltas:
-                trade = prefix.copy()
                 if delta:
+                    trade = prefix.copy()
                     trade[last_sid] = delta
-                yield trade
+                    yield trade
+                else:
+                    yield prefix
             continue
         sid, buy_cost, sell_net, _ = terms[level]
         for delta in deltas:
@@ -255,27 +262,28 @@ def _expand(frontier: list[ValueNode], market: Market, fees: FeeTable,
     points = market.grid.points
     kept: dict[tuple[tuple[str, int], ...] | int, ValueNode] = {}
     for node in frontier:
-        t = points[node.state.time_index]
+        state = node.state
         if forced:
-            trades = (full_sale(node.state, market, t),)
+            trades = (full_sale(state, market, points[state.time_index]),)
         else:
-            trades = enumerate_controls(node.state, market, fees, rules)
+            trades = enumerate_controls(state, market, fees, rules)
+        lots = node.lots
         for trade in trades:
             try:
-                successor = apply_rebalance(node.state, trade, market, fees, rules)
+                successor = apply_rebalance(state, trade, market, fees, rules)
             except InadmissibleTradeError:
                 # only the forced sale can fail here (closing shorts needs cash)
                 continue
-            key = successor.holdings_key() if prune else len(kept)
+            key = tuple(successor.holdings.items()) if prune else len(kept)
             cur = kept.get(key)
-            if cur is not None and successor.cash < cur.state.cash:
-                continue
-            child = ValueNode(successor, node, trade, node.lots + trade_lots(trade))
-            if cur is not None and not _precedes(child, cur, points):
-                continue
-            kept[key] = child
-            if len(kept) > cap:
-                raise StateBudgetExceededError(cap, len(kept), layer)
+            if cur is None:
+                kept[key] = ValueNode(successor, node, trade, lots + trade_lots(trade))
+                if len(kept) > cap:
+                    raise StateBudgetExceededError(cap, len(kept), layer)
+            elif successor.cash >= cur.state.cash:
+                child = ValueNode(successor, node, trade, lots + trade_lots(trade))
+                if _precedes(child, cur, points):
+                    kept[key] = child
     return [kept[key] for key in sorted(kept)]
 
 

@@ -18,6 +18,11 @@ brokers' fees, always in :data:`~rebalplan.money.LEDGER_CONTEXT`, so no
 caller's decimal context can leave a rounded value in it. A trade step
 then costs one multiplication per lot delta, and the solver's enumerator
 reads the same page.
+
+The step is one pass over the trade and one over the securities carried to
+the next time: the first prices each delta and notes the position it moves
+to, the second reads those positions (or the unmoved ones) in id order, so
+the successor's holdings come out canonical and are wrapped as they are.
 """
 
 from __future__ import annotations
@@ -83,15 +88,6 @@ class LedgerState:
 _SET_TIME_INDEX = LedgerState.time_index.__set__
 _SET_HOLDINGS = LedgerState.holdings.__set__
 _SET_CASH = LedgerState.cash.__set__
-
-
-def _canonical_state(time_index: int, holdings: dict[str, int], cash: Decimal) -> LedgerState:
-    """A state from holdings the caller built canonical, not cleaned again."""
-    state = object.__new__(LedgerState)
-    _SET_TIME_INDEX(state, time_index)
-    _SET_HOLDINGS(state, MappingProxyType(holdings))
-    _SET_CASH(state, cash)
-    return state
 
 
 class Deals(NamedTuple):
@@ -194,6 +190,9 @@ def apply_rebalance(state: LedgerState, trade: TradeVector, market: Market,
     non-negative; there is no lower bound on selling beyond the position
     floor. Positions whose window has closed by the next grid time are
     forfeited (dropped at zero value), keeping states canonical.
+
+    The successor's slots are set directly: its holdings come out of the
+    carried-position pass canonical, so they are not cleaned again.
     """
     index = state.time_index
     page = deals_at(market, fees, rules.lot_size, index)
@@ -201,6 +200,7 @@ def apply_rebalance(state: LedgerState, trade: TradeVector, market: Market,
     floor = rules.position_floor
     held = state.holdings
     cash = state.cash
+    moved = {}
     for sid in sorted(trade):
         delta = trade[sid]
         if delta == 0:
@@ -209,15 +209,24 @@ def apply_rebalance(state: LedgerState, trade: TradeVector, market: Market,
         if deal is None:
             raise_unpriced(market, fees, sid, page.time)
         cash -= deal[0 if delta > 0 else 1] * delta
-        qty = held.get(sid, 0) + delta
+        qty = moved[sid] = held.get(sid, 0) + delta
         if qty < floor:
             raise ShortCapExceededError(sid, qty, floor)
 
     if cash < 0:
         raise InadmissibleTradeError(-cash)
-    carried = {sid: qty for sid in page.carried
-               if (qty := held.get(sid, 0) + trade.get(sid, 0)) != 0}
-    return _canonical_state(index + 1, carried, cash)
+    carried = {}
+    for sid in page.carried:
+        qty = moved.get(sid)
+        if qty is None:
+            qty = held.get(sid, 0)
+        if qty:
+            carried[sid] = qty
+    successor = object.__new__(LedgerState)
+    _SET_TIME_INDEX(successor, index + 1)
+    _SET_HOLDINGS(successor, MappingProxyType(carried))
+    _SET_CASH(successor, cash)
+    return successor
 
 
 def full_sale(state: LedgerState, market: Market, t: int) -> dict[str, int]:

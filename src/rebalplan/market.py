@@ -26,6 +26,7 @@ from .errors import (
     NonpositivePriceError,
     QuoteMissingError,
 )
+from .money import EXACT_CONTEXT
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,9 +70,10 @@ class DiscreteDistribution:
         return len(self.outcomes)
 
     def weight_sum(self) -> Decimal:
+        """The weights' sum in :data:`EXACT_CONTEXT`, whatever the caller's."""
         total = Decimal(0)
         for _, weight in self.outcomes:
-            total += weight
+            total = EXACT_CONTEXT.add(total, weight)
         return total
 
 

@@ -34,10 +34,18 @@ def replay_policy(scenario: Scenario, policy: Policy) -> list[LedgerState]:
     return states
 
 
+def replay_full_horizon(scenario: Scenario, policy: Policy) -> list[LedgerState]:
+    """States visited by a policy that trades at every decision time.
+
+    As :func:`replay_policy`, and a policy that stops before the last
+    decision time raises ``ValueError``.
+    """
+    states = replay_policy(scenario, policy)
+    if states[-1].time_index != len(scenario.market.grid) - 1:
+        raise ValueError("policy does not cover every decision time")
+    return states
+
+
 def replay_terminal_wealth(scenario: Scenario, policy: Policy) -> Decimal:
     """Ending cash after replaying the policy over the full horizon."""
-    states = replay_policy(scenario, policy)
-    final = states[-1]
-    if final.time_index != len(scenario.market.grid) - 1:
-        raise ValueError("policy does not cover every decision time")
-    return final.cash
+    return replay_full_horizon(scenario, policy)[-1].cash

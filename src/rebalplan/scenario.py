@@ -107,13 +107,22 @@ def load_scenario(path: str | Path, mode: str | None = None) -> Scenario:
 
     ``mode`` overrides the file's solver mode before validation, so a file
     that only makes sense in one mode fails loudly when forced into the
-    other.
+    other. A file that is not UTF-8 JSON, or that the JSON parser cannot
+    hold (nested too deep, an integer too long to convert), raises
+    :class:`ScenarioParseError`.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(exc.msg, exc.lineno, exc.colno) from exc
+    except RecursionError as exc:
+        raise ScenarioParseError("JSON nested too deeply to parse") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise ScenarioParseError(str(exc)) from exc
     return scenario_from_dict(data, mode=mode)
 
 

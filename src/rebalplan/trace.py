@@ -11,7 +11,10 @@ terminal cash and wealth.
 
 The rows are computed in the solver's exact context, so an amount that
 would need rounding raises :class:`~rebalplan.errors.InexactArithmeticError`
-rather than printing a rounded figure.
+rather than printing a rounded figure. The states come from replaying the
+policy through the ledger first, so a policy whose trade times do not follow
+the grid, or that stops before the last decision time, raises the replay's
+``ValueError`` before any row is priced.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ import io
 from decimal import Decimal
 
 from .dp import Policy
-from .ledger import apply_rebalance
 from .market import effective_fee, is_active, price_at
 from .money import exact_arithmetic, format_decimal
+from .replay import replay_full_horizon
 from .scenario import Scenario
 
 TRACE_HEADER = (
@@ -40,13 +43,13 @@ def build_trace_rows(scenario: Scenario, policy: Policy) -> list[list[str]]:
 def _rows(scenario: Scenario, policy: Policy) -> list[list[str]]:
     market = scenario.market
     fees = scenario.fees
-    rules = scenario.trade_rules()
+    lot = scenario.options.lot_size
     scale = scenario.options.price_scale
     money = lambda d: format_decimal(d, scale)  # noqa: E731
 
     rows: list[list[str]] = []
-    state = scenario.initial_state()
-    for t, trade in policy.trades:
+    states = replay_full_horizon(scenario, policy)
+    for (t, trade), state, reached in zip(policy.trades, states, states[1:]):
         touched = sorted(set(state.holdings) | {s for s, d in trade.items() if d != 0})
         ordered = sorted(touched, key=lambda sid: (trade.get(sid, 0) > 0, sid))
         cash = state.cash
@@ -57,8 +60,8 @@ def _rows(scenario: Scenario, policy: Policy) -> list[list[str]]:
             before = current.get(sid, 0)
             after = before + delta
             if delta != 0:
-                trade_cash = price_at(sec, t) * rules.lot_size * delta
-                fee_paid = effective_fee(sec, t, fees) * rules.lot_size * abs(delta)
+                trade_cash = price_at(sec, t) * lot * delta
+                fee_paid = effective_fee(sec, t, fees) * lot * abs(delta)
             else:
                 trade_cash = Decimal(0)
                 fee_paid = Decimal(0)
@@ -68,18 +71,15 @@ def _rows(scenario: Scenario, policy: Policy) -> list[list[str]]:
             for other, qty in current.items():
                 other_sec = market.security(other)
                 if qty != 0 and is_active(other_sec, t):
-                    mark += price_at(other_sec, t) * rules.lot_size * qty
+                    mark += price_at(other_sec, t) * lot * qty
             rows.append([
                 str(t), sid, str(before), str(after),
                 money(trade_cash), money(fee_paid), money(cash), money(mark),
             ])
-        state = apply_rebalance(state, trade, market, fees, rules)
-        assert cash == state.cash  # per-security decomposition matches the ledger
+        assert cash == reached.cash  # per-security decomposition matches the ledger
 
-    rows.append([
-        str(market.grid.end), "", "", "", "", "",
-        money(state.cash), money(state.cash),
-    ])
+    end = states[-1].cash
+    rows.append([str(market.grid.end), "", "", "", "", "", money(end), money(end)])
     return rows
 
 

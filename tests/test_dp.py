@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import tracemalloc
@@ -16,6 +17,7 @@ from rebalplan import (
     Security,
     SolverOptions,
     TimeGrid,
+    TradeRules,
     apply_rebalance,
     brute_force_solve,
     build_expected_market,
@@ -28,7 +30,12 @@ from rebalplan import (
     wealth,
 )
 from rebalplan.dp import ValueTable
-from rebalplan.errors import EmptyTableError, InexactArithmeticError, StateBudgetExceededError
+from rebalplan.errors import (
+    EmptyTableError,
+    InexactArithmeticError,
+    RebalplanError,
+    StateBudgetExceededError,
+)
 from rebalplan.replay import replay_policy, replay_terminal_wealth
 
 from scenariogen import (
@@ -86,6 +93,36 @@ def test_enumerate_controls_allows_selling_to_fund_buying():
     assert {"A": 3, "B": -3} in controls
     assert {"A": 1, "B": -1} in controls
     assert {"A": 1} not in controls
+
+
+def test_enumerate_controls_yields_each_vector_once_in_its_own_dict():
+    # many vectors end on a zero delta, and the walk hands those out as the
+    # prefix dict itself: no later vector may change one already yielded
+    grid = TimeGrid((1, 2))
+    prices = {"A": "3.00", "B": "5.00", "C": "7.00"}
+    market = Market(grid, tuple(Security(sid, 1, 1, {1: D(p), 2: D(p)}, {})
+                                for sid, p in prices.items()))
+    fees = FeeTable((Broker("b1", {(sid, t): D("0.50") for sid in prices for t in (1, 2)}),))
+    rules = TradeRules(allow_short=True, short_cap=1)
+    state = LedgerState(0, {"A": 2, "B": 1}, D("20.00"))
+    # each vector is snapshot as it comes and compared once the walk is done
+    taken = [(trade, dict(trade)) for trade in enumerate_controls(state, market, fees, rules)]
+    assert all(trade == snapshot for trade, snapshot in taken)
+    assert len({id(trade) for trade, _ in taken}) == len(taken)
+
+    vectors = [tuple(sorted(snapshot.items())) for _, snapshot in taken]
+    assert len(set(vectors)) == len(vectors)
+    admissible = set()
+    # cash 20 plus every sale (7.50 + 9.00 + 6.50) buys at most 12 A, 7 B, 5 C
+    for deltas in itertools.product(range(-3, 13), range(-2, 8), range(-1, 6)):
+        trade = {sid: delta for sid, delta in zip("ABC", deltas) if delta}
+        try:
+            apply_rebalance(state, trade, market, fees, rules)
+        except RebalplanError:
+            continue
+        admissible.add(tuple(sorted(trade.items())))
+    assert set(vectors) == admissible
+    assert any(len(v) < 3 for v in vectors) and any(len(v) == 3 for v in vectors)
 
 
 def test_delta_wealth():

@@ -75,9 +75,11 @@ def test_expected_price_stays_within_the_outcome_range():
         total = sum(weights)
         if total == 0:
             continue
-        # scale integer weights to an exact six-place distribution
-        probs = [D(w * 10000) / D(total * 10000) for w in weights]
-        if sum(probs) != 1:
+        # an exact six-place distribution: each integer weight's share
+        # rounded to six places, the remainder on the last
+        probs = [(D(w) / total).quantize(D("0.000001")) for w in weights[:-1]]
+        probs.append(1 - sum(probs))
+        if probs[-1] < 0:
             continue
         prices = [D(rng.randint(100, 2000)) / 100 for _ in range(n)]
         d = DiscreteDistribution(tuple(zip(prices, probs)))

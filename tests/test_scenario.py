@@ -1,12 +1,15 @@
+import contextlib
 import copy
+import io
 import json
-from decimal import Decimal
+from decimal import Context, Decimal, localcontext
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rebalplan.cli as cli
 from rebalplan import (
     Scenario,
     dump_scenario,
@@ -81,6 +84,20 @@ def test_malformed_json_reports_the_position(tmp_path):
     assert info.value.line == 1
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"\xff\xfe{}", "not UTF-8 text"),
+    (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+    (b'{"initial_capital": ' + b"1" * 5000 + b"}", "4300 digits"),
+], ids=["not-utf8", "nested-too-deep", "integer-too-long"])
+def test_a_file_json_cannot_read_is_a_parse_error(tmp_path, capsys, data, message):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(data)
+    with pytest.raises(ScenarioParseError, match=message):
+        load_scenario(path)
+    assert cli.main(["validate", "--scenario", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_bad_normalization_is_located():
     doc = minimal_doc()
     doc["securities"][0]["quotes"].pop("2")
@@ -92,6 +109,20 @@ def test_bad_normalization_is_located():
         scenario_from_dict(doc)
     issues = [i for i in info.value.issues if i.code == "BadNormalization"]
     assert issues and issues[0].security == "A" and issues[0].time == 2
+
+
+def test_weights_sum_exactly_whatever_the_callers_context():
+    # at six digits 0.5000001 + 0.5000000 would round to 1.00000
+    doc = minimal_doc()
+    doc["securities"][0]["quotes"].pop("2")
+    doc["securities"][0]["distributions"] = {
+        "2": [["20.0000", "0.5000001"], ["10.0000", "0.5000000"]]
+    }
+    doc["options"].update(mode="expected", prob_scale=7)
+    with localcontext(Context(prec=6)):
+        with pytest.raises(ScenarioValidationError) as info:
+            scenario_from_dict(doc)
+    assert "BadNormalization" in issue_codes(info)
 
 
 def test_missing_quote_is_located():
@@ -244,3 +275,31 @@ def test_any_json_document_loads_or_raises_a_package_error(doc, mode):
     except RebalplanError:
         return
     assert isinstance(scenario, Scenario)
+
+
+EXAMPLE_BYTES = tuple(path.read_bytes() for path in sorted(DOCS.glob("*.json")))
+
+
+@st.composite
+def spliced_examples(draw):
+    """A documented example's bytes with one span replaced by arbitrary bytes."""
+    data = draw(st.sampled_from(EXAMPLE_BYTES))
+    start = draw(st.integers(0, len(data)))
+    end = draw(st.integers(start, min(len(data), start + 8)))
+    return data[:start] + draw(st.binary(max_size=8)) + data[end:]
+
+
+FILE_BYTES = (st.binary(max_size=64)
+              | spliced_examples()
+              | (JSON | near_valid_documents()).map(lambda doc: json.dumps(doc).encode()))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(FILE_BYTES, st.sampled_from(((), ("--mode", "det"), ("--mode", "exp"))))
+def test_cli_validate_exits_with_a_documented_code_on_any_file(tmp_path_factory, data, mode):
+    path = tmp_path_factory.mktemp("validate") / "scenario.json"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["validate", "--scenario", str(path), *mode])
+    assert code in {0, 2, 3, 4, 5}

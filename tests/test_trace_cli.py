@@ -74,6 +74,22 @@ def test_wealth_column_leaks_only_fees_within_a_time():
             assert D(cur[7]) == D(prev[7]) - D(cur[5])
 
 
+def test_trace_refuses_a_policy_shifted_off_the_grid():
+    # the rows would price the buy at time 2 while the ledger trades at 1
+    scn = load_scenario(DOCS / "buy_then_liquidate.json")
+    shifted = Policy(((2, {"A": 9}), (3, {"A": -9})), D("104.5000"))
+    with pytest.raises(ValueError, match="policy trades at 2 but the next decision time is 1"):
+        trace_text(scn, shifted)
+
+
+def test_trace_refuses_a_policy_that_stops_early():
+    # no summary row for the horizon end while 9 lots are still held
+    scn = load_scenario(DOCS / "buy_then_liquidate.json")
+    stopped = Policy(((1, {"A": 9}),), D("5.5000"))
+    with pytest.raises(ValueError, match="does not cover every decision time"):
+        trace_text(scn, stopped)
+
+
 def test_cli_solve_writes_the_trace(tmp_path, capsys):
     out = tmp_path / "trace.csv"
     code = cli.main(["solve", "--scenario", str(DOCS / "buy_then_liquidate.json"),
