@@ -220,7 +220,7 @@ def solve_deterministic(scenario: Scenario, *, prune: bool = True,
     cap = scenario.options.max_states if max_states is None else max_states
     stages = len(grid) - 1
 
-    root = ValueNode(state=scenario.initial_state(), parent=None, trade=None, lots=0)
+    root = ValueNode(scenario.initial_state(), None, None, 0)
     layers: list[list[ValueNode]] = [[root]]
     with exact_arithmetic():
         for i in range(stages):

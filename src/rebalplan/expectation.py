@@ -10,7 +10,6 @@ Adaptive policies that react to observed prices are out of scope.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from decimal import Decimal
 
 from .errors import BadNormalizationError, NegativeWeightError, NonpositivePriceError
@@ -18,12 +17,11 @@ from .market import (
     Broker,
     DiscreteDistribution,
     FeeTable,
-    Market,
     Security,
     validate_distribution,
 )
 from .money import EXACT_CONTEXT, round_half_even
-from .scenario import MODE_DETERMINISTIC, Scenario
+from .scenario import MODE_DETERMINISTIC, Scenario, SolverOptions
 
 
 def expected_value(dist: DiscreteDistribution) -> Decimal:
@@ -52,41 +50,61 @@ def build_expected_market(scenario: Scenario) -> Scenario:
     same way. Rounding to the price scale happens here, once, so the result
     is a well-formed deterministic scenario. Broker minimization still
     happens at query time, now over expected fees.
-    """
-    scale = scenario.options.price_scale
 
-    securities = []
+    Only the records a distribution changes are rebuilt: a security or a
+    broker without one, and a fee table without any, is shared with
+    ``scenario``, and the market keeps its own id order.
+    """
+    options = scenario.options
+    scale = options.price_scale
+
+    derived = {}
     for sec in scenario.market.securities:
-        quotes = dict(sec.quotes)
-        for t, dist in sorted(sec.distributions.items()):
-            try:
-                quotes[t] = expected_price(dist, scale)
-            except BadNormalizationError as exc:
-                raise BadNormalizationError(exc.actual_sum, sec.security_id, t) from exc
-            except NonpositivePriceError as exc:
-                raise NonpositivePriceError(exc.price, sec.security_id, t) from exc
-            except NegativeWeightError as exc:
-                raise NegativeWeightError(exc.weight, sec.security_id, t) from exc
-        securities.append(Security(sec.security_id, sec.issue_time, sec.maturity,
-                                   quotes, {}))
+        if sec.distributions:
+            sec = _expected_security(sec, scale)
+        derived[sec.security_id] = sec
 
     return Scenario(
         initial_capital=scenario.initial_capital,
-        market=Market(scenario.market.grid, tuple(securities)),
+        market=scenario.market.derive(derived),
         fees=expected_fee_table(scenario.fees, scale),
-        options=replace(scenario.options, mode=MODE_DETERMINISTIC),
+        options=SolverOptions(
+            mode=MODE_DETERMINISTIC, lot_size=options.lot_size,
+            allow_short=options.allow_short, short_cap=options.short_cap,
+            hold_to_end=options.hold_to_end, max_states=options.max_states,
+            price_scale=scale, prob_scale=options.prob_scale,
+        ),
     )
+
+
+def _expected_security(sec: Security, price_scale: int) -> Security:
+    """The security with each price distribution replaced by its rounded mean."""
+    quotes = dict(sec.quotes)
+    for t, dist in sorted(sec.distributions.items()):
+        try:
+            quotes[t] = expected_price(dist, price_scale)
+        except BadNormalizationError as exc:
+            raise BadNormalizationError(exc.actual_sum, sec.security_id, t) from exc
+        except NonpositivePriceError as exc:
+            raise NonpositivePriceError(exc.price, sec.security_id, t) from exc
+        except NegativeWeightError as exc:
+            raise NegativeWeightError(exc.weight, sec.security_id, t) from exc
+    return Security(sec.security_id, sec.issue_time, sec.maturity, quotes, {})
 
 
 def expected_fee_table(fees: FeeTable, price_scale: int) -> FeeTable:
     """Fee table with every per-broker fee distribution at its rounded mean."""
     brokers = []
+    changed = False
     for broker in fees.brokers:
-        flat: dict[tuple[str, int], Decimal | DiscreteDistribution] = {}
+        flat = None
         for key, fee in broker.fees.items():
             if isinstance(fee, DiscreteDistribution):
+                if flat is None:
+                    flat = dict(broker.fees)
                 flat[key] = round_half_even(expected_value(fee), price_scale)
-            else:
-                flat[key] = fee
-        brokers.append(Broker(broker.broker_id, flat))
-    return FeeTable(tuple(brokers))
+        if flat is not None:
+            broker = Broker(broker.broker_id, flat)
+            changed = True
+        brokers.append(broker)
+    return FeeTable(tuple(brokers)) if changed else fees

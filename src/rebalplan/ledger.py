@@ -13,7 +13,8 @@ The deal book is the one place that prices a lot. For each decision time
 (grid index) it holds the time, ``(price + fee) * lot`` and
 ``(price - fee) * lot`` for every security in circulation there, and the
 securities still in circulation at the next time. It is built lazily, one
-page per grid index, read straight from the securities' quotes and the
+page per grid index, in one pass over the securities that finds both
+times' circulation, read straight from the securities' quotes and the
 brokers' fees, always in :data:`~rebalplan.money.LEDGER_CONTEXT`, so no
 caller's decimal context can leave a rounded value in it. A trade step
 then costs one multiplication per lot delta, and the solver's enumerator
@@ -23,6 +24,9 @@ The step is one pass over the trade and one over the securities carried to
 the next time: the first prices each delta and notes the position it moves
 to, the second reads those positions (or the unmoved ones) in id order, so
 the successor's holdings come out canonical and are wrapped as they are.
+The opening state is built the same way, its empty holdings being
+canonical already, so a solve or a replay sets itself up without cleaning
+them again.
 """
 
 from __future__ import annotations
@@ -41,14 +45,14 @@ from .money import LEDGER_CONTEXT
 TradeVector = Mapping[str, int]
 
 
-@dataclass(frozen=True, slots=True)
-class TradeRules:
+class TradeRules(NamedTuple):
     """Scenario-level trading conventions the ledger needs.
 
     ``lot_size`` is the number of security units per lot; prices and fees are
     per unit, holdings are counted in integer lots. With shorting disabled
     every position must stay at or above zero; enabled, it may go down to
-    ``-short_cap`` lots per security.
+    ``-short_cap`` lots per security. A named tuple, as a scenario builds
+    one for each solve and each replay.
     """
 
     lot_size: Decimal = Decimal(1)
@@ -88,6 +92,20 @@ class LedgerState:
 _SET_TIME_INDEX = LedgerState.time_index.__set__
 _SET_HOLDINGS = LedgerState.holdings.__set__
 _SET_CASH = LedgerState.cash.__set__
+_NO_HOLDINGS = MappingProxyType({})
+
+
+def opening_state(cash: Decimal) -> LedgerState:
+    """The state at grid index 0: nothing held, ``cash`` in hand.
+
+    Built as :func:`apply_rebalance` builds a successor, its empty holdings
+    being canonical already.
+    """
+    state = object.__new__(LedgerState)
+    _SET_TIME_INDEX(state, 0)
+    _SET_HOLDINGS(state, _NO_HOLDINGS)
+    _SET_CASH(state, cash)
+    return state
 
 
 class Deals(NamedTuple):
@@ -130,12 +148,20 @@ def deals_at(market: Market, fees: FeeTable, lot: Decimal, index: int) -> Deals:
 
 
 def _page(market: Market, fees: FeeTable, lot: Decimal, index: int) -> Deals:
+    """One pass over the securities: this time's terms and the next time's ids."""
     points = market.grid.points
     t = points[index]
+    following = points[index + 1]
     per_lot: dict[str, tuple[Decimal, Decimal] | None] = {}
+    carried = []
     with localcontext(LEDGER_CONTEXT):
-        for sec in market.active_securities(t):
-            sid = sec.security_id
+        for sid, sec in market._by_id.items():
+            issued = sec.issue_time
+            end = issued + sec.maturity
+            if issued <= following <= end:
+                carried.append(sid)
+            if not issued <= t <= end:
+                continue
             price = sec.quotes.get(t)
             fee = lowest_fee(fees, sid, t)
             deal = None
@@ -145,8 +171,7 @@ def _page(market: Market, fees: FeeTable, lot: Decimal, index: int) -> Deals:
                 except Inexact:
                     pass  # trading it raises InexactArithmeticError
             per_lot[sid] = deal
-    following = market.active_securities(points[index + 1])
-    return Deals(t, per_lot, tuple(sec.security_id for sec in following))
+    return Deals(t, per_lot, tuple(carried))
 
 
 def raise_unpriced(market: Market, fees: FeeTable, sid: str, t: int) -> NoReturn:

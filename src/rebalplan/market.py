@@ -137,6 +137,20 @@ class Market:
     def security(self, security_id: str) -> Security:
         return self._by_id[security_id]
 
+    def derive(self, securities: dict[str, Security]) -> "Market":
+        """This market with each security replaced by ``securities``' one of its id.
+
+        The ids are this market's own, so they are not sorted or checked
+        again; the new market starts its own deal book.
+        """
+        market = object.__new__(Market)
+        object.__setattr__(market, "grid", self.grid)
+        object.__setattr__(market, "securities",
+                           tuple(securities[sec.security_id] for sec in self.securities))
+        object.__setattr__(market, "_by_id", {sid: securities[sid] for sid in self._by_id})
+        object.__setattr__(market, "_deal_book", (None, None, ()))
+        return market
+
     def active_securities(self, t: int) -> tuple[Security, ...]:
         """Securities in circulation at ``t``, in id order."""
         return tuple(sec for sec in self._by_id.values() if is_active(sec, t))

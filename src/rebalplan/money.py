@@ -82,8 +82,9 @@ def parse_decimal(text: str | int | Decimal, scale: int, *, what: str = "value")
         raise FixedPointError(f"{what} is not a decimal number: {text!r}") from exc
     if not raw.is_finite():
         raise FixedPointError(f"{what} must be finite: {text!r}")
+    step = _QUANTA[scale] if 0 <= scale < len(_QUANTA) else quantum(scale)
     try:
-        return raw.quantize(quantum(scale), context=LEDGER_CONTEXT)
+        return raw.quantize(step, None, LEDGER_CONTEXT)
     except decimal.Inexact as exc:
         raise FixedPointError(
             f"{what} {text!r} has more than {scale} fractional digits"

@@ -1,4 +1,10 @@
-"""Replaying a trade policy through the ledger step by step."""
+"""Replaying a trade policy through the ledger step by step.
+
+The replay runs in :data:`~rebalplan.money.LEDGER_CONTEXT`, entered once
+per replay: :func:`replay_policy` and :func:`replay_terminal_wealth` enter it
+themselves, and :func:`full_horizon_states` runs in its caller's block, so
+the trace, which prices its rows in that block too, enters it only once.
+"""
 
 from __future__ import annotations
 
@@ -17,30 +23,18 @@ def replay_policy(scenario: Scenario, policy: Policy) -> list[LedgerState]:
     scenario, and :class:`InexactArithmeticError` if a cash amount would need
     rounding; the policy's trade times must match the grid step for step.
     """
-    market = scenario.market
-    fees = scenario.fees
-    rules = scenario.trade_rules()
-    state = scenario.initial_state()
-    states = [state]
     with exact_arithmetic():
-        for t, trade in policy.trades:
-            if market.grid.points[state.time_index] != t:
-                raise ValueError(
-                    f"policy trades at {t} but the next decision time is "
-                    f"{market.grid.points[state.time_index]}"
-                )
-            state = apply_rebalance(state, trade, market, fees, rules)
-            states.append(state)
-    return states
+        return _states(scenario, policy)
 
 
-def replay_full_horizon(scenario: Scenario, policy: Policy) -> list[LedgerState]:
+def full_horizon_states(scenario: Scenario, policy: Policy) -> list[LedgerState]:
     """States visited by a policy that trades at every decision time.
 
     As :func:`replay_policy`, and a policy that stops before the last
-    decision time raises ``ValueError``.
+    decision time raises ``ValueError``. It runs in the caller's decimal
+    context, which must be :func:`~rebalplan.money.exact_arithmetic`'s.
     """
-    states = replay_policy(scenario, policy)
+    states = _states(scenario, policy)
     if states[-1].time_index != len(scenario.market.grid) - 1:
         raise ValueError("policy does not cover every decision time")
     return states
@@ -48,4 +42,23 @@ def replay_full_horizon(scenario: Scenario, policy: Policy) -> list[LedgerState]
 
 def replay_terminal_wealth(scenario: Scenario, policy: Policy) -> Decimal:
     """Ending cash after replaying the policy over the full horizon."""
-    return replay_full_horizon(scenario, policy)[-1].cash
+    with exact_arithmetic():
+        return full_horizon_states(scenario, policy)[-1].cash
+
+
+def _states(scenario: Scenario, policy: Policy) -> list[LedgerState]:
+    market = scenario.market
+    fees = scenario.fees
+    rules = scenario.trade_rules()
+    points = market.grid.points
+    state = scenario.initial_state()
+    states = [state]
+    for t, trade in policy.trades:
+        if points[state.time_index] != t:
+            raise ValueError(
+                f"policy trades at {t} but the next decision time is "
+                f"{points[state.time_index]}"
+            )
+        state = apply_rebalance(state, trade, market, fees, rules)
+        states.append(state)
+    return states

@@ -41,7 +41,7 @@ from .errors import (
     ScenarioValidationError,
     ValidationIssue,
 )
-from .ledger import LedgerState, TradeRules
+from .ledger import LedgerState, TradeRules, opening_state
 from .market import (
     Broker,
     DiscreteDistribution,
@@ -49,7 +49,6 @@ from .market import (
     Market,
     Security,
     TimeGrid,
-    is_active,
     validate_distribution,
 )
 from .money import (
@@ -89,14 +88,11 @@ class Scenario:
     options: SolverOptions
 
     def trade_rules(self) -> TradeRules:
-        return TradeRules(
-            lot_size=self.options.lot_size,
-            allow_short=self.options.allow_short,
-            short_cap=self.options.short_cap,
-        )
+        options = self.options
+        return TradeRules(options.lot_size, options.allow_short, options.short_cap)
 
     def initial_state(self) -> LedgerState:
-        return LedgerState(0, {}, self.initial_capital)
+        return opening_state(self.initial_capital)
 
     def with_mode(self, mode: str) -> "Scenario":
         return replace(self, options=replace(self.options, mode=mode))
@@ -271,6 +267,15 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _encodes(text: str) -> bool:
+    """True iff ``text`` can be written as UTF-8: a JSON escape can hold a lone surrogate."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _parse_distribution(raw: object, price_scale: int, prob_scale: int,
                         where: str) -> DiscreteDistribution:
     if not isinstance(raw, list) or not raw:
@@ -298,6 +303,9 @@ def _parse_securities(raw: object, price_scale: int, prob_scale: int,
         sid = entry.get("id")
         if not isinstance(sid, str) or not sid:
             issues.append(ValidationIssue("BadSecurity", f"security id must be a non-empty string: {sid!r}"))
+            continue
+        if not _encodes(sid):
+            issues.append(ValidationIssue("BadSecurity", f"security id must be UTF-8 text: {sid!r}"))
             continue
         issue_time = entry.get("issue_time")
         maturity = entry.get("maturity")
@@ -359,6 +367,9 @@ def _parse_brokers(raw: object, price_scale: int, prob_scale: int,
         if not isinstance(bid, str) or not bid:
             issues.append(ValidationIssue("BadBroker", f"broker id must be a non-empty string: {bid!r}"))
             continue
+        if not _encodes(bid):
+            issues.append(ValidationIssue("BadBroker", f"broker id must be UTF-8 text: {bid!r}"))
+            continue
         if bid in seen:
             issues.append(ValidationIssue("DuplicateId", f"duplicate broker id {bid!r}", broker=bid))
             continue
@@ -412,8 +423,13 @@ def validate_scenario(scenario: Scenario) -> list[ValidationIssue]:
             "BadGrid", "a scenario needs at least two grid points (one decision, one horizon end)"))
 
     on_grid = set(grid.points)
+    # each security's grid times in circulation, found once
+    windows = []
     for sec in scenario.market.securities:
         sid = sec.security_id
+        start, end = sec.issue_time, sec.window_end
+        active = [t for t in grid.points if start <= t <= end]
+        windows.append((sid, active))
         if sec.issue_time not in on_grid:
             issues.append(ValidationIssue(
                 "BadWindow", f"issue_time {sec.issue_time} is not a grid point", security=sid))
@@ -448,9 +464,7 @@ def validate_scenario(scenario: Scenario) -> list[ValidationIssue]:
             except NegativeWeightError as exc:
                 issues.append(ValidationIssue(
                     "NegativeWeight", str(exc), security=sid, time=t))
-        for t in grid.points:
-            if not is_active(sec, t):
-                continue
+        for t in active:
             has_quote = t in sec.quotes
             has_dist = t in sec.distributions
             if deterministic and not has_quote:
@@ -463,8 +477,12 @@ def validate_scenario(scenario: Scenario) -> list[ValidationIssue]:
                     security=sid, time=t))
 
     known_ids = {s.security_id for s in scenario.market.securities}
+    # (security, time) pairs some broker quotes a usable fee for
+    covered = set()
     for broker in scenario.fees.brokers:
         for (sid, t), fee in sorted(broker.fees.items()):
+            if isinstance(fee, Decimal) or (fee is not None and not deterministic):
+                covered.add((sid, t))
             if sid not in known_ids:
                 issues.append(ValidationIssue(
                     "UnknownSecurity", f"fee for unknown security {sid!r}",
@@ -482,22 +500,14 @@ def validate_scenario(scenario: Scenario) -> list[ValidationIssue]:
             else:
                 issues.extend(_check_fee_distribution(fee, broker.broker_id, sid, t))
 
-    for sec in scenario.market.securities:
-        for t in grid.points:
-            if not is_active(sec, t):
-                continue
-            covered = False
-            for broker in scenario.fees.brokers:
-                fee = broker.fees.get((sec.security_id, t))
-                if isinstance(fee, Decimal) or (fee is not None and not deterministic):
-                    covered = True
-                    break
-            if not covered:
+    for sid, active in windows:
+        for t in active:
+            if (sid, t) not in covered:
                 issues.append(ValidationIssue(
                     "FeeMissing",
                     "no broker quotes a usable fee at an active time"
                     + (" (deterministic mode needs scalar fees)" if deterministic else ""),
-                    security=sec.security_id, time=t))
+                    security=sid, time=t))
 
     return issues
 

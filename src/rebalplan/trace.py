@@ -12,9 +12,14 @@ terminal cash and wealth.
 The rows are computed in the solver's exact context, so an amount that
 would need rounding raises :class:`~rebalplan.errors.InexactArithmeticError`
 rather than printing a rounded figure. The states come from replaying the
-policy through the ledger first, so a policy whose trade times do not follow
-the grid, or that stops before the last decision time, raises the replay's
-``ValueError`` before any row is priced.
+policy through the ledger first, in the same exact block, so a policy whose
+trade times do not follow the grid, or that stops before the last decision
+time, raises the replay's ``ValueError`` before any row is priced.
+
+A decision time where nothing is held or traded prints no row and costs no
+row work. At every time, the cash the rows reach must equal the ledger's,
+or an ``AssertionError`` names the time; the check is explicit, so it holds
+under ``python -O`` too.
 """
 
 from __future__ import annotations
@@ -26,13 +31,15 @@ from decimal import Decimal
 from .dp import Policy
 from .market import effective_fee, is_active, price_at
 from .money import exact_arithmetic, format_decimal
-from .replay import replay_full_horizon
+from .replay import full_horizon_states
 from .scenario import Scenario
 
 TRACE_HEADER = (
     "time", "security", "holdings_before", "holdings_after",
     "trade_cash", "fee_paid", "cash_after", "wealth",
 )
+# the header as the CSV writer prints it: no field needs quoting
+_HEADER_LINE = ",".join(TRACE_HEADER) + "\n"
 
 
 def build_trace_rows(scenario: Scenario, policy: Policy) -> list[list[str]]:
@@ -48,44 +55,50 @@ def _rows(scenario: Scenario, policy: Policy) -> list[list[str]]:
     money = lambda d: format_decimal(d, scale)  # noqa: E731
 
     rows: list[list[str]] = []
-    states = replay_full_horizon(scenario, policy)
+    states = full_horizon_states(scenario, policy)
     for (t, trade), state, reached in zip(policy.trades, states, states[1:]):
-        touched = sorted(set(state.holdings) | {s for s, d in trade.items() if d != 0})
-        ordered = sorted(touched, key=lambda sid: (trade.get(sid, 0) > 0, sid))
         cash = state.cash
-        current = dict(state.holdings)
-        for sid in ordered:
-            sec = market.security(sid)
-            delta = trade.get(sid, 0)
-            before = current.get(sid, 0)
-            after = before + delta
-            if delta != 0:
-                trade_cash = price_at(sec, t) * lot * delta
-                fee_paid = effective_fee(sec, t, fees) * lot * abs(delta)
-            else:
-                trade_cash = Decimal(0)
-                fee_paid = Decimal(0)
-            cash = cash - trade_cash - fee_paid
-            current[sid] = after
-            mark = cash
-            for other, qty in current.items():
-                other_sec = market.security(other)
-                if qty != 0 and is_active(other_sec, t):
-                    mark += price_at(other_sec, t) * lot * qty
-            rows.append([
-                str(t), sid, str(before), str(after),
-                money(trade_cash), money(fee_paid), money(cash), money(mark),
-            ])
-        assert cash == reached.cash  # per-security decomposition matches the ledger
+        held = state.holdings
+        # a time where nothing is held or traded prints no row
+        if held or any(trade.values()):
+            touched = sorted(set(held) | {s for s, d in trade.items() if d != 0})
+            ordered = sorted(touched, key=lambda sid: (trade.get(sid, 0) > 0, sid))
+            current = dict(held)
+            for sid in ordered:
+                sec = market.security(sid)
+                delta = trade.get(sid, 0)
+                before = current.get(sid, 0)
+                after = before + delta
+                if delta != 0:
+                    trade_cash = price_at(sec, t) * lot * delta
+                    fee_paid = effective_fee(sec, t, fees) * lot * abs(delta)
+                else:
+                    trade_cash = Decimal(0)
+                    fee_paid = Decimal(0)
+                cash = cash - trade_cash - fee_paid
+                current[sid] = after
+                mark = cash
+                for other, qty in current.items():
+                    other_sec = market.security(other)
+                    if qty != 0 and is_active(other_sec, t):
+                        mark += price_at(other_sec, t) * lot * qty
+                rows.append([
+                    str(t), sid, str(before), str(after),
+                    money(trade_cash), money(fee_paid), money(cash), money(mark),
+                ])
+        if cash != reached.cash:
+            # the per-security decomposition must match the ledger, also under -O
+            raise AssertionError(
+                f"trace cash {cash} at time {t} differs from the ledger's {reached.cash}")
 
-    end = states[-1].cash
-    rows.append([str(market.grid.end), "", "", "", "", "", money(end), money(end)])
+    end = money(states[-1].cash)
+    rows.append([str(market.grid.end), "", "", "", "", "", end, end])
     return rows
 
 
 def trace_text(scenario: Scenario, policy: Policy) -> str:
+    rows = build_trace_rows(scenario, policy)
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(TRACE_HEADER)
-    writer.writerows(build_trace_rows(scenario, policy))
+    buffer.write(_HEADER_LINE)
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
     return buffer.getvalue()

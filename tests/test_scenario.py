@@ -239,6 +239,7 @@ EXAMPLES = tuple(json.loads(path.read_text(encoding="utf-8"))
 WORDS = st.sampled_from((
     "", "A", "b1", "1", "-1", "0", "0.5", "1.5", "1e400", "-1E-400", "NaN", "Infinity",
     "99999999999999999999999999999", "0.000000000001", "deterministic", "expected",
+    "\ud800",  # a lone surrogate: JSON can escape it, UTF-8 cannot hold it
 ))
 
 JSON = st.recursive(
@@ -296,10 +297,17 @@ FILE_BYTES = (st.binary(max_size=64)
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(FILE_BYTES, st.sampled_from(((), ("--mode", "det"), ("--mode", "exp"))))
-def test_cli_validate_exits_with_a_documented_code_on_any_file(tmp_path_factory, data, mode):
-    path = tmp_path_factory.mktemp("validate") / "scenario.json"
+def test_cli_exits_with_a_documented_code_on_any_file(tmp_path_factory, data, mode):
+    folder = tmp_path_factory.mktemp("cli")
+    path = folder / "scenario.json"
     path.write_bytes(data)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["validate", "--scenario", str(path), *mode])
-    assert code in {0, 2, 3, 4, 5}
+    commands = (
+        ["validate"],
+        ["solve", "--output", str(folder / "trace.csv"), "--max-states", "64"],
+        ["oracle", "--max-states", "64"],
+    )
+    for command in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([*command, "--scenario", str(path), *mode])
+        assert code in {0, 2, 3, 4, 5}, command

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from pathlib import Path
 
@@ -88,6 +91,41 @@ def test_trace_refuses_a_policy_that_stops_early():
     stopped = Policy(((1, {"A": 9}),), D("5.5000"))
     with pytest.raises(ValueError, match="does not cover every decision time"):
         trace_text(scn, stopped)
+
+
+# Replays the documented example with the cash reached at time 1 one quantum
+# too high, then prints the trace; exits 3 if the trace refuses it.
+_OFF_BY_ONE_QUANTUM = """
+import sys
+from decimal import Decimal
+import rebalplan.replay as replay
+from rebalplan import LedgerState, load_scenario, solve_deterministic, trace_text
+scn = load_scenario(sys.argv[1])
+policy, _ = solve_deterministic(scn)
+ledger_step = replay.apply_rebalance
+def off_by_one(state, trade, market, fees, rules):
+    reached = ledger_step(state, trade, market, fees, rules)
+    if state.time_index == 0:
+        reached = LedgerState(1, reached.holdings, reached.cash + Decimal("0.0001"))
+    return reached
+replay.apply_rebalance = off_by_one
+try:
+    print(trace_text(scn, policy))
+except AssertionError as exc:
+    print(f"refused: {exc}")
+    sys.exit(3)
+"""
+
+
+def test_trace_cash_check_holds_under_python_O():
+    # the per-time cash check is not an assert statement, which -O would strip
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _OFF_BY_ONE_QUANTUM, str(DOCS / "buy_then_liquidate.json")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 3, done.stdout + done.stderr
+    assert "at time 1" in done.stdout
 
 
 def test_cli_solve_writes_the_trace(tmp_path, capsys):
@@ -238,3 +276,26 @@ def test_cli_oracle_refuses_a_grid_too_deep_to_walk(tmp_path, capsys):
     assert "terminal wealth 0.0000" in capsys.readouterr().out
     assert cli.main(["oracle", "--scenario", str(path)]) == 3
     assert "1199 stages" in capsys.readouterr().err
+
+
+def _lone_surrogate_doc(where: str) -> dict:
+    """The documented example with one id written as the JSON escape "\\ud800"."""
+    doc = json.loads((DOCS / "buy_then_liquidate.json").read_text(encoding="utf-8"))
+    if where == "security":
+        doc["securities"][0]["id"] = "\ud800"
+        doc["brokers"][0]["fees"] = {"\ud800": doc["brokers"][0]["fees"]["A"]}
+    else:
+        doc["brokers"][0]["id"] = "\ud800"
+    return doc
+
+
+@pytest.mark.parametrize("where, code", [("security", "BadSecurity"), ("broker", "BadBroker")])
+@pytest.mark.parametrize("command", ["validate", "solve", "oracle"])
+def test_cli_rejects_an_id_that_is_not_utf8(command, where, code, tmp_path, capsys):
+    # the file is valid UTF-8; the surrogate comes from the escape, and a trace
+    # naming it could not be written
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps(_lone_surrogate_doc(where)), encoding="utf-8")
+    extra = [] if command == "validate" else ["--output", str(tmp_path / "trace.csv")]
+    assert cli.main([command, "--scenario", str(path), *extra]) == 2
+    assert code in capsys.readouterr().err
