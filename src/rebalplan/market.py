@@ -138,7 +138,7 @@ class Market:
         return self._by_id[security_id]
 
     def derive(self, securities: dict[str, Security]) -> "Market":
-        """This market with each security replaced by ``securities``' one of its id.
+        """This market with each security swapped for the one of the same id in ``securities``.
 
         The ids are this market's own, so they are not sorted or checked
         again; the new market starts its own deal book.
