@@ -12,7 +12,6 @@ tie-break as the staged solver (fewest lots, then lexicographic sequence).
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 from decimal import Decimal, localcontext
 from typing import Iterable, Iterator
 
@@ -189,7 +188,7 @@ def enumerate_joint_outcomes(scenario: Scenario, *,
                 initial_capital=scenario.initial_capital,
                 market=Market(scenario.market.grid, tuple(securities)),
                 fees=fee_table,
-                options=replace(scenario.options, mode=MODE_DETERMINISTIC),
+                options=scenario.options._replace(mode=MODE_DETERMINISTIC),
             ),
             prob,
         ))

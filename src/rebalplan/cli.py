@@ -77,12 +77,24 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="scenario JSON file")
         cmd.add_argument("--mode", choices=sorted(_MODE_FLAGS),
                          help="override the scenario's solver mode")
-        if name != "validate":
+        if name == "solve":
             cmd.add_argument("--output", metavar="PATH",
                              help="trace CSV destination (default: stdout)")
-            cmd.add_argument("--max-states", type=int, metavar="N",
-                             help="override the solver's per-layer node cap")
+        if name != "validate":
+            cmd.add_argument("--max-states", type=_positive_int, metavar="N",
+                             help="override the solver's per-layer node cap (at least 1)")
     return parser
+
+
+def _positive_int(text: str) -> int:
+    """A node cap from the command line: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def run_solve(scenario: Scenario, out_path: str | None, *,

@@ -36,9 +36,8 @@ flattened from that chain, and only when two nodes tie on cash and lots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import EmptyTableError, InadmissibleTradeError, StateBudgetExceededError
 from .ledger import (
@@ -59,14 +58,14 @@ from .scenario import Scenario
 TradeEntry = tuple[int, str, int]
 
 
-@dataclass(frozen=True, slots=True)
-class ValueNode:
+class ValueNode(NamedTuple):
     """A reachable state and the best history reaching it.
 
     ``parent`` and ``trade`` link the history back to the root; ``lots`` is
     the total lots it trades. A node carries no derived wealth: the search
     ranks nodes by cash, lots and the history's flattened sequence, and on
-    the final layer the cash is the terminal wealth.
+    the final layer the cash is the terminal wealth. A named tuple, so a
+    kept successor costs one tuple construction.
     """
 
     state: LedgerState
@@ -75,16 +74,14 @@ class ValueNode:
     lots: int
 
 
-@dataclass(frozen=True, slots=True)
-class Policy:
+class Policy(NamedTuple):
     """One trade vector per decision time, plus the wealth it achieves."""
 
     trades: tuple[tuple[int, dict[str, int]], ...]
     terminal_wealth: Decimal
 
 
-@dataclass(slots=True)
-class ValueTable:
+class ValueTable(NamedTuple):
     """Per-time layers of surviving nodes, root first, horizon end last."""
 
     grid: TimeGrid

@@ -23,15 +23,14 @@ reads the same page.
 The step is one pass over the trade and one over the securities carried to
 the next time: the first prices each delta and notes the position it moves
 to, the second reads those positions (or the unmoved ones) in id order, so
-the successor's holdings come out canonical and are wrapped as they are.
-The opening state is built the same way, its empty holdings being
-canonical already, so a solve or a replay sets itself up without cleaning
-them again.
+the successor's holdings come out canonical, and the state is built from
+them in one tuple construction, without the cleaning the
+:class:`LedgerState` constructor does. The opening state is built the same
+way, its empty holdings being canonical already.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal, Inexact, localcontext
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, NoReturn
@@ -67,31 +66,35 @@ class TradeRules(NamedTuple):
 DEFAULT_RULES = TradeRules()
 
 
-@dataclass(frozen=True, slots=True)
-class LedgerState:
-    """Position on the grid, holdings carried into that time, and cash.
-
-    The holdings are stored canonical: id order, zero positions dropped.
-    """
-
+class _LedgerStateFields(NamedTuple):
     time_index: int
     holdings: Mapping[str, int]
     cash: Decimal
 
-    def __post_init__(self):
-        held = self.holdings
-        clean = {sid: held[sid] for sid in sorted(held) if held[sid] != 0}
-        object.__setattr__(self, "holdings", MappingProxyType(clean))
+
+class LedgerState(_LedgerStateFields):
+    """Position on the grid, holdings carried into that time, and cash.
+
+    The holdings are stored canonical: id order, zero positions dropped, in
+    a read-only mapping. The constructor cleans the holdings it is given;
+    the ledger builds the states it makes with :data:`_new_state`, which
+    takes holdings that are canonical already.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, time_index: int, holdings: Mapping[str, int],
+                cash: Decimal) -> "LedgerState":
+        clean = {sid: holdings[sid] for sid in sorted(holdings) if holdings[sid] != 0}
+        return tuple.__new__(cls, (time_index, MappingProxyType(clean), cash))
 
     def holdings_key(self) -> tuple[tuple[str, int], ...]:
         """Canonical hashable form of the holdings map."""
         return tuple(self.holdings.items())
 
 
-# the slots' own setters, which a frozen record's __setattr__ does not guard
-_SET_TIME_INDEX = LedgerState.time_index.__set__
-_SET_HOLDINGS = LedgerState.holdings.__set__
-_SET_CASH = LedgerState.cash.__set__
+# a state from its (time index, canonical holdings, cash) as they are
+_new_state = tuple.__new__
 _NO_HOLDINGS = MappingProxyType({})
 
 
@@ -101,11 +104,7 @@ def opening_state(cash: Decimal) -> LedgerState:
     Built as :func:`apply_rebalance` builds a successor, its empty holdings
     being canonical already.
     """
-    state = object.__new__(LedgerState)
-    _SET_TIME_INDEX(state, 0)
-    _SET_HOLDINGS(state, _NO_HOLDINGS)
-    _SET_CASH(state, cash)
-    return state
+    return _new_state(LedgerState, (0, _NO_HOLDINGS, cash))
 
 
 class Deals(NamedTuple):
@@ -133,14 +132,14 @@ def deals_at(market: Market, fees: FeeTable, lot: Decimal, index: int) -> Deals:
     exponents. There is no page for the horizon end, where no trading
     happens.
     """
-    if index + 1 >= len(market.grid.points):
-        raise ValueError("cannot trade at the horizon end")
     book_fees, book_lot, pages = market._deal_book
     if book_fees is not fees or book_lot is not lot:
         if book_fees is not fees or str(book_lot) != str(lot):
             pages = [None] * (len(market.grid.points) - 1)
         # holding the fee table keeps its id from being reused
-        object.__setattr__(market, "_deal_book", (fees, lot, pages))
+        market._deal_book = (fees, lot, pages)
+    if index >= len(pages):
+        raise ValueError("cannot trade at the horizon end")
     page = pages[index]
     if page is None:
         page = pages[index] = _page(market, fees, lot, index)
@@ -216,8 +215,8 @@ def apply_rebalance(state: LedgerState, trade: TradeVector, market: Market,
     floor. Positions whose window has closed by the next grid time are
     forfeited (dropped at zero value), keeping states canonical.
 
-    The successor's slots are set directly: its holdings come out of the
-    carried-position pass canonical, so they are not cleaned again.
+    The successor's holdings come out of the carried-position pass
+    canonical, so it is built as they are, not cleaned again.
     """
     index = state.time_index
     page = deals_at(market, fees, rules.lot_size, index)
@@ -247,11 +246,7 @@ def apply_rebalance(state: LedgerState, trade: TradeVector, market: Market,
             qty = held.get(sid, 0)
         if qty:
             carried[sid] = qty
-    successor = object.__new__(LedgerState)
-    _SET_TIME_INDEX(successor, index + 1)
-    _SET_HOLDINGS(successor, MappingProxyType(carried))
-    _SET_CASH(successor, cash)
-    return successor
+    return _new_state(LedgerState, (index + 1, MappingProxyType(carried), cash))
 
 
 def full_sale(state: LedgerState, market: Market, t: int) -> dict[str, int]:

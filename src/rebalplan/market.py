@@ -15,8 +15,9 @@ choice, made for the book and for :func:`effective_fee` alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from decimal import Decimal
+from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import (
     BadNormalizationError,
@@ -29,8 +30,11 @@ from .errors import (
 from .money import EXACT_CONTEXT
 
 
-@dataclass(frozen=True, slots=True)
-class TimeGrid:
+class _TimeGridFields(NamedTuple):
+    points: tuple[int, ...]
+
+
+class TimeGrid(_TimeGridFields):
     """Ordered decision times t_1 < t_2 < ... < t_f (abstract integer ticks).
 
     The final point is the horizon end: no trading happens there. A single
@@ -38,13 +42,14 @@ class TimeGrid:
     required to carry at least two points.
     """
 
-    points: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.points:
+    def __new__(cls, points: tuple[int, ...]) -> "TimeGrid":
+        if not points:
             raise ValueError("time grid needs at least one point")
-        if any(b <= a for a, b in zip(self.points, self.points[1:])):
-            raise ValueError(f"time grid must be strictly increasing: {self.points}")
+        if any(b <= a for a, b in zip(points, points[1:])):
+            raise ValueError(f"time grid must be strictly increasing: {points}")
+        return tuple.__new__(cls, (points,))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -55,8 +60,7 @@ class TimeGrid:
         return self.points[-1]
 
 
-@dataclass(frozen=True, slots=True)
-class DiscreteDistribution:
+class DiscreteDistribution(NamedTuple):
     """Finite list of (value, probability) outcomes.
 
     Used for prices and, in expected mode, for per-broker fees. Weights must
@@ -77,62 +81,97 @@ class DiscreteDistribution:
         return total
 
 
-@dataclass(frozen=True, slots=True)
-class Security:
-    """One instrument type with its circulation window and price series.
-
-    ``quotes`` and ``distributions`` are keyed by grid time; at most one of
-    the two may carry an entry for a given time.
-    """
-
+class _SecurityFields(NamedTuple):
     security_id: str
     issue_time: int
     maturity: int
-    quotes: dict[int, Decimal] = field(default_factory=dict)
-    distributions: dict[int, DiscreteDistribution] = field(default_factory=dict)
+    quotes: dict[int, Decimal]
+    distributions: dict[int, DiscreteDistribution]
+
+
+class Security(_SecurityFields):
+    """One instrument type with its circulation window and price series.
+
+    ``quotes`` and ``distributions`` are keyed by grid time; at most one of
+    the two may carry an entry for a given time. Each left out is a new
+    empty dict.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, security_id: str, issue_time: int, maturity: int,
+                quotes: dict[int, Decimal] | None = None,
+                distributions: dict[int, DiscreteDistribution] | None = None) -> "Security":
+        return tuple.__new__(cls, (security_id, issue_time, maturity,
+                                   {} if quotes is None else quotes,
+                                   {} if distributions is None else distributions))
 
     @property
     def window_end(self) -> int:
         return self.issue_time + self.maturity
 
 
-@dataclass(frozen=True, slots=True)
-class Broker:
+class _BrokerFields(NamedTuple):
+    broker_id: str
+    fees: dict[tuple[str, int], Decimal | DiscreteDistribution]
+
+
+class Broker(_BrokerFields):
     """Per-unit fees one brokerage charges, keyed by (security id, time).
 
     A fee entry is either a plain decimal or a :class:`DiscreteDistribution`
-    of fees (expected mode only).
+    of fees (expected mode only). ``fees`` left out is a new empty dict.
     """
 
-    broker_id: str
-    fees: dict[tuple[str, int], Decimal | DiscreteDistribution] = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, broker_id: str,
+                fees: dict[tuple[str, int], Decimal | DiscreteDistribution] | None = None
+                ) -> "Broker":
+        return tuple.__new__(cls, (broker_id, {} if fees is None else fees))
 
 
-@dataclass(frozen=True, slots=True)
-class FeeTable:
+class FeeTable(NamedTuple):
     """All brokers' fee quotes; the cheapest broker is chosen per deal."""
 
     brokers: tuple[Broker, ...]
 
 
-@dataclass(frozen=True, slots=True)
 class Market:
-    """A time grid plus securities, indexed for lookup."""
+    """A time grid plus securities, indexed for lookup.
 
-    grid: TimeGrid
-    securities: tuple[Security, ...]
-    _by_id: dict[str, Security] = field(init=False, repr=False, compare=False)
-    # the ledger's deal book: fee table, lot size, pages (ledger.deals_at)
-    _deal_book: tuple = field(init=False, repr=False, compare=False)
+    ``grid`` and ``securities`` are read-only. Two markets are equal when
+    both are; the id index and the ledger's deal book (fee table, lot size,
+    pages; see ``ledger.deals_at``) are derived from them and take no part
+    in equality, hashing or the ``repr``.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("_grid", "_securities", "_by_id", "_deal_book")
+
+    def __init__(self, grid: TimeGrid, securities: tuple[Security, ...]):
         by_id = {}
-        for sec in sorted(self.securities, key=lambda s: s.security_id):
+        for sec in sorted(securities, key=lambda s: s.security_id):
             if sec.security_id in by_id:
                 raise ValueError(f"duplicate security id {sec.security_id!r}")
             by_id[sec.security_id] = sec
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_deal_book", (None, None, ()))
+        self._grid = grid
+        self._securities = securities
+        self._by_id = by_id
+        self._deal_book = (None, None, ())
+
+    grid = property(attrgetter("_grid"))
+    securities = property(attrgetter("_securities"))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._grid, self._securities) == (other._grid, other._securities)
+
+    def __hash__(self):
+        return hash((self._grid, self._securities))
+
+    def __repr__(self):
+        return f"Market(grid={self._grid!r}, securities={self._securities!r})"
 
     def security(self, security_id: str) -> Security:
         return self._by_id[security_id]
@@ -143,17 +182,17 @@ class Market:
         The ids are this market's own, so they are not sorted or checked
         again; the new market starts its own deal book.
         """
-        market = object.__new__(Market)
-        object.__setattr__(market, "grid", self.grid)
-        object.__setattr__(market, "securities",
-                           tuple(securities[sec.security_id] for sec in self.securities))
-        object.__setattr__(market, "_by_id", {sid: securities[sid] for sid in self._by_id})
-        object.__setattr__(market, "_deal_book", (None, None, ()))
+        market = Market.__new__(Market)
+        market._grid = self._grid
+        market._securities = tuple(securities[sec.security_id] for sec in self._securities)
+        market._by_id = {sid: securities[sid] for sid in self._by_id}
+        market._deal_book = (None, None, ())
         return market
 
     def active_securities(self, t: int) -> tuple[Security, ...]:
         """Securities in circulation at ``t``, in id order."""
         return tuple(sec for sec in self._by_id.values() if is_active(sec, t))
+
 
 def is_active(security: Security, t: int) -> bool:
     """True iff ``t`` lies in the closed circulation window of the security."""

@@ -28,9 +28,9 @@ partially-valid scenario is ever returned.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from decimal import Decimal
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import (
     BadNormalizationError,
@@ -66,8 +66,7 @@ MODES = (MODE_DETERMINISTIC, MODE_EXPECTED)
 MAX_STATES_DEFAULT = 1_000_000
 
 
-@dataclass(frozen=True, slots=True)
-class SolverOptions:
+class SolverOptions(NamedTuple):
     mode: str = MODE_DETERMINISTIC
     lot_size: Decimal = Decimal(1)
     allow_short: bool = False
@@ -78,8 +77,7 @@ class SolverOptions:
     prob_scale: int = PROB_SCALE_DEFAULT
 
 
-@dataclass(frozen=True, slots=True)
-class Scenario:
+class Scenario(NamedTuple):
     """A full problem instance ready for the solvers."""
 
     initial_capital: Decimal
@@ -95,7 +93,7 @@ class Scenario:
         return opening_state(self.initial_capital)
 
     def with_mode(self, mode: str) -> "Scenario":
-        return replace(self, options=replace(self.options, mode=mode))
+        return self._replace(options=self.options._replace(mode=mode))
 
 
 def load_scenario(path: str | Path, mode: str | None = None) -> Scenario:

@@ -9,7 +9,6 @@ fees and probabilities) so expected values computed in tests are exact.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from decimal import Decimal
 
 from rebalplan import (
@@ -204,7 +203,7 @@ def degenerate_twin(scenario: Scenario) -> Scenario:
         initial_capital=scenario.initial_capital,
         market=Market(scenario.market.grid, tuple(securities)),
         fees=scenario.fees,
-        options=replace(scenario.options, mode=MODE_EXPECTED),
+        options=scenario.options._replace(mode=MODE_EXPECTED),
     )
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import pytest
@@ -120,7 +119,7 @@ def _zero_fee_clone(scn: Scenario) -> Scenario:
     brokers = tuple(
         Broker(b.broker_id, {key: D(0) for key in b.fees}) for b in scn.fees.brokers
     )
-    return replace(scn, fees=FeeTable(brokers))
+    return scn._replace(fees=FeeTable(brokers))
 
 
 def _random_state(rng, scn, lo_index=0):
@@ -244,7 +243,7 @@ def test_criterion_8_monotonicity_in_capital():
         for _ in range(20):
             scn = random_scenario(rng)
             base, _ = solve_deterministic(scn)
-            richer = replace(scn, initial_capital=scn.initial_capital + 10)
+            richer = scn._replace(initial_capital=scn.initial_capital + 10)
             more, _ = solve_deterministic(richer)
             assert more.terminal_wealth >= base.terminal_wealth
         info["detail"] = "(20 scenarios at S0 and S0+10)"
@@ -255,7 +254,7 @@ def _wide_scenario() -> Scenario:
     while True:
         scn = random_scenario(rng, allow_short=False, hold_to_end=False)
         if len(scn.market.grid) >= 3 and len(scn.market.securities) >= 2:
-            big = replace(scn, initial_capital=scn.initial_capital + 40)
+            big = scn._replace(initial_capital=scn.initial_capital + 40)
             _, table = solve_deterministic(big)
             if max(len(layer) for layer in table.layers) > 64:
                 return big

@@ -127,12 +127,11 @@ def test_joint_outcomes_two_point_distribution():
     scn = degenerate_twin(simple_scenario())
     # make one site genuinely random
     from rebalplan import DiscreteDistribution, Market, Security
-    from dataclasses import replace
     sec = scn.market.security("A")
     dists = dict(sec.distributions)
     dists[2] = DiscreteDistribution(((D("14.00"), D("0.5")), (D("10.00"), D("0.5"))))
     securities = (Security("A", sec.issue_time, sec.maturity, {}, dists),)
-    scn = replace(scn, market=Market(scn.market.grid, securities))
+    scn = scn._replace(market=Market(scn.market.grid, securities))
 
     outcomes = enumerate_joint_outcomes(scn)
     assert len(outcomes) == 2

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from decimal import Decimal
 
 import pytest
@@ -150,7 +149,7 @@ def test_zero_drift_ties_break_to_no_trading():
     sec = base.market.security("A")
     flat = Security("A", 1, 1, {1: D("10.00")},
                     {2: dist(("12.00", "0.5"), ("8.00", "0.5"))})
-    scn = replace(base, market=Market(base.market.grid, (flat,)))
+    scn = base._replace(market=Market(base.market.grid, (flat,)))
     policy, _ = solve_deterministic(build_expected_market(scn))
     value = policy.terminal_wealth
     assert value == D("100.00")

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import random
 from decimal import Context, Decimal, localcontext
 from pathlib import Path
 
@@ -295,12 +296,44 @@ FILE_BYTES = (st.binary(max_size=64)
               | (JSON | near_valid_documents()).map(lambda doc: json.dumps(doc).encode()))
 
 
+def generated_document(seed: int) -> dict:
+    """A valid generated scenario, as its canonical dump reads back."""
+    return json.loads(dump_scenario(random_scenario(random.Random(seed))))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A generated document with one value replaced by arbitrary JSON."""
+    doc = generated_document(draw(st.integers(0, 2**32 - 1)))
+    node = doc
+    while True:
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                   else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+            node = child
+            continue
+        node[key] = draw(JSON)
+        return doc
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(FILE_BYTES, st.sampled_from(((), ("--mode", "det"), ("--mode", "exp"))))
-def test_cli_exits_with_a_documented_code_on_any_file(tmp_path_factory, data, mode):
+@given(FILE_BYTES | mutated_documents().map(lambda doc: json.dumps(doc).encode()),
+       st.integers(0, 2**32 - 1),
+       st.sampled_from(((), ("--mode", "det"), ("--mode", "exp"))))
+def test_cli_exits_with_a_documented_code_on_any_file(tmp_path_factory, data, seed, mode):
+    # each example also runs a valid generated document, so that most files
+    # reach the solver, the trace writer and the oracle
     folder = tmp_path_factory.mktemp("cli")
-    path = folder / "scenario.json"
-    path.write_bytes(data)
+    drawn = folder / "scenario.json"
+    drawn.write_bytes(data)
+    generated = folder / "generated.json"
+    generated.write_text(json.dumps(generated_document(seed)), encoding="utf-8")
+    for path in (drawn, generated):
+        _run_every_command(folder, path, mode)
+
+
+def _run_every_command(folder: Path, path: Path, mode: tuple[str, ...]) -> None:
     commands = (
         ["validate"],
         ["solve", "--output", str(folder / "trace.csv"), "--max-states", "64"],

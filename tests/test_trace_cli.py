@@ -156,6 +156,29 @@ def test_cli_exit_budget_when_the_frontier_cap_bites(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_cli_rejects_a_node_cap_below_one_as_a_usage_error(command, cap, capsys):
+    # a file's max_states below 1 is a BadOption; the flag's must not reach the solver
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--scenario", str(DOCS / "buy_then_liquidate.json"),
+                  "--max-states", cap])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--max-states" in err and "over the cap" not in err
+
+
+def test_cli_oracle_takes_no_output_path(tmp_path, capsys):
+    # the oracle writes no trace, so a trace destination is a usage error
+    out = tmp_path / "trace.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["oracle", "--scenario", str(DOCS / "buy_then_liquidate.json"),
+                  "--output", str(out)])
+    assert exc.value.code == 2
+    assert "--output" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_exit_io_on_missing_input(capsys):
     assert cli.main(["solve", "--scenario", "/no/such/file.json"]) == 4
 
@@ -296,6 +319,6 @@ def test_cli_rejects_an_id_that_is_not_utf8(command, where, code, tmp_path, caps
     # naming it could not be written
     path = tmp_path / "surrogate.json"
     path.write_text(json.dumps(_lone_surrogate_doc(where)), encoding="utf-8")
-    extra = [] if command == "validate" else ["--output", str(tmp_path / "trace.csv")]
+    extra = ["--output", str(tmp_path / "trace.csv")] if command == "solve" else []
     assert cli.main([command, "--scenario", str(path), *extra]) == 2
     assert code in capsys.readouterr().err
