@@ -251,21 +251,26 @@ JSON = st.recursive(
 )
 
 
+def _replace_a_value(draw, doc) -> None:
+    """Replace one value somewhere in ``doc`` by arbitrary JSON."""
+    node = doc
+    while True:
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                   else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+            node = child
+            continue
+        node[key] = draw(JSON)
+        return
+
+
 @st.composite
 def near_valid_documents(draw):
     """A documented example with up to three values replaced by arbitrary JSON."""
     doc = copy.deepcopy(draw(st.sampled_from(EXAMPLES)))
     for _ in range(draw(st.integers(1, 3))):
-        node = doc
-        while True:
-            key = draw(st.sampled_from(list(node) if isinstance(node, dict)
-                                       else range(len(node))))
-            child = node[key]
-            if isinstance(child, (dict, list)) and child and draw(st.booleans()):
-                node = child
-                continue
-            node[key] = draw(JSON)
-            break
+        _replace_a_value(draw, doc)
     return doc
 
 
@@ -305,16 +310,8 @@ def generated_document(seed: int) -> dict:
 def mutated_documents(draw):
     """A generated document with one value replaced by arbitrary JSON."""
     doc = generated_document(draw(st.integers(0, 2**32 - 1)))
-    node = doc
-    while True:
-        key = draw(st.sampled_from(list(node) if isinstance(node, dict)
-                                   else range(len(node))))
-        child = node[key]
-        if isinstance(child, (dict, list)) and child and draw(st.booleans()):
-            node = child
-            continue
-        node[key] = draw(JSON)
-        return doc
+    _replace_a_value(draw, doc)
+    return doc
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
