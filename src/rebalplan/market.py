@@ -140,10 +140,10 @@ class FeeTable(NamedTuple):
 class Market:
     """A time grid plus securities, indexed for lookup.
 
-    ``grid`` and ``securities`` are read-only. Two markets are equal when
-    both are; the id index and the ledger's deal book (fee table, lot size,
-    pages; see ``ledger.deals_at``) are derived from them and take no part
-    in equality, hashing or the ``repr``.
+    ``grid`` and ``securities`` are read-only, and two markets are equal
+    when their grids and securities are. The id index and the ledger's deal
+    book (fee table, lot size, pages; see ``ledger.deals_at``) are derived
+    from them and take no part in equality, hashing or the ``repr``.
     """
 
     __slots__ = ("_grid", "_securities", "_by_id", "_deal_book")
