@@ -161,13 +161,13 @@ def enumerate_joint_outcomes(scenario: Scenario, *,
 
     total = 1
     for dist in dists:
-        total *= len(dist)
+        total *= len(dist.outcomes)
         if total > cap:
             raise InstanceTooLargeError(total, cap)
 
     fee_table = expected_fee_table(scenario.fees, scenario.options.price_scale)
     outcomes: list[tuple[Scenario, Decimal]] = []
-    for combo in itertools.product(*(range(len(d)) for d in dists)):
+    for combo in itertools.product(*(range(len(d.outcomes)) for d in dists)):
         chosen = {
             site: dists[i].outcomes[combo[i]]
             for i, site in enumerate(sites)

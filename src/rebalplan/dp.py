@@ -40,6 +40,7 @@ from decimal import Decimal
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import EmptyTableError, InadmissibleTradeError, StateBudgetExceededError
+from .expectation import build_expected_market
 from .ledger import (
     DEFAULT_RULES,
     LedgerState,
@@ -52,7 +53,7 @@ from .ledger import (
 )
 from .market import FeeTable, Market, TimeGrid
 from .money import exact_arithmetic
-from .scenario import Scenario
+from .scenario import MODE_EXPECTED, Scenario
 
 # One flattened trade: (grid time, security id, lot delta).
 TradeEntry = tuple[int, str, int]
@@ -208,8 +209,11 @@ def solve_deterministic(scenario: Scenario, *, prune: bool = True,
     ``prune=False`` keeps every reachable node (for audits; the result must
     not change). ``max_states`` overrides the scenario's cap on the nodes a
     layer holds while it is built. A cash amount that would need rounding
-    raises :class:`InexactArithmeticError`.
+    raises :class:`InexactArithmeticError`. An expected-mode scenario is
+    first reduced to mean prices and fees, as the brute-force oracle does.
     """
+    if scenario.options.mode == MODE_EXPECTED:
+        scenario = build_expected_market(scenario)
     market = scenario.market
     fees = scenario.fees
     rules = scenario.trade_rules()

@@ -17,6 +17,7 @@ from .market import (
     Broker,
     DiscreteDistribution,
     FeeTable,
+    Market,
     Security,
     validate_distribution,
 )
@@ -53,20 +54,18 @@ def build_expected_market(scenario: Scenario) -> Scenario:
 
     Only the records a distribution changes are rebuilt: a security or a
     broker without one, and a fee table without any, is shared with
-    ``scenario``, and the market keeps its own id order.
+    ``scenario``. The market is a new :class:`~rebalplan.market.Market` on
+    the same grid, its securities in the same order, with its own deal book.
     """
     options = scenario.options
     scale = options.price_scale
-
-    derived = {}
-    for sec in scenario.market.securities:
-        if sec.distributions:
-            sec = _expected_security(sec, scale)
-        derived[sec.security_id] = sec
+    market = scenario.market
+    securities = tuple(_expected_security(sec, scale) if sec.distributions else sec
+                       for sec in market.securities)
 
     return Scenario(
         initial_capital=scenario.initial_capital,
-        market=scenario.market.derive(derived),
+        market=Market(market.grid, securities),
         fees=expected_fee_table(scenario.fees, scale),
         options=SolverOptions(
             mode=MODE_DETERMINISTIC, lot_size=options.lot_size,

@@ -48,19 +48,13 @@ class TradeRules(NamedTuple):
     """Scenario-level trading conventions the ledger needs.
 
     ``lot_size`` is the number of security units per lot; prices and fees are
-    per unit, holdings are counted in integer lots. With shorting disabled
-    every position must stay at or above zero; enabled, it may go down to
-    ``-short_cap`` lots per security. A named tuple, as a scenario builds
-    one for each solve and each replay.
+    per unit, holdings are counted in integer lots. ``position_floor`` is the
+    fewest lots a position may hold: 0, or ``-short_cap`` with shorting on.
+    A named tuple, as a scenario builds one for each solve and each replay.
     """
 
     lot_size: Decimal = Decimal(1)
-    allow_short: bool = False
-    short_cap: int = 0
-
-    @property
-    def position_floor(self) -> int:
-        return -self.short_cap if self.allow_short else 0
+    position_floor: int = 0
 
 
 DEFAULT_RULES = TradeRules()
@@ -126,16 +120,16 @@ class Deals(NamedTuple):
 def deals_at(market: Market, fees: FeeTable, lot: Decimal, index: int) -> Deals:
     """The deal book's page for trading at grid index ``index``.
 
-    The market holds one book, for the fee table and lot size it was last
-    asked for, and builds each page on its first use. Lots are told apart
-    by their digits, as a lot of 1 and one of 1.0 give amounts of different
-    exponents. There is no page for the horizon end, where no trading
-    happens.
+    The market holds one book, for the fee table and lot objects it was last
+    asked for, and builds each page on its first use. A page set is reused
+    only for those same two objects: every caller passes its scenario's
+    ``options.lot_size`` itself, and a lot of 1 and one of 1.0 would give
+    amounts of different exponents. There is no page for the horizon end,
+    where no trading happens.
     """
     book_fees, book_lot, pages = market._deal_book
     if book_fees is not fees or book_lot is not lot:
-        if book_fees is not fees or str(book_lot) != str(lot):
-            pages = [None] * (len(market.grid.points) - 1)
+        pages = [None] * (len(market.grid.points) - 1)
         # holding the fee table keeps its id from being reused
         market._deal_book = (fees, lot, pages)
     if index >= len(pages):

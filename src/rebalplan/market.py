@@ -54,6 +54,15 @@ class TimeGrid(_TimeGridFields):
     def __len__(self) -> int:
         return len(self.points)
 
+    @classmethod
+    def _make(cls, iterable) -> "TimeGrid":
+        """The grid ``_replace`` asks for, checked as the constructor checks it.
+
+        The named tuple's own ``_make`` would count fields with ``__len__``.
+        """
+        (points,) = iterable
+        return cls(points)
+
     @property
     def end(self) -> int:
         """The horizon end T (last grid point)."""
@@ -69,9 +78,6 @@ class DiscreteDistribution(NamedTuple):
     """
 
     outcomes: tuple[tuple[Decimal, Decimal], ...]
-
-    def __len__(self) -> int:
-        return len(self.outcomes)
 
     def weight_sum(self) -> Decimal:
         """The weights' sum in :data:`EXACT_CONTEXT`, whatever the caller's."""
@@ -142,8 +148,9 @@ class Market:
 
     ``grid`` and ``securities`` are read-only, and two markets are equal
     when their grids and securities are. The id index and the ledger's deal
-    book (fee table, lot size, pages; see ``ledger.deals_at``) are derived
-    from them and take no part in equality, hashing or the ``repr``.
+    book (fee table, lot, pages; see ``ledger.deals_at``) are derived
+    from them and take no part in equality, hashing or the ``repr``. Every
+    market, the expected-mode reduction's too, is built by the constructor.
     """
 
     __slots__ = ("_grid", "_securities", "_by_id", "_deal_book")
@@ -175,19 +182,6 @@ class Market:
 
     def security(self, security_id: str) -> Security:
         return self._by_id[security_id]
-
-    def derive(self, securities: dict[str, Security]) -> "Market":
-        """This market with each security swapped for the one of the same id in ``securities``.
-
-        The ids are this market's own, so they are not sorted or checked
-        again; the new market starts its own deal book.
-        """
-        market = Market.__new__(Market)
-        market._grid = self._grid
-        market._securities = tuple(securities[sec.security_id] for sec in self._securities)
-        market._by_id = {sid: securities[sid] for sid in self._by_id}
-        market._deal_book = (None, None, ())
-        return market
 
     def active_securities(self, t: int) -> tuple[Security, ...]:
         """Securities in circulation at ``t``, in id order."""
@@ -242,7 +236,7 @@ def validate_distribution(dist: DiscreteDistribution) -> None:
 
     The sum check is exact in fixed point; no tolerance is applied.
     """
-    if len(dist) < 1:
+    if len(dist.outcomes) < 1:
         raise BadNormalizationError(Decimal(0))
     for price, weight in dist.outcomes:
         if price <= 0:

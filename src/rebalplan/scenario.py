@@ -20,7 +20,9 @@ without picking up binary-float noise. Field layout:
       "options": {"mode": "deterministic", ...}
     }
 
-A fee may also be a list of [value, probability] pairs (expected mode only).
+A fee may also be a list of [value, probability] pairs. Only expected mode
+reads it, at its mean; validation reports one in deterministic mode as a
+``BadValue`` issue rather than let the solver skip it.
 Loading is all-or-nothing: every problem found is reported at once and no
 partially-valid scenario is ever returned.
 """
@@ -87,7 +89,8 @@ class Scenario(NamedTuple):
 
     def trade_rules(self) -> TradeRules:
         options = self.options
-        return TradeRules(options.lot_size, options.allow_short, options.short_cap)
+        floor = -options.short_cap if options.allow_short else 0
+        return TradeRules(options.lot_size, floor)
 
     def initial_state(self) -> LedgerState:
         return opening_state(self.initial_capital)
@@ -407,7 +410,8 @@ def validate_scenario(scenario: Scenario) -> list[ValidationIssue]:
     """All semantic problems with a structurally well-formed scenario.
 
     Mode-dependent: deterministic mode insists on quotes and scalar fees at
-    every active time; expected mode accepts distributions in either place.
+    every active time, and takes no fee distribution anywhere; expected mode
+    accepts distributions in either place.
     """
     issues: list[ValidationIssue] = []
     grid = scenario.market.grid
@@ -496,6 +500,10 @@ def validate_scenario(scenario: Scenario) -> list[ValidationIssue]:
                         "NegativeFee", f"fee {fee} must be non-negative",
                         broker=broker.broker_id, security=sid, time=t))
             else:
+                if deterministic:
+                    issues.append(ValidationIssue(
+                        "BadValue", "a fee distribution needs expected mode",
+                        broker=broker.broker_id, security=sid, time=t))
                 issues.extend(_check_fee_distribution(fee, broker.broker_id, sid, t))
 
     for sid, active in windows:

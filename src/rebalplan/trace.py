@@ -4,10 +4,12 @@ Row columns: time, security, holdings_before, holdings_after, trade_cash,
 fee_paid, cash_after, wealth. Subtracting trade_cash and fee_paid from the
 previous row's cash reproduces cash_after row by row, starting from the
 initial capital. Within a decision time, sells and holds print before buys
-so the running cash column never dips below zero; the wealth column is the
-mark-to-market value after each row, which between rows of one time falls
-exactly by the fee paid. The file ends with a summary row carrying the
-terminal cash and wealth.
+so the running cash column never dips below zero. The wealth column is the
+mark-to-market value after each row: each decision time opens at
+:func:`~rebalplan.ledger.wealth` of the state it trades from, and each row
+lowers it by exactly its fee paid, as a trade at the quoted price swaps
+cash for a position of the same mark. The file ends with a summary row
+carrying the terminal cash and wealth.
 
 The rows are computed in the solver's exact context, so an amount that
 would need rounding raises :class:`~rebalplan.errors.InexactArithmeticError`
@@ -29,7 +31,8 @@ import io
 from decimal import Decimal
 
 from .dp import Policy
-from .market import effective_fee, is_active, price_at
+from .ledger import wealth
+from .market import effective_fee, price_at
 from .money import exact_arithmetic, format_decimal
 from .replay import full_horizon_states
 from .scenario import Scenario
@@ -54,6 +57,7 @@ def _rows(scenario: Scenario, policy: Policy) -> list[list[str]]:
     scale = scenario.options.price_scale
     money = lambda d: format_decimal(d, scale)  # noqa: E731
 
+    rules = scenario.trade_rules()
     rows: list[list[str]] = []
     states = full_horizon_states(scenario, policy)
     for (t, trade), state, reached in zip(policy.trades, states, states[1:]):
@@ -61,27 +65,22 @@ def _rows(scenario: Scenario, policy: Policy) -> list[list[str]]:
         held = state.holdings
         # a time where nothing is held or traded prints no row
         if held or any(trade.values()):
-            touched = sorted(set(held) | {s for s, d in trade.items() if d != 0})
-            ordered = sorted(touched, key=lambda sid: (trade.get(sid, 0) > 0, sid))
-            current = dict(held)
-            for sid in ordered:
-                sec = market.security(sid)
+            touched = set(held) | {s for s, d in trade.items() if d != 0}
+            mark = wealth(state, market, t, rules)
+            for sid in sorted(touched, key=lambda sid: (trade.get(sid, 0) > 0, sid)):
                 delta = trade.get(sid, 0)
-                before = current.get(sid, 0)
+                before = held.get(sid, 0)
                 after = before + delta
                 if delta != 0:
+                    sec = market.security(sid)
                     trade_cash = price_at(sec, t) * lot * delta
                     fee_paid = effective_fee(sec, t, fees) * lot * abs(delta)
                 else:
                     trade_cash = Decimal(0)
                     fee_paid = Decimal(0)
                 cash = cash - trade_cash - fee_paid
-                current[sid] = after
-                mark = cash
-                for other, qty in current.items():
-                    other_sec = market.security(other)
-                    if qty != 0 and is_active(other_sec, t):
-                        mark += price_at(other_sec, t) * lot * qty
+                # a trade swaps cash for its position at the mark: only the fee leaks
+                mark -= fee_paid
                 rows.append([
                     str(t), sid, str(before), str(after),
                     money(trade_cash), money(fee_paid), money(cash), money(mark),

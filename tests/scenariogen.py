@@ -85,6 +85,25 @@ def twenty_nine_digit_doc(late_quote: str = "5000000000000001") -> dict:
     }
 
 
+def fee_distribution_doc(mode: str) -> dict:
+    """Broker ``b2`` charges a one-point fee distribution of 0.10 on ``A``.
+
+    In expected mode its mean undercuts ``b1``'s 0.50, so buying 9 lots at
+    10.10 and selling them at 10.90 ends on 107.20.
+    """
+    return {
+        "initial_capital": "100.0000",
+        "times": [1, 2, 3],
+        "securities": [{"id": "A", "issue_time": 1, "maturity": 2,
+                        "quotes": {"1": "10.0000", "2": "11.0000", "3": "11.0000"}}],
+        "brokers": [
+            {"id": "b1", "fees": {"A": {str(t): "0.5000" for t in (1, 2, 3)}}},
+            {"id": "b2", "fees": {"A": {str(t): [["0.1000", "1.000000"]] for t in (1, 2, 3)}}},
+        ],
+        "options": {"mode": mode},
+    }
+
+
 def flat_doc(securities: int, capital: str) -> dict:
     """``securities`` securities quoted 1.0000 at times 1-3, with zero fees."""
     ids = [f"S{i:04d}" for i in range(securities)]
@@ -243,9 +262,9 @@ def random_audit_scenario(rng: random.Random) -> Scenario:
             roll = rng.random()
             if t == sell_time and roll < 0.8:
                 dist = spread(100, 2000)
-                if joint * len(dist) <= 64:
+                if joint * len(dist.outcomes) <= 64:
                     dists[t] = dist
-                    joint *= len(dist)
+                    joint *= len(dist.outcomes)
                 else:
                     quotes[t] = _money2(rng, 100, 2000)
             elif roll < 0.2:

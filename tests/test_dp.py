@@ -103,7 +103,7 @@ def test_enumerate_controls_yields_each_vector_once_in_its_own_dict():
     market = Market(grid, tuple(Security(sid, 1, 1, {1: D(p), 2: D(p)}, {})
                                 for sid, p in prices.items()))
     fees = FeeTable((Broker("b1", {(sid, t): D("0.50") for sid in prices for t in (1, 2)}),))
-    rules = TradeRules(allow_short=True, short_cap=1)
+    rules = TradeRules(position_floor=-1)
     state = LedgerState(0, {"A": 2, "B": 1}, D("20.00"))
     # each vector is snapshot as it comes and compared once the walk is done
     taken = [(trade, dict(trade)) for trade in enumerate_controls(state, market, fees, rules)]

@@ -15,13 +15,14 @@ from rebalplan import (
     build_expected_market,
     effective_fee,
     expected_price,
+    brute_force_solve,
     scenario_from_dict,
     solve_deterministic,
 )
 from rebalplan.errors import BadNormalizationError
 from rebalplan.scenario import MODE_EXPECTED
 
-from scenariogen import degenerate_twin, random_scenario
+from scenariogen import degenerate_twin, fee_distribution_doc, random_scenario
 
 D = Decimal
 
@@ -142,6 +143,14 @@ def test_solve_stochastic_reduces_to_deterministic_on_degenerate_inputs():
         sto_value = sto_policy.terminal_wealth
         assert sto_value == det_policy.terminal_wealth
         assert sto_policy.trades == det_policy.trades
+
+
+def test_the_solver_reduces_an_expected_scenario_as_the_oracle_does():
+    scn = scenario_from_dict(fee_distribution_doc("expected"))
+    policy, _ = solve_deterministic(scn)
+    assert policy.trades == ((1, {"A": 9}), (2, {"A": -9}))
+    assert policy.terminal_wealth == D("107.2000")
+    assert brute_force_solve(scn) == (policy, policy.terminal_wealth)
 
 
 def test_zero_drift_ties_break_to_no_trading():

@@ -97,7 +97,7 @@ def test_apply_rebalance_enforces_the_position_floor():
     state = LedgerState(0, {"A": 1}, D("100.00"))
     with pytest.raises(ShortCapExceededError):
         apply_rebalance(state, {"A": -2}, MARKET, FEES)
-    rules = TradeRules(allow_short=True, short_cap=3)
+    rules = TradeRules(position_floor=-3)
     after = apply_rebalance(state, {"A": -2}, MARKET, FEES, rules)
     assert dict(after.holdings) == {"A": -1}
     with pytest.raises(ShortCapExceededError):
@@ -274,7 +274,7 @@ def rebalance_cases(draw):
     trade = {sid: draw(deltas) for sid in ids if not draw(st.booleans())}
     short_cap = draw(st.integers(0, 3))
     rules = TradeRules(lot_size=draw(st.sampled_from((D(1), D("0.5"), D("2.00")))),
-                       allow_short=short_cap > 0, short_cap=short_cap)
+                       position_floor=-short_cap)
     return market, FeeTable(tuple(brokers)), state, trade, rules
 
 

@@ -38,6 +38,15 @@ def test_time_grid_rejects_disorder():
         TimeGrid(())
 
 
+def test_replace_rebuilds_the_one_field_records():
+    grid = TimeGrid((1, 2))
+    assert grid._replace(points=(1, 3, 4)) == TimeGrid((1, 3, 4))
+    with pytest.raises(ValueError):
+        grid._replace(points=(1, 1, 2))
+    dist = DiscreteDistribution(((D("10"), D("0.5")), (D("12"), D("0.5"))))
+    assert dist._replace(outcomes=((D("11"), D("1")),)) == DiscreteDistribution(((D("11"), D("1")),))
+
+
 @pytest.mark.parametrize("issue,maturity,t,expected", [
     (1, 2, 2, True),    # inside the window
     (1, 2, 4, False),   # past maturity, worthless

@@ -39,7 +39,7 @@ FIELDS = {
     Broker: ("broker_id", "fees"),
     FeeTable: ("brokers",),
     Market: ("grid", "securities"),
-    TradeRules: ("lot_size", "allow_short", "short_cap"),
+    TradeRules: ("lot_size", "position_floor"),
     LedgerState: ("time_index", "holdings", "cash"),
     ValueNode: ("state", "parent", "trade", "lots"),
     Policy: ("trades", "terminal_wealth"),

@@ -21,7 +21,7 @@ from rebalplan import (
 )
 from rebalplan.errors import RebalplanError, ScenarioParseError, ScenarioValidationError
 
-from scenariogen import random_scenario
+from scenariogen import fee_distribution_doc, random_scenario
 
 D = Decimal
 
@@ -147,6 +147,14 @@ def test_deterministic_mode_rejects_distribution_only_times():
     with pytest.raises(ScenarioValidationError) as info:
         scenario_from_dict(doc, mode="deterministic")
     assert "QuoteMissing" in issue_codes(info)
+
+
+def test_deterministic_mode_rejects_fee_distributions():
+    scenario_from_dict(fee_distribution_doc("expected"))  # fine in expected mode
+    with pytest.raises(ScenarioValidationError) as info:
+        scenario_from_dict(fee_distribution_doc("deterministic"))
+    located = {(i.broker, i.security, i.time) for i in info.value.issues if i.code == "BadValue"}
+    assert located == {("b2", "A", 1), ("b2", "A", 2), ("b2", "A", 3)}
 
 
 def test_quote_and_distribution_may_not_share_a_time():
