@@ -79,7 +79,6 @@ def _rows(scenario: Scenario, policy: Policy) -> list[list[str]]:
                     trade_cash = Decimal(0)
                     fee_paid = Decimal(0)
                 cash = cash - trade_cash - fee_paid
-                # a trade swaps cash for its position at the mark: only the fee leaks
                 mark -= fee_paid
                 rows.append([
                     str(t), sid, str(before), str(after),

@@ -12,10 +12,10 @@ from rebalplan import (
     Security,
     SolverOptions,
     TimeGrid,
+    brute_force_solve,
     build_expected_market,
     effective_fee,
     expected_price,
-    brute_force_solve,
     scenario_from_dict,
     solve_deterministic,
 )
