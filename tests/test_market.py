@@ -44,7 +44,8 @@ def test_replace_rebuilds_the_one_field_records():
     with pytest.raises(ValueError):
         grid._replace(points=(1, 1, 2))
     dist = DiscreteDistribution(((D("10"), D("0.5")), (D("12"), D("0.5"))))
-    assert dist._replace(outcomes=((D("11"), D("1")),)) == DiscreteDistribution(((D("11"), D("1")),))
+    certain = ((D("11"), D("1")),)
+    assert dist._replace(outcomes=certain) == DiscreteDistribution(certain)
 
 
 @pytest.mark.parametrize("issue,maturity,t,expected", [
