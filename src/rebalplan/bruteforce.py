@@ -17,11 +17,11 @@ from typing import Iterable, Iterator
 
 from .dp import Policy, TradeEntry, trade_entries
 from .errors import InadmissibleTradeError, InstanceTooLargeError
-from .expectation import build_expected_market, expected_fee_table
+from .expectation import expected_fee_table, priced_instance
 from .ledger import LedgerState, apply_rebalance, full_sale, trade_lots
 from .market import Market, Security, effective_fee, price_at
 from .money import EXACT_CONTEXT, exact_arithmetic
-from .scenario import MODE_DETERMINISTIC, MODE_EXPECTED, Scenario
+from .scenario import MODE_DETERMINISTIC, Scenario
 
 POLICY_CAP = 10_000_000
 JOINT_CAP = 64
@@ -42,8 +42,7 @@ def brute_force_solve(scenario: Scenario, *,
     a cash amount would need rounding; the expected-mode reduction rounds
     means before it.
     """
-    if scenario.options.mode == MODE_EXPECTED:
-        scenario = build_expected_market(scenario)
+    scenario = priced_instance(scenario)
     market = scenario.market
     fees = scenario.fees
     rules = scenario.trade_rules()

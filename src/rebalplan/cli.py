@@ -1,6 +1,9 @@
 """Command-line driver: solve scenarios, cross-check against the oracle,
 validate files.
 
+``solve`` and ``oracle`` solve the scenario's priced instance once, under
+the ``--max-states`` cap, and the trace and the oracle read that instance.
+
 Exit codes: 0 success, 2 validation or parse failure, 3 solver budget
 exceeded, 4 I/O failure, 5 oracle mismatch.
 """
@@ -12,11 +15,11 @@ import sys
 from pathlib import Path
 
 from .bruteforce import brute_force_solve
-from .dp import Policy, solve_deterministic
+from .dp import solve_deterministic
 from .errors import InstanceTooLargeError, RebalplanError, StateBudgetExceededError
-from .expectation import build_expected_market
+from .expectation import priced_instance
 from .money import format_decimal
-from .scenario import MODE_EXPECTED, Scenario, load_scenario
+from .scenario import load_scenario
 from .trace import trace_text
 
 EXIT_OK = 0
@@ -55,9 +58,36 @@ def _run(args) -> int:
     if args.command == "validate":
         print(f"scenario OK: {args.scenario}")
         return EXIT_OK
+    scenario = priced_instance(scenario)
+    if args.max_states is not None:
+        scenario = scenario._replace(options=scenario.options._replace(max_states=args.max_states))
+    policy, _ = solve_deterministic(scenario)
+    value = policy.terminal_wealth
+    scale = scenario.options.price_scale
+
     if args.command == "solve":
-        return run_solve(scenario, args.output, max_states=args.max_states)
-    return run_oracle_check(scenario, max_states=args.max_states)
+        text = trace_text(scenario, policy)
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            try:
+                Path(args.output).write_text(text, encoding="utf-8")
+            except OSError as exc:
+                print(f"error: cannot write trace: {exc}", file=sys.stderr)
+                return EXIT_IO
+        print(f"terminal wealth {format_decimal(value, scale)}")
+        return EXIT_OK
+
+    oracle_policy, oracle_value = brute_force_solve(scenario)
+    if value == oracle_value and policy.trades == oracle_policy.trades:
+        print(f"oracle check OK: terminal wealth {format_decimal(value, scale)}")
+        return EXIT_OK
+    print("oracle mismatch:", file=sys.stderr)
+    print(f"  solver: wealth {format_decimal(value, scale)}, policy {policy.trades}",
+          file=sys.stderr)
+    print(f"  oracle: wealth {format_decimal(oracle_value, scale)}, "
+          f"policy {oracle_policy.trades}", file=sys.stderr)
+    return EXIT_MISMATCH
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,60 +125,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
-
-
-def run_solve(scenario: Scenario, out_path: str | None, *,
-              max_states: int | None = None) -> int:
-    """Solve, emit the trace, print a summary line with the terminal wealth.
-
-    Package errors propagate to :func:`main`.
-    """
-    policy, solved = _solve(scenario, max_states)
-    text = trace_text(solved, policy)
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            Path(out_path).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot write trace: {exc}", file=sys.stderr)
-            return EXIT_IO
-    scale = scenario.options.price_scale
-    print(f"terminal wealth {format_decimal(policy.terminal_wealth, scale)}")
-    return EXIT_OK
-
-
-def run_oracle_check(scenario: Scenario, *, max_states: int | None = None) -> int:
-    """Exit 0 iff the staged solver and the brute-force reference agree exactly.
-
-    Package errors propagate to :func:`main`.
-    """
-    policy, solved = _solve(scenario, max_states)
-    oracle_policy, oracle_value = brute_force_solve(solved)
-
-    scale = scenario.options.price_scale
-    value = policy.terminal_wealth
-    if value == oracle_value and policy.trades == oracle_policy.trades:
-        print(f"oracle check OK: terminal wealth {format_decimal(value, scale)}")
-        return EXIT_OK
-    print("oracle mismatch:", file=sys.stderr)
-    print(f"  solver: wealth {format_decimal(value, scale)}, policy {policy.trades}",
-          file=sys.stderr)
-    print(f"  oracle: wealth {format_decimal(oracle_value, scale)}, "
-          f"policy {oracle_policy.trades}", file=sys.stderr)
-    return EXIT_MISMATCH
-
-
-def _solve(scenario: Scenario, max_states: int | None) -> tuple[Policy, Scenario]:
-    """The optimal policy and the deterministic instance it was solved on.
-
-    An expected-mode scenario is reduced to its mean instance here, once; the
-    trace and the oracle read that same instance.
-    """
-    if scenario.options.mode == MODE_EXPECTED:
-        scenario = build_expected_market(scenario)
-    policy, _ = solve_deterministic(scenario, max_states=max_states)
-    return policy, scenario
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ from decimal import Decimal
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import EmptyTableError, InadmissibleTradeError, StateBudgetExceededError
-from .expectation import build_expected_market
+from .expectation import priced_instance
 from .ledger import (
     DEFAULT_RULES,
     LedgerState,
@@ -53,7 +53,7 @@ from .ledger import (
 )
 from .market import FeeTable, Market, TimeGrid
 from .money import exact_arithmetic
-from .scenario import MODE_EXPECTED, Scenario
+from .scenario import Scenario
 
 # One flattened trade: (grid time, security id, lot delta).
 TradeEntry = tuple[int, str, int]
@@ -201,24 +201,22 @@ def _walk(terms: list[tuple[str, Decimal, Decimal, int]], raisable: list[Decimal
             stack.pop()
 
 
-def solve_deterministic(scenario: Scenario, *, prune: bool = True,
-                        max_states: int | None = None) -> tuple[Policy, ValueTable]:
+def solve_deterministic(scenario: Scenario, *, prune: bool = True) -> tuple[Policy, ValueTable]:
     """Maximize terminal cash over all admissible trade sequences, exactly.
 
     Returns the tie-broken optimal policy and the table of surviving nodes.
     ``prune=False`` keeps every reachable node (for audits; the result must
-    not change). ``max_states`` overrides the scenario's cap on the nodes a
-    layer holds while it is built. A cash amount that would need rounding
-    raises :class:`InexactArithmeticError`. An expected-mode scenario is
-    first reduced to mean prices and fees, as the brute-force oracle does.
+    not change). ``options.max_states`` caps the nodes a layer holds while
+    it is built. A cash amount that would need rounding raises
+    :class:`InexactArithmeticError`. It solves the scenario's
+    :func:`priced_instance`, as the brute-force oracle does.
     """
-    if scenario.options.mode == MODE_EXPECTED:
-        scenario = build_expected_market(scenario)
+    scenario = priced_instance(scenario)
     market = scenario.market
     fees = scenario.fees
     rules = scenario.trade_rules()
     grid = market.grid
-    cap = scenario.options.max_states if max_states is None else max_states
+    cap = scenario.options.max_states
     stages = len(grid) - 1
 
     root = ValueNode(scenario.initial_state(), None, None, 0)

@@ -22,7 +22,7 @@ from .market import (
     validate_distribution,
 )
 from .money import EXACT_CONTEXT, round_half_even
-from .scenario import MODE_DETERMINISTIC, Scenario, SolverOptions
+from .scenario import MODE_DETERMINISTIC, MODE_EXPECTED, Scenario, SolverOptions
 
 
 def expected_value(dist: DiscreteDistribution) -> Decimal:
@@ -41,6 +41,13 @@ def expected_price(dist: DiscreteDistribution, price_scale: int) -> Decimal:
     """Mean outcome rounded half-even to the price scale, validated first."""
     validate_distribution(dist)
     return round_half_even(expected_value(dist), price_scale)
+
+
+def priced_instance(scenario: Scenario) -> Scenario:
+    """The instance every solve, replay and trace prices: the mean one in expected mode."""
+    if scenario.options.mode == MODE_EXPECTED:
+        return build_expected_market(scenario)
+    return scenario
 
 
 def build_expected_market(scenario: Scenario) -> Scenario:

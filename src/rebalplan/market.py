@@ -220,8 +220,8 @@ def effective_fee(security: Security, t: int, fees: FeeTable) -> Decimal:
 def lowest_fee(fees: FeeTable, security_id: str, t: int) -> Decimal | None:
     """The first minimal scalar fee in broker order, or ``None`` if there is none.
 
-    Fee distributions are skipped, as expected mode replaces them by their
-    means before solving.
+    Fee distributions are skipped: every solve, replay and trace prices an
+    expected-mode scenario on its mean instance, where they are scalar fees.
     """
     best = None
     for broker in fees.brokers:

@@ -1,7 +1,9 @@
 """Replaying a trade policy through the ledger step by step.
 
-The replay runs in :data:`~rebalplan.money.LEDGER_CONTEXT`, entered once
-per replay: :func:`replay_policy` and :func:`replay_terminal_wealth` enter it
+The replay prices the instance the solver solves, the
+:func:`~rebalplan.expectation.priced_instance`. It runs in
+:data:`~rebalplan.money.LEDGER_CONTEXT`, entered once per replay:
+:func:`replay_policy` and :func:`replay_terminal_wealth` enter it
 themselves, and :func:`full_horizon_states` runs in its caller's block, so
 the trace, which prices its rows in that block too, enters it only once.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 from decimal import Decimal
 
 from .dp import Policy
+from .expectation import priced_instance
 from .ledger import LedgerState, apply_rebalance
 from .money import exact_arithmetic
 from .scenario import Scenario
@@ -47,6 +50,7 @@ def replay_terminal_wealth(scenario: Scenario, policy: Policy) -> Decimal:
 
 
 def _states(scenario: Scenario, policy: Policy) -> list[LedgerState]:
+    scenario = priced_instance(scenario)
     market = scenario.market
     fees = scenario.fees
     rules = scenario.trade_rules()

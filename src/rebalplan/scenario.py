@@ -345,12 +345,18 @@ def _parse_securities(raw: object, price_scale: int, prob_scale: int,
 
 
 def _parse_time_key(key: object, sid: str, issues: list[ValidationIssue]) -> int | None:
+    # JSON object keys are strings; only int's own spelling names a time, so
+    # "02" or " 2" cannot load as, and overwrite, the entry at "2"
     try:
-        return int(key)  # JSON object keys are strings
+        t = int(key)
     except (TypeError, ValueError):
-        issues.append(ValidationIssue("UnknownTime", f"time key {key!r} is not an integer",
-                                      security=sid))
+        t = None
+    if t is None or str(t) != key:
+        issues.append(ValidationIssue(
+            "UnknownTime", f"time key {key!r} is not an integer in canonical form",
+            security=sid))
         return None
+    return t
 
 
 def _parse_brokers(raw: object, price_scale: int, prob_scale: int,

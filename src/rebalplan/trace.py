@@ -11,9 +11,11 @@ lowers it by exactly its fee paid, as a trade at the quoted price swaps
 cash for a position of the same mark. The file ends with a summary row
 carrying the terminal cash and wealth.
 
-The rows are computed in the solver's exact context, so an amount that
-would need rounding raises :class:`~rebalplan.errors.InexactArithmeticError`
-rather than printing a rounded figure. The states come from replaying the
+The rows price the instance the solver solves, the
+:func:`~rebalplan.expectation.priced_instance`, in the solver's exact
+context, so an amount that would need rounding raises
+:class:`~rebalplan.errors.InexactArithmeticError` rather than printing a
+rounded figure. The states come from replaying the
 policy through the ledger first, in the same exact block, so a policy whose
 trade times do not follow the grid, or that stops before the last decision
 time, raises the replay's ``ValueError`` before any row is priced.
@@ -31,6 +33,7 @@ import io
 from decimal import Decimal
 
 from .dp import Policy
+from .expectation import priced_instance
 from .ledger import wealth
 from .market import effective_fee, price_at
 from .money import exact_arithmetic, format_decimal
@@ -51,6 +54,7 @@ def build_trace_rows(scenario: Scenario, policy: Policy) -> list[list[str]]:
 
 
 def _rows(scenario: Scenario, policy: Policy) -> list[list[str]]:
+    scenario = priced_instance(scenario)
     market = scenario.market
     fees = scenario.fees
     lot = scenario.options.lot_size

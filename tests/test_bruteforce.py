@@ -2,7 +2,7 @@ import random
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rebalplan import (
@@ -111,8 +111,26 @@ def small_scenarios(draw):
                     FeeTable((Broker("b1", fees),)), options)
 
 
+def sale_pays_out_scenario():
+    """Shorting ``S0`` at time 1 costs cash: its fee of 6.00 is above its price of 5.00.
+
+    No generator draws a fee above a price, so this is the one instance
+    where a sale pays out.
+    """
+    times = (1, 2, 3)
+    quotes = {"S0": ("5.00", "4.00", "4.00"), "S1": ("10.00", "11.00", "11.00")}
+    fee = {"S0": ("6.00", "0.10", "0.10"), "S1": ("0.50", "0.50", "0.50")}
+    securities = tuple(Security(sid, 1, 2, dict(zip(times, map(D, q))), {})
+                       for sid, q in quotes.items())
+    fees = {(sid, t): D(f) for sid, row in fee.items() for t, f in zip(times, row)}
+    return Scenario(D("20.00"), Market(TimeGrid(times), securities),
+                    FeeTable((Broker("b1", fees),)),
+                    SolverOptions(allow_short=True, short_cap=2))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(small_scenarios())
+@example(sale_pays_out_scenario())
 def test_the_solver_agrees_with_the_oracle_and_with_itself_unpruned(scn):
     policy, _ = solve_deterministic(scn)
     oracle_policy, oracle_wealth = brute_force_solve(scn)

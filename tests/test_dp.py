@@ -95,14 +95,17 @@ def test_enumerate_controls_allows_selling_to_fund_buying():
     assert {"A": 1} not in controls
 
 
-def test_enumerate_controls_yields_each_vector_once_in_its_own_dict():
+@pytest.mark.parametrize("fee_b", ["0.50", "6.00"], ids=["fees-below-prices", "sale-pays-out"])
+def test_enumerate_controls_yields_each_vector_once_in_its_own_dict(fee_b):
     # many vectors end on a zero delta, and the walk hands those out as the
-    # prefix dict itself: no later vector may change one already yielded
+    # prefix dict itself: no later vector may change one already yielded.
+    # A fee of 6.00 on B, quoted 5.00, makes a sale of B pay out cash.
     grid = TimeGrid((1, 2))
     prices = {"A": "3.00", "B": "5.00", "C": "7.00"}
     market = Market(grid, tuple(Security(sid, 1, 1, {1: D(p), 2: D(p)}, {})
                                 for sid, p in prices.items()))
-    fees = FeeTable((Broker("b1", {(sid, t): D("0.50") for sid in prices for t in (1, 2)}),))
+    fee = {"A": "0.50", "B": fee_b, "C": "0.50"}
+    fees = FeeTable((Broker("b1", {(sid, t): D(fee[sid]) for sid in prices for t in (1, 2)}),))
     rules = TradeRules(position_floor=-1)
     state = LedgerState(0, {"A": 2, "B": 1}, D("20.00"))
     # each vector is snapshot as it comes and compared once the walk is done
@@ -113,7 +116,7 @@ def test_enumerate_controls_yields_each_vector_once_in_its_own_dict():
     vectors = [tuple(sorted(snapshot.items())) for _, snapshot in taken]
     assert len(set(vectors)) == len(vectors)
     admissible = set()
-    # cash 20 plus every sale (7.50 + 9.00 + 6.50) buys at most 12 A, 7 B, 5 C
+    # cash 20 plus every sale (7.50 + 9.00 + 6.50, at most) buys at most 12 A, 7 B, 5 C
     for deltas in itertools.product(range(-3, 13), range(-2, 8), range(-1, 6)):
         trade = {sid: delta for sid, delta in zip("ABC", deltas) if delta}
         try:
@@ -205,15 +208,19 @@ def test_extract_policy_rejects_an_empty_table():
         extract_policy(ValueTable(TimeGrid((1, 2)), []))
 
 
+def _capped(scn, max_states):
+    return scn._replace(options=scn.options._replace(max_states=max_states))
+
+
 def test_state_budget_cap_bites():
     with pytest.raises(StateBudgetExceededError):
-        solve_deterministic(fee_050_scenario(), max_states=3)
+        solve_deterministic(_capped(fee_050_scenario(), 3))
 
 
 def test_state_budget_trips_inside_the_layer_being_built():
     # unpruned, layer 1 would hold all 10 lot counts; the cap stops it at 4
     with pytest.raises(StateBudgetExceededError) as caught:
-        solve_deterministic(fee_050_scenario(), prune=False, max_states=3)
+        solve_deterministic(_capped(fee_050_scenario(), 3), prune=False)
     assert (caught.value.layer, caught.value.frontier) == (1, 4)
     assert "layer 1" in str(caught.value)
 
@@ -224,7 +231,7 @@ def test_the_budget_bounds_memory_inside_one_node():
     tracemalloc.start()
     try:
         with pytest.raises(StateBudgetExceededError) as caught:
-            solve_deterministic(scn, max_states=10)
+            solve_deterministic(_capped(scn, 10))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -18,8 +18,10 @@ from rebalplan import (
     expected_price,
     scenario_from_dict,
     solve_deterministic,
+    trace_text,
 )
 from rebalplan.errors import BadNormalizationError
+from rebalplan.replay import replay_policy, replay_terminal_wealth
 from rebalplan.scenario import MODE_EXPECTED
 
 from scenariogen import degenerate_twin, fee_distribution_doc, random_scenario
@@ -151,6 +153,16 @@ def test_the_solver_reduces_an_expected_scenario_as_the_oracle_does():
     assert policy.trades == ((1, {"A": 9}), (2, {"A": -9}))
     assert policy.terminal_wealth == D("107.2000")
     assert brute_force_solve(scn) == (policy, policy.terminal_wealth)
+
+
+def test_replay_and_trace_price_the_instance_the_solver_solves():
+    # b2's fee distribution is only seen at its mean: a replay or trace that
+    # skipped it would charge b1's 0.50 and end on 100.00
+    scn = scenario_from_dict(fee_distribution_doc("expected"))
+    policy, _ = solve_deterministic(scn)
+    assert replay_terminal_wealth(scn, policy) == policy.terminal_wealth
+    assert replay_policy(scn, policy)[-1].cash == policy.terminal_wealth
+    assert trace_text(scn, policy) == trace_text(build_expected_market(scn), policy)
 
 
 def test_zero_drift_ties_break_to_no_trading():

@@ -58,9 +58,12 @@ def test_load_documented_example():
 
 
 def test_documented_examples_round_trip(tmp_path):
-    for name in ("buy_then_liquidate.json", "round_trip_too_costly.json",
-                 "two_point_upside.json"):
-        scn = load_scenario(DOCS / name)
+    scenarios = [load_scenario(DOCS / name)
+                 for name in ("buy_then_liquidate.json", "round_trip_too_costly.json",
+                              "two_point_upside.json")]
+    # a fee distribution takes the dump's list branch
+    scenarios.append(scenario_from_dict(fee_distribution_doc("expected")))
+    for scn in scenarios:
         text = dump_scenario(scn)
         again = scenario_from_dict(json.loads(text))
         assert again == scn
@@ -227,6 +230,110 @@ def test_monetary_strings_must_fit_the_scale():
     with pytest.raises(ScenarioValidationError) as info:
         scenario_from_dict(doc)
     assert "BadCapital" in issue_codes(info)
+
+
+@pytest.mark.parametrize("key", ["02", " 2", "2 ", "+2", "1_0", "\u0662"])
+@pytest.mark.parametrize("where", ["quotes", "fees"])
+def test_a_time_key_must_be_an_integer_in_canonical_form(key, where):
+    # int() reads each of these keys, and "02" would overwrite the entry at "2"
+    doc = json.loads((DOCS / "buy_then_liquidate.json").read_text(encoding="utf-8"))
+    if where == "quotes":
+        doc["securities"][0]["quotes"][key] = "99.0000"
+    else:
+        doc["brokers"][0]["fees"]["A"][key] = "0.0000"
+    with pytest.raises(ScenarioValidationError) as info:
+        scenario_from_dict(doc)
+    assert [(i.code, i.security, i.time) for i in info.value.issues] == [
+        ("UnknownTime", "A", None)]
+    assert repr(key) in info.value.issues[0].message
+
+
+def _edit(doc, path, value):
+    """Set (or, for ``None``, delete) the entry at ``path`` in ``doc``."""
+    *head, last = path
+    for step in head:
+        doc = doc[step]
+    if value is None:
+        del doc[last]
+    else:
+        doc[last] = value
+
+
+def _variant(edits, expected=False):
+    doc = minimal_doc()
+    if expected:
+        doc["options"]["mode"] = "expected"
+    for path, value in edits:
+        _edit(doc, path, value)
+    return doc
+
+
+QUOTE_2 = ("securities", 0, "quotes", "2")
+DISTS = ("securities", 0, "distributions")
+FEE_2 = ("brokers", 0, "fees", "A", "2")
+
+# one document per validation branch, with the one issue it must raise:
+# (code, security, time, broker)
+VALIDATION_BRANCHES = {
+    "times-not-increasing": (
+        _variant([(("times",), [1, 3, 2])]),
+        ("BadGrid", None, None, None)),
+    "short-cap-negative": (
+        _variant([(("options", "short_cap"), -1)]),
+        ("BadOption", None, None, None)),
+    "distribution-not-a-list": (
+        _variant([(QUOTE_2, None), (DISTS, {"2": "14.0000"})], expected=True),
+        ("BadValue", "A", 2, None)),
+    "distribution-pair-too-short": (
+        _variant([(QUOTE_2, None), (DISTS, {"2": [["14.0000"]]})], expected=True),
+        ("BadValue", "A", 2, None)),
+    "quotes-not-an-object": (
+        _variant([(("securities", 0, "quotes"), ["10.0000"])]),
+        ("BadSecurity", "A", None, None)),
+    "quote-off-the-grid": (
+        _variant([(("securities", 0, "quotes", "5"), "10.0000")]),
+        ("UnknownTime", "A", 5, None)),
+    "distribution-off-the-grid": (
+        _variant([(DISTS, {"5": [["10.0000", "1.000000"]]})], expected=True),
+        ("UnknownTime", "A", 5, None)),
+    "quote-not-positive": (
+        _variant([(QUOTE_2, "0.0000")]),
+        ("NonpositivePrice", "A", 2, None)),
+    "distribution-price-not-positive": (
+        _variant([(QUOTE_2, None), (DISTS, {"2": [["0.0000", "1.000000"]]})], expected=True),
+        ("NonpositivePrice", "A", 2, None)),
+    "distribution-weight-negative": (
+        _variant([(QUOTE_2, None),
+                  (DISTS, {"2": [["14.0000", "1.500000"], ["10.0000", "-0.500000"]]})],
+                 expected=True),
+        ("NegativeWeight", "A", 2, None)),
+    "expected-time-without-quote-or-distribution": (
+        _variant([(QUOTE_2, None)], expected=True),
+        ("QuoteMissing", "A", 2, None)),
+    "fee-off-the-grid": (
+        _variant([(("brokers", 0, "fees", "A", "5"), "0.5000")]),
+        ("UnknownTime", "A", 5, "b1")),
+    "fee-outcome-negative": (
+        _variant([(FEE_2, [["-0.1000", "1.000000"]])], expected=True),
+        ("NegativeFee", "A", 2, "b1")),
+    "fee-weight-negative": (
+        _variant([(FEE_2, [["0.5000", "1.500000"], ["0.1000", "-0.500000"]])], expected=True),
+        ("NegativeWeight", "A", 2, "b1")),
+    "fee-weights-sum-wrong": (
+        _variant([(FEE_2, [["0.5000", "0.500000"]])], expected=True),
+        ("BadNormalization", "A", 2, "b1")),
+    "broker-id-twice": (
+        _variant([(("brokers",), [*minimal_doc()["brokers"], {"id": "b1", "fees": {}}])]),
+        ("DuplicateId", None, None, "b1")),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(VALIDATION_BRANCHES))
+def test_each_validation_branch_names_its_issue(branch):
+    doc, issue = VALIDATION_BRANCHES[branch]
+    with pytest.raises(ScenarioValidationError) as info:
+        scenario_from_dict(copy.deepcopy(doc))
+    assert [(i.code, i.security, i.time, i.broker) for i in info.value.issues] == [issue]
 
 
 def test_grid_needs_two_points():

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-import rebalplan.bruteforce as bruteforce
 import rebalplan.cli as cli
 import rebalplan.expectation as expectation
 from rebalplan import (
@@ -221,8 +220,7 @@ def test_cli_reduces_an_expected_scenario_once(command, monkeypatch, capsys):
         reductions.append(scenario)
         return build_expected_market(scenario)
 
-    for module in (cli, bruteforce, expectation):
-        monkeypatch.setattr(module, "build_expected_market", counted)
+    monkeypatch.setattr(expectation, "build_expected_market", counted)
     assert cli.main([command, "--scenario", str(DOCS / "two_point_upside.json")]) == 0
     assert len(reductions) == 1
 
