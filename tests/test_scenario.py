@@ -259,15 +259,14 @@ def _edit(doc, path, value):
         doc[last] = value
 
 
-def _variant(edits, expected=False):
+def _variant(edits):
     doc = minimal_doc()
-    if expected:
-        doc["options"]["mode"] = "expected"
     for path, value in edits:
         _edit(doc, path, value)
     return doc
 
 
+EXPECTED = (("options", "mode"), "expected")
 QUOTE_2 = ("securities", 0, "quotes", "2")
 DISTS = ("securities", 0, "distributions")
 FEE_2 = ("brokers", 0, "fees", "A", "2")
@@ -282,10 +281,10 @@ VALIDATION_BRANCHES = {
         _variant([(("options", "short_cap"), -1)]),
         ("BadOption", None, None, None)),
     "distribution-not-a-list": (
-        _variant([(QUOTE_2, None), (DISTS, {"2": "14.0000"})], expected=True),
+        _variant([EXPECTED, (QUOTE_2, None), (DISTS, {"2": "14.0000"})]),
         ("BadValue", "A", 2, None)),
     "distribution-pair-too-short": (
-        _variant([(QUOTE_2, None), (DISTS, {"2": [["14.0000"]]})], expected=True),
+        _variant([EXPECTED, (QUOTE_2, None), (DISTS, {"2": [["14.0000"]]})]),
         ("BadValue", "A", 2, None)),
     "quotes-not-an-object": (
         _variant([(("securities", 0, "quotes"), ["10.0000"])]),
@@ -294,33 +293,32 @@ VALIDATION_BRANCHES = {
         _variant([(("securities", 0, "quotes", "5"), "10.0000")]),
         ("UnknownTime", "A", 5, None)),
     "distribution-off-the-grid": (
-        _variant([(DISTS, {"5": [["10.0000", "1.000000"]]})], expected=True),
+        _variant([EXPECTED, (DISTS, {"5": [["10.0000", "1.000000"]]})]),
         ("UnknownTime", "A", 5, None)),
     "quote-not-positive": (
         _variant([(QUOTE_2, "0.0000")]),
         ("NonpositivePrice", "A", 2, None)),
     "distribution-price-not-positive": (
-        _variant([(QUOTE_2, None), (DISTS, {"2": [["0.0000", "1.000000"]]})], expected=True),
+        _variant([EXPECTED, (QUOTE_2, None), (DISTS, {"2": [["0.0000", "1.000000"]]})]),
         ("NonpositivePrice", "A", 2, None)),
     "distribution-weight-negative": (
-        _variant([(QUOTE_2, None),
-                  (DISTS, {"2": [["14.0000", "1.500000"], ["10.0000", "-0.500000"]]})],
-                 expected=True),
+        _variant([EXPECTED, (QUOTE_2, None),
+                  (DISTS, {"2": [["14.0000", "1.500000"], ["10.0000", "-0.500000"]]})]),
         ("NegativeWeight", "A", 2, None)),
     "expected-time-without-quote-or-distribution": (
-        _variant([(QUOTE_2, None)], expected=True),
+        _variant([EXPECTED, (QUOTE_2, None)]),
         ("QuoteMissing", "A", 2, None)),
     "fee-off-the-grid": (
         _variant([(("brokers", 0, "fees", "A", "5"), "0.5000")]),
         ("UnknownTime", "A", 5, "b1")),
     "fee-outcome-negative": (
-        _variant([(FEE_2, [["-0.1000", "1.000000"]])], expected=True),
+        _variant([EXPECTED, (FEE_2, [["-0.1000", "1.000000"]])]),
         ("NegativeFee", "A", 2, "b1")),
     "fee-weight-negative": (
-        _variant([(FEE_2, [["0.5000", "1.500000"], ["0.1000", "-0.500000"]])], expected=True),
+        _variant([EXPECTED, (FEE_2, [["0.5000", "1.500000"], ["0.1000", "-0.500000"]])]),
         ("NegativeWeight", "A", 2, "b1")),
     "fee-weights-sum-wrong": (
-        _variant([(FEE_2, [["0.5000", "0.500000"]])], expected=True),
+        _variant([EXPECTED, (FEE_2, [["0.5000", "0.500000"]])]),
         ("BadNormalization", "A", 2, "b1")),
     "broker-id-twice": (
         _variant([(("brokers",), [*minimal_doc()["brokers"], {"id": "b1", "fees": {}}])]),
