@@ -82,6 +82,17 @@ class NegativeWeightError(RebalplanError):
         self.time = time
 
 
+class NegativeFeeError(RebalplanError):
+    """A fee distribution's outcome is negative."""
+
+    def __init__(self, fee: Decimal, security: str | None = None,
+                 time: int | None = None):
+        super().__init__(f"fee must be non-negative, got {fee}{_at(security, time)}")
+        self.fee = fee
+        self.security_id = security
+        self.time = time
+
+
 class InadmissibleTradeError(RebalplanError):
     """Applying the trade would drive cash below zero."""
 

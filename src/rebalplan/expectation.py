@@ -12,17 +12,17 @@ from __future__ import annotations
 
 from decimal import Decimal
 
-from .errors import BadNormalizationError, NegativeWeightError, NonpositivePriceError
 from .market import (
     Broker,
     DiscreteDistribution,
     FeeTable,
     Market,
     Security,
+    distribution_errors,
     validate_distribution,
 )
 from .money import EXACT_CONTEXT, round_half_even
-from .scenario import MODE_DETERMINISTIC, MODE_EXPECTED, Scenario, SolverOptions
+from .scenario import MODE_DETERMINISTIC, MODE_EXPECTED, Scenario
 
 
 def expected_value(dist: DiscreteDistribution) -> Decimal:
@@ -57,7 +57,11 @@ def build_expected_market(scenario: Scenario) -> Scenario:
     their rounded means, per-broker fee distributions become scalar fees the
     same way. Rounding to the price scale happens here, once, so the result
     is a well-formed deterministic scenario. Broker minimization still
-    happens at query time, now over expected fees.
+    happens at query time, now over expected fees. A price distribution that
+    breaks :func:`~rebalplan.market.distribution_errors`'s rule raises the
+    first error found, naming its security and time; fee distributions are
+    averaged as given, as only :func:`~rebalplan.scenario.validate_scenario`
+    checks them.
 
     Only the records a distribution changes are rebuilt: a security or a
     broker without one, and a fee table without any, is shared with
@@ -74,12 +78,7 @@ def build_expected_market(scenario: Scenario) -> Scenario:
         initial_capital=scenario.initial_capital,
         market=Market(market.grid, securities),
         fees=expected_fee_table(scenario.fees, scale),
-        options=SolverOptions(
-            mode=MODE_DETERMINISTIC, lot_size=options.lot_size,
-            allow_short=options.allow_short, short_cap=options.short_cap,
-            hold_to_end=options.hold_to_end, max_states=options.max_states,
-            price_scale=scale, prob_scale=options.prob_scale,
-        ),
+        options=options._replace(mode=MODE_DETERMINISTIC),
     )
 
 
@@ -87,14 +86,10 @@ def _expected_security(sec: Security, price_scale: int) -> Security:
     """The security with each price distribution replaced by its rounded mean."""
     quotes = dict(sec.quotes)
     for t, dist in sorted(sec.distributions.items()):
-        try:
-            quotes[t] = expected_price(dist, price_scale)
-        except BadNormalizationError as exc:
-            raise BadNormalizationError(exc.actual_sum, sec.security_id, t) from exc
-        except NonpositivePriceError as exc:
-            raise NonpositivePriceError(exc.price, sec.security_id, t) from exc
-        except NegativeWeightError as exc:
-            raise NegativeWeightError(exc.weight, sec.security_id, t) from exc
+        errors = distribution_errors(dist, sec.security_id, t)
+        if errors:
+            raise errors[0]
+        quotes[t] = round_half_even(expected_value(dist), price_scale)
     return Security(sec.security_id, sec.issue_time, sec.maturity, quotes, {})
 
 

@@ -23,9 +23,11 @@ from .errors import (
     BadNormalizationError,
     FeeMissingError,
     InactiveSecurityError,
+    NegativeFeeError,
     NegativeWeightError,
     NonpositivePriceError,
     QuoteMissingError,
+    RebalplanError,
 )
 from .money import EXACT_CONTEXT
 
@@ -74,17 +76,10 @@ class DiscreteDistribution(NamedTuple):
 
     Used for prices and, in expected mode, for per-broker fees. Weights must
     sum to exactly 1 in fixed point; this is checked by
-    :func:`validate_distribution`, not here.
+    :func:`distribution_errors`, not here.
     """
 
     outcomes: tuple[tuple[Decimal, Decimal], ...]
-
-    def weight_sum(self) -> Decimal:
-        """The weights' sum in :data:`EXACT_CONTEXT`, whatever the caller's."""
-        total = Decimal(0)
-        for _, weight in self.outcomes:
-            total = EXACT_CONTEXT.add(total, weight)
-        return total
 
 
 class _SecurityFields(NamedTuple):
@@ -231,18 +226,32 @@ def lowest_fee(fees: FeeTable, security_id: str, t: int) -> Decimal | None:
     return best
 
 
-def validate_distribution(dist: DiscreteDistribution) -> None:
-    """Check a price distribution: positive prices, weights ≥ 0 summing to 1.
+def distribution_errors(dist: DiscreteDistribution, security: str | None = None,
+                        time: int | None = None, fees: bool = False) -> list[RebalplanError]:
+    """Every way ``dist`` breaks the rule, outcome by outcome then the sum, at ``security, time``.
 
-    The sum check is exact in fixed point; no tolerance is applied.
+    The rule: price outcomes are positive (fee outcomes, with ``fees``, non-negative), weights
+    are non-negative and sum to exactly 1 in fixed point, so an empty list fails the sum.
     """
-    if len(dist.outcomes) < 1:
-        raise BadNormalizationError(Decimal(0))
-    for price, weight in dist.outcomes:
-        if price <= 0:
-            raise NonpositivePriceError(price)
+    errors: list[RebalplanError] = []
+    total = Decimal(0)
+    for value, weight in dist.outcomes:
+        if fees:
+            if value < 0:
+                errors.append(NegativeFeeError(value, security, time))
+        elif value <= 0:
+            errors.append(NonpositivePriceError(value, security, time))
         if weight < 0:
-            raise NegativeWeightError(weight)
-    total = dist.weight_sum()
+            errors.append(NegativeWeightError(weight, security, time))
+        # exact whatever the caller's context, which might round the sum to 1
+        total = EXACT_CONTEXT.add(total, weight)
     if total != 1:
-        raise BadNormalizationError(total)
+        errors.append(BadNormalizationError(total, security, time))
+    return errors
+
+
+def validate_distribution(dist: DiscreteDistribution) -> None:
+    """Raise the first error :func:`distribution_errors` finds in a price distribution."""
+    errors = distribution_errors(dist)
+    if errors:
+        raise errors[0]

@@ -24,7 +24,11 @@ A fee may also be a list of [value, probability] pairs. Only expected mode
 reads it, at its mean; validation reports one in deterministic mode as a
 ``BadValue`` issue rather than let the solver skip it.
 Loading is all-or-nothing: every problem found is reported at once and no
-partially-valid scenario is ever returned.
+partially-valid scenario is ever returned. A repeated security or broker id
+is one more issue, and the first entry's own problems are still reported;
+so is every way a price or fee distribution breaks the rule of
+:func:`~rebalplan.market.distribution_errors`. A file that repeats a key
+within one JSON object does not load.
 """
 
 from __future__ import annotations
@@ -35,9 +39,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import (
-    BadNormalizationError,
-    NegativeWeightError,
-    NonpositivePriceError,
     RebalplanError,
     ScenarioParseError,
     ScenarioValidationError,
@@ -51,7 +52,7 @@ from .market import (
     Market,
     Security,
     TimeGrid,
-    validate_distribution,
+    distribution_errors,
 )
 from .money import (
     PRICE_SCALE_DEFAULT,
@@ -95,25 +96,22 @@ class Scenario(NamedTuple):
     def initial_state(self) -> LedgerState:
         return opening_state(self.initial_capital)
 
-    def with_mode(self, mode: str) -> "Scenario":
-        return self._replace(options=self.options._replace(mode=mode))
-
 
 def load_scenario(path: str | Path, mode: str | None = None) -> Scenario:
     """Parse and fully validate a scenario file.
 
     ``mode`` overrides the file's solver mode before validation, so a file
     that only makes sense in one mode fails loudly when forced into the
-    other. A file that is not UTF-8 JSON, or that the JSON parser cannot
-    hold (nested too deep, an integer too long to convert), raises
-    :class:`ScenarioParseError`.
+    other. A file that is not UTF-8 JSON, that repeats a key within one
+    object, or that the JSON parser cannot hold (nested too deep, an integer
+    too long to convert), raises :class:`ScenarioParseError`.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ScenarioParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_object_without_repeats)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(exc.msg, exc.lineno, exc.colno) from exc
     except RecursionError as exc:
@@ -121,6 +119,19 @@ def load_scenario(path: str | Path, mode: str | None = None) -> Scenario:
     except ValueError as exc:  # an integer past the interpreter's digit limit
         raise ScenarioParseError(str(exc)) from exc
     return scenario_from_dict(data, mode=mode)
+
+
+def _object_without_repeats(pairs: list[tuple[str, object]]) -> dict:
+    # json.loads keeps the last of a repeated key: a second "2" under quotes
+    # would replace the first without a word
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ScenarioParseError(f"repeated key {key!r} in a JSON object")
+            seen.add(key)
+    return obj
 
 
 def dump_scenario(scenario: Scenario) -> str:
@@ -144,6 +155,8 @@ def scenario_from_dict(data: object, mode: str | None = None) -> Scenario:
         )
 
     options = _parse_options(data.get("options", {}), issues)
+    if mode is not None:
+        options = options._replace(mode=mode)
     price_scale = options.price_scale
     prob_scale = options.prob_scale
 
@@ -168,25 +181,20 @@ def scenario_from_dict(data: object, mode: str | None = None) -> Scenario:
     securities = _parse_securities(data.get("securities", []), price_scale, prob_scale, issues)
     brokers = _parse_brokers(data.get("brokers", []), price_scale, prob_scale, issues)
 
-    if issues or grid is None:
+    # a repeated id only drops the repeat, so what was read is still a whole
+    # scenario, and its own problems are reported along with the repeat
+    if grid is None or (issues and any(issue.code != "DuplicateId" for issue in issues)):
         raise ScenarioValidationError(issues)
-
-    try:
-        market = Market(grid, tuple(sorted(securities, key=lambda s: s.security_id)))
-    except ValueError as exc:
-        raise ScenarioValidationError([ValidationIssue("DuplicateId", str(exc))]) from exc
 
     scenario = Scenario(
         initial_capital=capital,
-        market=market,
+        market=Market(grid, tuple(sorted(securities, key=lambda s: s.security_id))),
         fees=FeeTable(tuple(sorted(brokers, key=lambda b: b.broker_id))),
         options=options,
     )
-    if mode is not None:
-        scenario = scenario.with_mode(mode)
-    semantic = validate_scenario(scenario)
-    if semantic:
-        raise ScenarioValidationError(semantic)
+    issues += validate_scenario(scenario)
+    if issues:
+        raise ScenarioValidationError(issues)
     return scenario
 
 
@@ -201,16 +209,15 @@ def _require_str(mapping: dict, key: str) -> str:
     return value
 
 
+_OPTION_NAMES = frozenset(SolverOptions._fields)
+
+
 def _parse_options(raw: object, issues: list[ValidationIssue]) -> SolverOptions:
     if not isinstance(raw, dict):
         issues.append(ValidationIssue("BadOption", "options must be an object"))
         return SolverOptions()
-    known = {
-        "mode", "lot_size", "allow_short", "short_cap", "hold_to_end",
-        "max_states", "price_scale", "prob_scale",
-    }
     for key in raw:
-        if key not in known:
+        if key not in _OPTION_NAMES:
             issues.append(ValidationIssue("BadOption", f"unknown option {key!r}"))
 
     def bad(msg: str) -> None:
@@ -291,23 +298,37 @@ def _parse_distribution(raw: object, price_scale: int, prob_scale: int,
     return DiscreteDistribution(tuple(outcomes))
 
 
+def _entries(raw: object, plural: str, kind: str, code: str,
+             issues: list[ValidationIssue]) -> dict[str, dict]:
+    """The entries of a securities or brokers list by id, the first of each id.
+
+    A repeated id is reported in the ``kind`` context, other problems as ``code``.
+    """
+    by_id: dict[str, dict] = {}
+    if not isinstance(raw, list):
+        issues.append(ValidationIssue(code, f"{plural} must be a list"))
+        return by_id
+    for entry in raw:
+        if not isinstance(entry, dict):
+            issues.append(ValidationIssue(code, f"{kind} entry must be an object: {entry!r}"))
+            continue
+        eid = entry.get("id")
+        if not isinstance(eid, str) or not eid:
+            issues.append(ValidationIssue(code, f"{kind} id must be a non-empty string: {eid!r}"))
+        elif not _encodes(eid):
+            issues.append(ValidationIssue(code, f"{kind} id must be UTF-8 text: {eid!r}"))
+        elif eid in by_id:
+            issues.append(ValidationIssue("DuplicateId", f"duplicate {kind} id {eid!r}",
+                                          **{kind: eid}))
+        else:
+            by_id[eid] = entry
+    return by_id
+
+
 def _parse_securities(raw: object, price_scale: int, prob_scale: int,
                       issues: list[ValidationIssue]) -> list[Security]:
     securities: list[Security] = []
-    if not isinstance(raw, list):
-        issues.append(ValidationIssue("BadSecurity", "securities must be a list"))
-        return securities
-    for entry in raw:
-        if not isinstance(entry, dict):
-            issues.append(ValidationIssue("BadSecurity", f"security entry must be an object: {entry!r}"))
-            continue
-        sid = entry.get("id")
-        if not isinstance(sid, str) or not sid:
-            issues.append(ValidationIssue("BadSecurity", f"security id must be a non-empty string: {sid!r}"))
-            continue
-        if not _encodes(sid):
-            issues.append(ValidationIssue("BadSecurity", f"security id must be UTF-8 text: {sid!r}"))
-            continue
+    for sid, entry in _entries(raw, "securities", "security", "BadSecurity", issues).items():
         issue_time = entry.get("issue_time")
         maturity = entry.get("maturity")
         if not _is_int(issue_time) or not _is_int(maturity) or maturity < 0:
@@ -344,7 +365,8 @@ def _parse_securities(raw: object, price_scale: int, prob_scale: int,
     return securities
 
 
-def _parse_time_key(key: object, sid: str, issues: list[ValidationIssue]) -> int | None:
+def _parse_time_key(key: object, sid: str, issues: list[ValidationIssue],
+                    bid: str | None = None) -> int | None:
     # JSON object keys are strings; only int's own spelling names a time, so
     # "02" or " 2" cannot load as, and overwrite, the entry at "2"
     try:
@@ -354,7 +376,7 @@ def _parse_time_key(key: object, sid: str, issues: list[ValidationIssue]) -> int
     if t is None or str(t) != key:
         issues.append(ValidationIssue(
             "UnknownTime", f"time key {key!r} is not an integer in canonical form",
-            security=sid))
+            security=sid, broker=bid))
         return None
     return t
 
@@ -362,25 +384,7 @@ def _parse_time_key(key: object, sid: str, issues: list[ValidationIssue]) -> int
 def _parse_brokers(raw: object, price_scale: int, prob_scale: int,
                    issues: list[ValidationIssue]) -> list[Broker]:
     brokers: list[Broker] = []
-    if not isinstance(raw, list):
-        issues.append(ValidationIssue("BadBroker", "brokers must be a list"))
-        return brokers
-    seen: set[str] = set()
-    for entry in raw:
-        if not isinstance(entry, dict):
-            issues.append(ValidationIssue("BadBroker", f"broker entry must be an object: {entry!r}"))
-            continue
-        bid = entry.get("id")
-        if not isinstance(bid, str) or not bid:
-            issues.append(ValidationIssue("BadBroker", f"broker id must be a non-empty string: {bid!r}"))
-            continue
-        if not _encodes(bid):
-            issues.append(ValidationIssue("BadBroker", f"broker id must be UTF-8 text: {bid!r}"))
-            continue
-        if bid in seen:
-            issues.append(ValidationIssue("DuplicateId", f"duplicate broker id {bid!r}", broker=bid))
-            continue
-        seen.add(bid)
+    for bid, entry in _entries(raw, "brokers", "broker", "BadBroker", issues).items():
         fees: dict[tuple[str, int], Decimal | DiscreteDistribution] = {}
         fee_map = entry.get("fees") or {}
         if not isinstance(fee_map, dict):
@@ -392,7 +396,7 @@ def _parse_brokers(raw: object, price_scale: int, prob_scale: int,
                                               broker=bid, security=sid))
                 continue
             for key, value in by_time.items():
-                t = _parse_time_key(key, sid, issues)
+                t = _parse_time_key(key, sid, issues, bid)
                 if t is None:
                     continue
                 try:
@@ -417,7 +421,9 @@ def validate_scenario(scenario: Scenario) -> list[ValidationIssue]:
 
     Mode-dependent: deterministic mode insists on quotes and scalar fees at
     every active time, and takes no fee distribution anywhere; expected mode
-    accepts distributions in either place.
+    accepts distributions in either place. Each price and fee distribution
+    is checked by :func:`~rebalplan.market.distribution_errors`, and every
+    error it finds becomes an issue named after the error's class.
     """
     issues: list[ValidationIssue] = []
     grid = scenario.market.grid
@@ -461,17 +467,9 @@ def validate_scenario(scenario: Scenario) -> list[ValidationIssue]:
                     "BothQuoteAndDistribution",
                     "a time may carry a quote or a distribution, not both",
                     security=sid, time=t))
-            try:
-                validate_distribution(dist)
-            except BadNormalizationError as exc:
-                issues.append(ValidationIssue(
-                    "BadNormalization", f"weights sum to {exc.actual_sum}", security=sid, time=t))
-            except NonpositivePriceError as exc:
-                issues.append(ValidationIssue(
-                    "NonpositivePrice", str(exc), security=sid, time=t))
-            except NegativeWeightError as exc:
-                issues.append(ValidationIssue(
-                    "NegativeWeight", str(exc), security=sid, time=t))
+            for error in distribution_errors(dist):
+                issues.append(ValidationIssue(type(error).__name__.removesuffix("Error"),
+                                              str(error), security=sid, time=t))
         for t in active:
             has_quote = t in sec.quotes
             has_dist = t in sec.distributions
@@ -510,7 +508,10 @@ def validate_scenario(scenario: Scenario) -> list[ValidationIssue]:
                     issues.append(ValidationIssue(
                         "BadValue", "a fee distribution needs expected mode",
                         broker=broker.broker_id, security=sid, time=t))
-                issues.extend(_check_fee_distribution(fee, broker.broker_id, sid, t))
+                for error in distribution_errors(fee, fees=True):
+                    issues.append(ValidationIssue(type(error).__name__.removesuffix("Error"),
+                                                  str(error), broker=broker.broker_id,
+                                                  security=sid, time=t))
 
     for sid, active in windows:
         for t in active:
@@ -521,25 +522,6 @@ def validate_scenario(scenario: Scenario) -> list[ValidationIssue]:
                     + (" (deterministic mode needs scalar fees)" if deterministic else ""),
                     security=sid, time=t))
 
-    return issues
-
-
-def _check_fee_distribution(dist: DiscreteDistribution, bid: str, sid: str,
-                            t: int) -> list[ValidationIssue]:
-    issues = []
-    for value, weight in dist.outcomes:
-        if value < 0:
-            issues.append(ValidationIssue(
-                "NegativeFee", f"fee outcome {value} must be non-negative",
-                broker=bid, security=sid, time=t))
-        if weight < 0:
-            issues.append(ValidationIssue(
-                "NegativeWeight", f"weight {weight} must be non-negative",
-                broker=bid, security=sid, time=t))
-    total = dist.weight_sum()
-    if total != 1:
-        issues.append(ValidationIssue(
-            "BadNormalization", f"fee weights sum to {total}", broker=bid, security=sid, time=t))
     return issues
 
 
@@ -585,14 +567,5 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "times": list(scenario.market.grid.points),
         "securities": securities,
         "brokers": brokers,
-        "options": {
-            "mode": opts.mode,
-            "lot_size": money(opts.lot_size),
-            "allow_short": opts.allow_short,
-            "short_cap": opts.short_cap,
-            "hold_to_end": opts.hold_to_end,
-            "max_states": opts.max_states,
-            "price_scale": opts.price_scale,
-            "prob_scale": opts.prob_scale,
-        },
+        "options": {**opts._asdict(), "lot_size": money(opts.lot_size)},
     }

@@ -132,6 +132,15 @@ def _check_each_vector_once_in_its_own_dict(fee_b):
     assert any(len(v) < 3 for v in vectors) and any(len(v) == 3 for v in vectors)
 
 
+def test_enumerate_controls_yields_nothing_when_cash_cannot_be_recovered():
+    # a direct call on a state no solve builds: cash is negative, and selling
+    # A (quoted 5.00, fee 6.00) only costs more
+    market = Market(TimeGrid((1, 2)), (Security("A", 1, 1, {1: D("5.00"), 2: D("5.00")}),))
+    fees = FeeTable((Broker("b1", {("A", t): D("6.00") for t in (1, 2)}),))
+    state = LedgerState(0, {"A": 1}, D("-1.00"))
+    assert list(enumerate_controls(state, market, fees, TradeRules())) == []
+
+
 def test_delta_wealth():
     def delta(prev, nxt, market):
         """Wealth increment between two states, each valued at its own time."""

@@ -20,7 +20,7 @@ from rebalplan import (
     solve_deterministic,
     trace_text,
 )
-from rebalplan.errors import BadNormalizationError
+from rebalplan.errors import BadNormalizationError, NonpositivePriceError
 from rebalplan.replay import replay_policy, replay_terminal_wealth
 from rebalplan.scenario import MODE_EXPECTED
 
@@ -109,9 +109,25 @@ def test_build_expected_market_replaces_distributions_with_means():
 def test_build_expected_market_is_identity_on_deterministic_scenarios():
     rng = random.Random(77)
     scn = random_scenario(rng)
-    derived = build_expected_market(scn.with_mode(MODE_EXPECTED))
+    expected = scn._replace(options=scn.options._replace(mode=MODE_EXPECTED))
+    derived = build_expected_market(expected)
     assert derived.market == scn.market
     assert derived.fees == scn.fees
+
+
+def test_the_reduction_raises_the_first_distribution_error_where_it_is():
+    # a zero price, a negative weight and a wrong sum: the price comes first
+    grid = TimeGrid((1, 2, 3))
+    outcomes = dist(("0.00", "-0.5"), ("10.00", "1.0"))
+    sec = Security("A", 1, 2, {1: D("10.00"), 3: D("10.00")}, {2: outcomes})
+    fees = FeeTable((Broker("b1", {("A", t): D("0.10") for t in (1, 2, 3)}),))
+    scn = Scenario(D("100.00"), Market(grid, (sec,)), fees, SolverOptions(mode=MODE_EXPECTED))
+    with pytest.raises(NonpositivePriceError) as info:
+        build_expected_market(scn)
+    assert (info.value.price, info.value.security_id, info.value.time) == (D("0.00"), "A", 2)
+    with pytest.raises(NonpositivePriceError) as info:
+        expected_price(outcomes, 4)
+    assert (info.value.security_id, info.value.time) == (None, None)
 
 
 def test_expected_fees_are_averaged_then_minimized():

@@ -88,11 +88,17 @@ def test_malformed_json_reports_the_position(tmp_path):
     assert info.value.line == 1
 
 
+# json.loads alone would keep the last "2", a quote of 99.0000
+REPEATED_KEY = (DOCS / "buy_then_liquidate.json").read_bytes().replace(
+    b'"2": "11.5000",', b'"2": "11.5000", "2": "99.0000",')
+
+
 @pytest.mark.parametrize("data, message", [
     (b"\xff\xfe{}", "not UTF-8 text"),
     (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
     (b'{"initial_capital": ' + b"1" * 5000 + b"}", "4300 digits"),
-], ids=["not-utf8", "nested-too-deep", "integer-too-long"])
+    (REPEATED_KEY, "repeated key '2'"),
+], ids=["not-utf8", "nested-too-deep", "integer-too-long", "repeated-key"])
 def test_a_file_json_cannot_read_is_a_parse_error(tmp_path, capsys, data, message):
     path = tmp_path / "scenario.json"
     path.write_bytes(data)
@@ -225,6 +231,16 @@ def test_duplicate_security_ids_are_rejected():
     assert "DuplicateId" in issue_codes(info)
 
 
+def test_a_duplicate_security_id_hides_no_other_issue():
+    doc = json.loads((DOCS / "buy_then_liquidate.json").read_text(encoding="utf-8"))
+    doc["securities"][0]["quotes"]["2"] = "0.0000"
+    doc["securities"].append(copy.deepcopy(doc["securities"][0]))
+    with pytest.raises(ScenarioValidationError) as info:
+        scenario_from_dict(doc)
+    assert [(i.code, i.security, i.time) for i in info.value.issues] == [
+        ("DuplicateId", "A", None), ("NonpositivePrice", "A", 2)]
+
+
 def test_monetary_strings_must_fit_the_scale():
     doc = minimal_doc(initial_capital="100.00001")
     with pytest.raises(ScenarioValidationError) as info:
@@ -243,8 +259,9 @@ def test_a_time_key_must_be_an_integer_in_canonical_form(key, where):
         doc["brokers"][0]["fees"]["A"][key] = "0.0000"
     with pytest.raises(ScenarioValidationError) as info:
         scenario_from_dict(doc)
-    assert [(i.code, i.security, i.time) for i in info.value.issues] == [
-        ("UnknownTime", "A", None)]
+    broker = "alpha" if where == "fees" else None
+    assert [(i.code, i.security, i.time, i.broker) for i in info.value.issues] == [
+        ("UnknownTime", "A", None, broker)]
     assert repr(key) in info.value.issues[0].message
 
 
@@ -332,6 +349,15 @@ def test_each_validation_branch_names_its_issue(branch):
     with pytest.raises(ScenarioValidationError) as info:
         scenario_from_dict(copy.deepcopy(doc))
     assert [(i.code, i.security, i.time, i.broker) for i in info.value.issues] == [issue]
+
+
+def test_every_problem_of_a_price_distribution_is_reported():
+    doc = _variant([EXPECTED, (QUOTE_2, None),
+                    (DISTS, {"2": [["0.0000", "-0.500000"], ["10.0000", "1.000000"]]})])
+    with pytest.raises(ScenarioValidationError) as info:
+        scenario_from_dict(doc)
+    assert [(i.code, i.security, i.time) for i in info.value.issues] == [
+        ("NonpositivePrice", "A", 2), ("NegativeWeight", "A", 2), ("BadNormalization", "A", 2)]
 
 
 def test_grid_needs_two_points():
