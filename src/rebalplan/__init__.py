@@ -32,7 +32,6 @@ from .market import (
     effective_fee,
     is_active,
     price_at,
-    validate_distribution,
 )
 from .replay import replay_policy, replay_terminal_wealth
 from .scenario import (
@@ -81,7 +80,6 @@ __all__ = [
     "scenario_from_dict",
     "solve_deterministic",
     "trace_text",
-    "validate_distribution",
     "validate_scenario",
     "wealth",
 ]

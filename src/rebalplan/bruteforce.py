@@ -148,8 +148,8 @@ def enumerate_joint_outcomes(scenario: Scenario, *,
     Every price distribution site expands independently; each combination
     yields a deterministic scenario with the outcome prices as quotes and a
     probability that is the exact product of the outcome weights. Fee
-    distributions are not expanded: they enter through their per-broker
-    means, matching how the expected-mode objective treats them.
+    distributions are not expanded: they enter through their checked
+    per-broker means, matching how the expected-mode objective treats them.
     """
     sites: list[tuple[str, int]] = []
     dists = []

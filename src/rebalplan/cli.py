@@ -19,7 +19,7 @@ from .dp import solve_deterministic
 from .errors import InstanceTooLargeError, RebalplanError, StateBudgetExceededError
 from .expectation import priced_instance
 from .money import format_decimal
-from .scenario import load_scenario
+from .scenario import MODE_DETERMINISTIC, MODE_EXPECTED, load_scenario
 from .trace import trace_text
 
 EXIT_OK = 0
@@ -28,7 +28,7 @@ EXIT_BUDGET = 3
 EXIT_IO = 4
 EXIT_MISMATCH = 5
 
-_MODE_FLAGS = {"det": "deterministic", "exp": "expected"}
+_MODE_FLAGS = {"det": MODE_DETERMINISTIC, "exp": MODE_EXPECTED}
 
 
 def main(argv: list[str] | None = None) -> int:

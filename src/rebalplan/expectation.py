@@ -6,6 +6,11 @@ expected terminal wealth of an open-loop policy is the same as solving the
 deterministic problem on mean prices and mean fees. This module builds that
 derived deterministic instance; solving it is the exact solver's job.
 Adaptive policies that react to observed prices are out of scope.
+
+Every mean, of a price or of a fee distribution, is taken by one rule: the
+first error :func:`~rebalplan.market.distribution_errors` finds is raised,
+naming its security and time, and otherwise the exact mean is rounded
+half-even to the price scale, once.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from .market import (
     Market,
     Security,
     distribution_errors,
-    validate_distribution,
 )
 from .money import EXACT_CONTEXT, round_half_even
 from .scenario import MODE_DETERMINISTIC, MODE_EXPECTED, Scenario
@@ -38,8 +42,16 @@ def expected_value(dist: DiscreteDistribution) -> Decimal:
 
 
 def expected_price(dist: DiscreteDistribution, price_scale: int) -> Decimal:
-    """Mean outcome rounded half-even to the price scale, validated first."""
-    validate_distribution(dist)
+    """Mean outcome of a price distribution, checked first, rounded half-even to the scale."""
+    return _checked_mean(dist, price_scale)
+
+
+def _checked_mean(dist: DiscreteDistribution, price_scale: int, security: str | None = None,
+                  time: int | None = None, fees: bool = False) -> Decimal:
+    """Raise the first error of ``dist`` at ``security, time``, else round its mean half-even."""
+    errors = distribution_errors(dist, security, time, fees)
+    if errors:
+        raise errors[0]
     return round_half_even(expected_value(dist), price_scale)
 
 
@@ -57,11 +69,11 @@ def build_expected_market(scenario: Scenario) -> Scenario:
     their rounded means, per-broker fee distributions become scalar fees the
     same way. Rounding to the price scale happens here, once, so the result
     is a well-formed deterministic scenario. Broker minimization still
-    happens at query time, now over expected fees. A price distribution that
-    breaks :func:`~rebalplan.market.distribution_errors`'s rule raises the
-    first error found, naming its security and time; fee distributions are
-    averaged as given, as only :func:`~rebalplan.scenario.validate_scenario`
-    checks them.
+    happens at query time, now over expected fees. A price or fee
+    distribution that breaks :func:`~rebalplan.market.distribution_errors`'s
+    rule (fee outcomes need only be non-negative) raises the first error
+    found, naming its security and time; the securities are read before the
+    fee table.
 
     Only the records a distribution changes are rebuilt: a security or a
     broker without one, and a fee table without any, is shared with
@@ -86,24 +98,21 @@ def _expected_security(sec: Security, price_scale: int) -> Security:
     """The security with each price distribution replaced by its rounded mean."""
     quotes = dict(sec.quotes)
     for t, dist in sorted(sec.distributions.items()):
-        errors = distribution_errors(dist, sec.security_id, t)
-        if errors:
-            raise errors[0]
-        quotes[t] = round_half_even(expected_value(dist), price_scale)
+        quotes[t] = _checked_mean(dist, price_scale, sec.security_id, t)
     return Security(sec.security_id, sec.issue_time, sec.maturity, quotes, {})
 
 
 def expected_fee_table(fees: FeeTable, price_scale: int) -> FeeTable:
-    """Fee table with every per-broker fee distribution at its rounded mean."""
+    """Fee table with every per-broker fee distribution at its checked, rounded mean."""
     brokers = []
     changed = False
     for broker in fees.brokers:
         flat = None
-        for key, fee in broker.fees.items():
+        for (sid, t), fee in broker.fees.items():
             if isinstance(fee, DiscreteDistribution):
                 if flat is None:
                     flat = dict(broker.fees)
-                flat[key] = round_half_even(expected_value(fee), price_scale)
+                flat[sid, t] = _checked_mean(fee, price_scale, sid, t, fees=True)
         if flat is not None:
             broker = Broker(broker.broker_id, flat)
             changed = True

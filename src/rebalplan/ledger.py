@@ -31,7 +31,7 @@ way, its empty holdings being canonical already.
 
 from __future__ import annotations
 
-from decimal import Decimal, Inexact, localcontext
+from decimal import Decimal, Inexact
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, NoReturn
 
@@ -147,23 +147,23 @@ def _page(market: Market, fees: FeeTable, lot: Decimal, index: int) -> Deals:
     following = points[index + 1]
     per_lot: dict[str, tuple[Decimal, Decimal] | None] = {}
     carried = []
-    with localcontext(LEDGER_CONTEXT):
-        for sid, sec in market._by_id.items():
-            issued = sec.issue_time
-            end = issued + sec.maturity
-            if issued <= following <= end:
-                carried.append(sid)
-            if not issued <= t <= end:
-                continue
-            price = sec.quotes.get(t)
-            fee = lowest_fee(fees, sid, t)
-            deal = None
-            if price is not None and fee is not None:
-                try:
-                    deal = ((price + fee) * lot, (price - fee) * lot)
-                except Inexact:
-                    pass  # trading it raises InexactArithmeticError
-            per_lot[sid] = deal
+    add, subtract, multiply = LEDGER_CONTEXT.add, LEDGER_CONTEXT.subtract, LEDGER_CONTEXT.multiply
+    for sid, sec in market._by_id.items():
+        issued = sec.issue_time
+        end = issued + sec.maturity
+        if issued <= following <= end:
+            carried.append(sid)
+        if not issued <= t <= end:
+            continue
+        price = sec.quotes.get(t)
+        fee = lowest_fee(fees, sid, t)
+        deal = None
+        if price is not None and fee is not None:
+            try:
+                deal = (multiply(add(price, fee), lot), multiply(subtract(price, fee), lot))
+            except Inexact:
+                pass  # trading it raises InexactArithmeticError
+        per_lot[sid] = deal
     return Deals(t, per_lot, tuple(carried))
 
 

@@ -11,6 +11,10 @@ else here is indexed beyond the securities by id. :func:`price_at` and
 :func:`effective_fee` stay the checked lookups that raise the typed error
 for a missing entry, and :func:`lowest_fee` is the one cheapest-broker
 choice, made for the book and for :func:`effective_fee` alike.
+
+:func:`distribution_errors` is the one rule for price and fee
+distributions. It lists every error, which the loader reports as issues;
+the expected-mode reduction raises the first (``expectation``).
 """
 
 from __future__ import annotations
@@ -144,8 +148,9 @@ class Market:
     ``grid`` and ``securities`` are read-only, and two markets are equal
     when their grids and securities are. The id index and the ledger's deal
     book (fee table, lot, pages; see ``ledger.deals_at``) are derived
-    from them and take no part in equality, hashing or the ``repr``. Every
-    market, the expected-mode reduction's too, is built by the constructor.
+    from them and take no part in equality or the ``repr``. A market is not
+    hashable, as its securities hold dicts. Every market, the expected-mode
+    reduction's too, is built by the constructor.
     """
 
     __slots__ = ("_grid", "_securities", "_by_id", "_deal_book")
@@ -168,9 +173,6 @@ class Market:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self._grid, self._securities) == (other._grid, other._securities)
-
-    def __hash__(self):
-        return hash((self._grid, self._securities))
 
     def __repr__(self):
         return f"Market(grid={self._grid!r}, securities={self._securities!r})"
@@ -248,10 +250,3 @@ def distribution_errors(dist: DiscreteDistribution, security: str | None = None,
     if total != 1:
         errors.append(BadNormalizationError(total, security, time))
     return errors
-
-
-def validate_distribution(dist: DiscreteDistribution) -> None:
-    """Raise the first error :func:`distribution_errors` finds in a price distribution."""
-    errors = distribution_errors(dist)
-    if errors:
-        raise errors[0]

@@ -29,9 +29,6 @@ from decimal import Decimal
 
 from .errors import InexactArithmeticError
 
-PRICE_SCALE_DEFAULT = 4
-PROB_SCALE_DEFAULT = 6
-
 # Joint-outcome probabilities are products of many quantized factors; the
 # default 28-digit context would silently round them. Wrap any computation
 # whose exactness matters beyond ~28 digits in this context.

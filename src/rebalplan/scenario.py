@@ -54,19 +54,11 @@ from .market import (
     TimeGrid,
     distribution_errors,
 )
-from .money import (
-    PRICE_SCALE_DEFAULT,
-    PROB_SCALE_DEFAULT,
-    FixedPointError,
-    format_decimal,
-    parse_decimal,
-)
+from .money import FixedPointError, format_decimal, parse_decimal
 
 MODE_DETERMINISTIC = "deterministic"
 MODE_EXPECTED = "expected"
 MODES = (MODE_DETERMINISTIC, MODE_EXPECTED)
-
-MAX_STATES_DEFAULT = 1_000_000
 
 
 class SolverOptions(NamedTuple):
@@ -75,9 +67,9 @@ class SolverOptions(NamedTuple):
     allow_short: bool = False
     short_cap: int = 0
     hold_to_end: bool = False
-    max_states: int = MAX_STATES_DEFAULT
-    price_scale: int = PRICE_SCALE_DEFAULT
-    prob_scale: int = PROB_SCALE_DEFAULT
+    max_states: int = 1_000_000
+    price_scale: int = 4
+    prob_scale: int = 6
 
 
 class Scenario(NamedTuple):
@@ -149,10 +141,10 @@ def scenario_from_dict(data: object, mode: str | None = None) -> Scenario:
         raise ScenarioValidationError(
             [ValidationIssue("BadDocument", "top level must be a JSON object")]
         )
-    if mode is not None and mode not in MODES:
-        raise ScenarioValidationError(
-            [ValidationIssue("BadOption", f"mode must be one of {MODES}, got {mode!r}")]
-        )
+    if mode is not None:
+        _parse_options({"mode": mode}, issues)
+        if issues:
+            raise ScenarioValidationError(issues)
 
     options = _parse_options(data.get("options", {}), issues)
     if mode is not None:
@@ -209,70 +201,55 @@ def _require_str(mapping: dict, key: str) -> str:
     return value
 
 
-_OPTION_NAMES = frozenset(SolverOptions._fields)
+_DEFAULTS = SolverOptions()._asdict()
+_OPTION_NAMES = frozenset(_DEFAULTS)
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _lot_size(value: object, options: dict) -> Decimal | None:
+    lot = parse_decimal(value, options["price_scale"], what="lot_size")
+    return lot if lot > 0 else None
+
+
+# One rule per option, in the order its issues are reported: what the value
+# must be, and a reader given the options read so far, which returns the
+# value or None if it is not that.
+_OPTION_RULES = (
+    ("mode", f"one of {MODES}", lambda v, _: v if v in MODES else None),
+    ("price_scale", "an integer in 0..12", lambda v, _: v if _is_int(v) and 0 <= v <= 12 else None),
+    ("prob_scale", "an integer in 0..12", lambda v, _: v if _is_int(v) and 0 <= v <= 12 else None),
+    ("lot_size", "positive", _lot_size),
+    ("allow_short", "a boolean", lambda v, _: v if isinstance(v, bool) else None),
+    ("short_cap", "a non-negative integer", lambda v, _: v if _is_int(v) and v >= 0 else None),
+    ("hold_to_end", "a boolean", lambda v, _: v if isinstance(v, bool) else None),
+    ("max_states", "a positive integer", lambda v, _: v if _is_int(v) and v >= 1 else None),
+)
 
 
 def _parse_options(raw: object, issues: list[ValidationIssue]) -> SolverOptions:
+    """The options of ``raw``: each entry left out, or found bad, is its default."""
     if not isinstance(raw, dict):
         issues.append(ValidationIssue("BadOption", "options must be an object"))
         return SolverOptions()
     for key in raw:
         if key not in _OPTION_NAMES:
             issues.append(ValidationIssue("BadOption", f"unknown option {key!r}"))
-
-    def bad(msg: str) -> None:
-        issues.append(ValidationIssue("BadOption", msg))
-
-    mode = raw.get("mode", MODE_DETERMINISTIC)
-    if mode not in MODES:
-        bad(f"mode must be one of {MODES}, got {mode!r}")
-        mode = MODE_DETERMINISTIC
-
-    price_scale = raw.get("price_scale", PRICE_SCALE_DEFAULT)
-    if not _is_int(price_scale) or not 0 <= price_scale <= 12:
-        bad(f"price_scale must be an integer in 0..12, got {price_scale!r}")
-        price_scale = PRICE_SCALE_DEFAULT
-    prob_scale = raw.get("prob_scale", PROB_SCALE_DEFAULT)
-    if not _is_int(prob_scale) or not 0 <= prob_scale <= 12:
-        bad(f"prob_scale must be an integer in 0..12, got {prob_scale!r}")
-        prob_scale = PROB_SCALE_DEFAULT
-
-    lot_size = Decimal(1)
-    raw_lot = raw.get("lot_size", "1")
-    try:
-        lot_size = parse_decimal(raw_lot, price_scale, what="lot_size")
-        if lot_size <= 0:
-            bad(f"lot_size must be positive, got {raw_lot!r}")
-            lot_size = Decimal(1)
-    except FixedPointError as exc:
-        bad(str(exc))
-
-    allow_short = raw.get("allow_short", False)
-    if not isinstance(allow_short, bool):
-        bad(f"allow_short must be a boolean, got {allow_short!r}")
-        allow_short = False
-    short_cap = raw.get("short_cap", 0)
-    if not _is_int(short_cap) or short_cap < 0:
-        bad(f"short_cap must be a non-negative integer, got {short_cap!r}")
-        short_cap = 0
-    hold_to_end = raw.get("hold_to_end", False)
-    if not isinstance(hold_to_end, bool):
-        bad(f"hold_to_end must be a boolean, got {hold_to_end!r}")
-        hold_to_end = False
-    max_states = raw.get("max_states", MAX_STATES_DEFAULT)
-    if not _is_int(max_states) or max_states < 1:
-        bad(f"max_states must be a positive integer, got {max_states!r}")
-        max_states = MAX_STATES_DEFAULT
-
-    return SolverOptions(
-        mode=mode, lot_size=lot_size, allow_short=allow_short, short_cap=short_cap,
-        hold_to_end=hold_to_end, max_states=max_states,
-        price_scale=price_scale, prob_scale=prob_scale,
-    )
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    options = _DEFAULTS.copy()
+    for name, what, read in _OPTION_RULES:
+        value = raw.get(name, options[name])
+        try:
+            accepted = read(value, options)
+        except FixedPointError as exc:
+            issues.append(ValidationIssue("BadOption", str(exc)))
+            continue
+        if accepted is None:
+            issues.append(ValidationIssue("BadOption", f"{name} must be {what}, got {value!r}"))
+        else:
+            options[name] = accepted
+    return SolverOptions._make(options.values())
 
 
 def _encodes(text: str) -> bool:

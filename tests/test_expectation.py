@@ -15,12 +15,14 @@ from rebalplan import (
     brute_force_solve,
     build_expected_market,
     effective_fee,
+    enumerate_joint_outcomes,
     expected_price,
     scenario_from_dict,
     solve_deterministic,
     trace_text,
+    validate_scenario,
 )
-from rebalplan.errors import BadNormalizationError, NonpositivePriceError
+from rebalplan.errors import BadNormalizationError, NegativeFeeError, NonpositivePriceError
 from rebalplan.replay import replay_policy, replay_terminal_wealth
 from rebalplan.scenario import MODE_EXPECTED
 
@@ -128,6 +130,38 @@ def test_the_reduction_raises_the_first_distribution_error_where_it_is():
     with pytest.raises(NonpositivePriceError) as info:
         expected_price(outcomes, 4)
     assert (info.value.security_id, info.value.time) == (None, None)
+
+
+def one_fee_distribution_scenario(fee, weight):
+    """Expected mode, built in code: one broker charges ``((fee, weight),)`` on A at every time."""
+    grid = TimeGrid((1, 2, 3))
+    sec = Security("A", 1, 2, {1: D("10.0000"), 2: D("11.0000"), 3: D("11.0000")})
+    charges = {("A", t): dist((fee, weight)) for t in (1, 2, 3)}
+    return Scenario(D("100.0000"), Market(grid, (sec,)), FeeTable((Broker("b1", charges),)),
+                    SolverOptions(mode=MODE_EXPECTED))
+
+
+@pytest.mark.parametrize("reduce", [build_expected_market, solve_deterministic,
+                                    enumerate_joint_outcomes])
+def test_a_fee_distribution_is_checked_in_the_reduction(reduce):
+    # weights summing to 0.5 were averaged to a fee of 0.0500 and solved
+    scn = one_fee_distribution_scenario("0.1000", "0.5")
+    assert "BadNormalization" in [issue.code for issue in validate_scenario(scn)]
+    with pytest.raises(BadNormalizationError) as info:
+        reduce(scn)
+    assert (info.value.actual_sum, info.value.security_id, info.value.time) == (D("0.5"), "A", 1)
+
+
+def test_a_negative_fee_outcome_is_refused_in_the_reduction():
+    with pytest.raises(NegativeFeeError) as info:
+        build_expected_market(one_fee_distribution_scenario("-0.1000", "1"))
+    assert (info.value.fee, info.value.security_id, info.value.time) == (D("-0.1000"), "A", 1)
+
+
+def test_a_fee_distribution_at_zero_is_averaged():
+    # fee outcomes need only be non-negative, where price outcomes must be positive
+    derived = build_expected_market(one_fee_distribution_scenario("0.0000", "1"))
+    assert derived.fees.brokers[0].fees[("A", 1)] == D("0.0000")
 
 
 def test_expected_fees_are_averaged_then_minimized():

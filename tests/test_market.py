@@ -9,9 +9,9 @@ from rebalplan import (
     Security,
     TimeGrid,
     effective_fee,
+    expected_price,
     is_active,
     price_at,
-    validate_distribution,
 )
 from rebalplan.errors import (
     BadNormalizationError,
@@ -96,6 +96,15 @@ def test_effective_fee_requires_some_broker():
         effective_fee(s, 1, FeeTable(()))
 
 
+def test_effective_fee_refuses_inactive_times():
+    # a broker quotes a fee at time 3, but the security matured at time 2
+    s = sec(1, 1, {1: "10.00"})
+    table = FeeTable((Broker("b0", {("A", 3): D("0.05")}),))
+    with pytest.raises(InactiveSecurityError) as info:
+        effective_fee(s, 3, table)
+    assert (info.value.security_id, info.value.time) == ("A", 3)
+
+
 def test_effective_fee_is_minimal_over_every_broker():
     s = sec(1, 2, {1: "10.00"})
     table = fee_table("0.41", "0.07", "0.23", "0.07")
@@ -108,19 +117,19 @@ def dist(*pairs):
     return DiscreteDistribution(tuple((D(v), D(w)) for v, w in pairs))
 
 
-def test_validate_distribution_accepts_exact_normalization():
-    validate_distribution(dist(("14.00", "0.5"), ("10.00", "0.5")))
-    validate_distribution(dist(("12.00", "1.0")))
+def test_expected_price_accepts_exact_normalization():
+    assert expected_price(dist(("14.00", "0.5"), ("10.00", "0.5")), 4) == D("12.0000")
+    assert expected_price(dist(("12.00", "1.0")), 4) == D("12.0000")
 
 
-def test_validate_distribution_rejects_bad_sum():
+def test_expected_price_rejects_bad_sum():
     with pytest.raises(BadNormalizationError) as info:
-        validate_distribution(dist(("14.00", "0.6"), ("10.00", "0.5")))
+        expected_price(dist(("14.00", "0.6"), ("10.00", "0.5")), 4)
     assert info.value.actual_sum == D("1.1")
 
 
-def test_validate_distribution_rejects_bad_outcomes():
+def test_expected_price_rejects_bad_outcomes():
     with pytest.raises(NonpositivePriceError):
-        validate_distribution(dist(("0.00", "1.0")))
+        expected_price(dist(("0.00", "1.0")), 4)
     with pytest.raises(NegativeWeightError):
-        validate_distribution(dist(("10.00", "-0.5"), ("12.00", "1.5")))
+        expected_price(dist(("10.00", "-0.5"), ("12.00", "1.5")), 4)

@@ -223,6 +223,34 @@ def test_unknown_options_and_bad_scales_are_rejected():
     assert "BadOption" in issue_codes(info)
 
 
+def test_every_bad_option_is_reported_in_order():
+    doc = minimal_doc(options={
+        "max_states": 0, "hold_to_end": 1, "short_cap": -1, "allow_short": "yes",
+        "lot_size": "0", "prob_scale": -1, "price_scale": 13, "mode": "random", "typo": 1,
+    })
+    with pytest.raises(ScenarioValidationError) as info:
+        scenario_from_dict(doc)
+    assert [(issue.code, issue.message) for issue in info.value.issues] == [
+        ("BadOption", "unknown option 'typo'"),
+        ("BadOption", "mode must be one of ('deterministic', 'expected'), got 'random'"),
+        ("BadOption", "price_scale must be an integer in 0..12, got 13"),
+        ("BadOption", "prob_scale must be an integer in 0..12, got -1"),
+        ("BadOption", "lot_size must be positive, got '0'"),
+        ("BadOption", "allow_short must be a boolean, got 'yes'"),
+        ("BadOption", "short_cap must be a non-negative integer, got -1"),
+        ("BadOption", "hold_to_end must be a boolean, got 1"),
+        ("BadOption", "max_states must be a positive integer, got 0"),
+    ]
+
+
+def test_a_bad_mode_argument_is_the_one_issue():
+    # raised before the document is read, so its bad capital is not reported
+    with pytest.raises(ScenarioValidationError) as info:
+        scenario_from_dict(minimal_doc(initial_capital="-1.0000"), mode="exp")
+    assert [str(issue) for issue in info.value.issues] == [
+        "BadOption: mode must be one of ('deterministic', 'expected'), got 'exp'"]
+
+
 def test_duplicate_security_ids_are_rejected():
     doc = minimal_doc()
     doc["securities"].append(dict(doc["securities"][0]))
