@@ -6,7 +6,7 @@ stochastic mode. All money and probabilities are fixed-point decimals, so
 results compare exactly.
 """
 
-from .bruteforce import brute_force_solve, enumerate_joint_outcomes
+from .bruteforce import brute_force_solve
 from .dp import (
     Policy,
     ValueTable,
@@ -15,7 +15,7 @@ from .dp import (
     solve_deterministic,
 )
 from .errors import RebalplanError
-from .expectation import build_expected_market, expected_price
+from .expectation import build_expected_market, enumerate_joint_outcomes, expected_price
 from .ledger import (
     LedgerState,
     TradeRules,

@@ -11,20 +11,18 @@ tie-break as the staged solver (fewest lots, then lexicographic sequence).
 
 from __future__ import annotations
 
-import itertools
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from typing import Iterable, Iterator
 
 from .dp import Policy, TradeEntry, trade_entries
-from .errors import InadmissibleTradeError, InstanceTooLargeError
-from .expectation import expected_fee_table, priced_instance
+from .errors import EmptyTableError, InadmissibleTradeError, InstanceTooLargeError
+from .expectation import priced_instance
 from .ledger import LedgerState, apply_rebalance, full_sale, trade_lots
-from .market import Market, Security, effective_fee, price_at
-from .money import EXACT_CONTEXT, exact_arithmetic
-from .scenario import MODE_DETERMINISTIC, Scenario
+from .market import Market, effective_fee, price_at
+from .money import exact_arithmetic
+from .scenario import Scenario
 
 POLICY_CAP = 10_000_000
-JOINT_CAP = 64
 # The walk recurses once per stage; a deeper one would exhaust the
 # interpreter's stack.
 STAGE_CAP = 500
@@ -86,7 +84,9 @@ def brute_force_solve(scenario: Scenario, *,
 
     with exact_arithmetic():
         walk(scenario.initial_state(), 0, [], 0, ())
-    assert best_key is not None  # the all-zero-trades sequence always survives
+    if best_key is None:
+        # no sequence is admissible, as from a negative capital
+        raise EmptyTableError("no trade sequence reaches the horizon end")
     return Policy(best_trades, -best_key[0]), -best_key[0]
 
 
@@ -140,55 +140,3 @@ def _stage_candidates(state: LedgerState, market: Market, fees, rules,
                 return
         deltas[i] += 1
 
-
-def enumerate_joint_outcomes(scenario: Scenario, *,
-                             cap: int = JOINT_CAP) -> list[tuple[Scenario, Decimal]]:
-    """The full joint price-outcome space under independence.
-
-    Every price distribution site expands independently; each combination
-    yields a deterministic scenario with the outcome prices as quotes and a
-    probability that is the exact product of the outcome weights. Fee
-    distributions are not expanded: they enter through their checked
-    per-broker means, matching how the expected-mode objective treats them.
-    """
-    sites: list[tuple[str, int]] = []
-    dists = []
-    for sec in scenario.market.securities:
-        for t in sorted(sec.distributions):
-            sites.append((sec.security_id, t))
-            dists.append(sec.distributions[t])
-
-    total = 1
-    for dist in dists:
-        total *= len(dist.outcomes)
-        if total > cap:
-            raise InstanceTooLargeError(total, cap)
-
-    fee_table = expected_fee_table(scenario.fees, scenario.options.price_scale)
-    outcomes: list[tuple[Scenario, Decimal]] = []
-    for combo in itertools.product(*(range(len(d.outcomes)) for d in dists)):
-        chosen = {
-            site: dists[i].outcomes[combo[i]]
-            for i, site in enumerate(sites)
-        }
-        with localcontext(EXACT_CONTEXT):
-            prob = Decimal(1)
-            for value_weight in chosen.values():
-                prob *= value_weight[1]
-        securities = []
-        for sec in scenario.market.securities:
-            quotes = dict(sec.quotes)
-            for t in sorted(sec.distributions):
-                quotes[t] = chosen[(sec.security_id, t)][0]
-            securities.append(Security(sec.security_id, sec.issue_time,
-                                       sec.maturity, quotes, {}))
-        outcomes.append((
-            Scenario(
-                initial_capital=scenario.initial_capital,
-                market=Market(scenario.market.grid, tuple(securities)),
-                fees=fee_table,
-                options=scenario.options._replace(mode=MODE_DETERMINISTIC),
-            ),
-            prob,
-        ))
-    return outcomes

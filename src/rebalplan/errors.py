@@ -83,7 +83,7 @@ class NegativeWeightError(RebalplanError):
 
 
 class NegativeFeeError(RebalplanError):
-    """A fee distribution's outcome is negative."""
+    """A fee, or a fee distribution's outcome, is negative."""
 
     def __init__(self, fee: Decimal, security: str | None = None,
                  time: int | None = None):

@@ -1,32 +1,32 @@
-"""Expected-price reduction of stochastic instances.
+"""Expected-price reduction of stochastic instances, and their joint outcomes.
 
 Wealth, redistribution and fees are all linear in prices for a fixed trade
 plan, so expectations push straight through the recurrences: optimizing the
 expected terminal wealth of an open-loop policy is the same as solving the
 deterministic problem on mean prices and mean fees. This module builds that
-derived deterministic instance; solving it is the exact solver's job.
-Adaptive policies that react to observed prices are out of scope.
+derived deterministic instance, and, for the linearity audit, one per joint
+price outcome; solving them is the exact solver's job. Adaptive policies
+that react to observed prices are out of scope.
 
-Every mean, of a price or of a fee distribution, is taken by one rule: the
-first error :func:`~rebalplan.market.distribution_errors` finds is raised,
-naming its security and time, and otherwise the exact mean is rounded
-half-even to the price scale, once.
+Both are built by one rule (``_instance``) from a price per distribution
+site and the mean fees. Every mean, of a price or of a fee distribution, is
+taken by one rule: the first error
+:func:`~rebalplan.market.distribution_errors` finds is raised, naming its
+security and time, and otherwise the exact mean is rounded half-even to the
+price scale, once.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal
+from itertools import product
 
-from .market import (
-    Broker,
-    DiscreteDistribution,
-    FeeTable,
-    Market,
-    Security,
-    distribution_errors,
-)
+from .errors import InstanceTooLargeError
+from .market import Broker, DiscreteDistribution, FeeTable, Market, Security, distribution_errors
 from .money import EXACT_CONTEXT, round_half_even
 from .scenario import MODE_DETERMINISTIC, MODE_EXPECTED, Scenario
+
+JOINT_CAP = 64
 
 
 def expected_value(dist: DiscreteDistribution) -> Decimal:
@@ -72,34 +72,63 @@ def build_expected_market(scenario: Scenario) -> Scenario:
     happens at query time, now over expected fees. A price or fee
     distribution that breaks :func:`~rebalplan.market.distribution_errors`'s
     rule (fee outcomes need only be non-negative) raises the first error
-    found, naming its security and time; the securities are read before the
-    fee table.
-
-    Only the records a distribution changes are rebuilt: a security or a
-    broker without one, and a fee table without any, is shared with
-    ``scenario``. The market is a new :class:`~rebalplan.market.Market` on
-    the same grid, its securities in the same order, with its own deal book.
+    found, naming its security and time; the securities are read in order,
+    each by time, before the fee table.
     """
-    options = scenario.options
-    scale = options.price_scale
-    market = scenario.market
-    securities = tuple(_expected_security(sec, scale) if sec.distributions else sec
-                       for sec in market.securities)
-
-    return Scenario(
-        initial_capital=scenario.initial_capital,
-        market=Market(market.grid, securities),
-        fees=expected_fee_table(scenario.fees, scale),
-        options=options._replace(mode=MODE_DETERMINISTIC),
-    )
+    scale = scenario.options.price_scale
+    means = {sec.security_id: {t: _checked_mean(sec.distributions[t], scale, sec.security_id, t)
+                               for t in sorted(sec.distributions)}
+             for sec in scenario.market.securities if sec.distributions}
+    return _instance(scenario, means, expected_fee_table(scenario.fees, scale))
 
 
-def _expected_security(sec: Security, price_scale: int) -> Security:
-    """The security with each price distribution replaced by its rounded mean."""
-    quotes = dict(sec.quotes)
-    for t, dist in sorted(sec.distributions.items()):
-        quotes[t] = _checked_mean(dist, price_scale, sec.security_id, t)
-    return Security(sec.security_id, sec.issue_time, sec.maturity, quotes, {})
+def enumerate_joint_outcomes(scenario: Scenario, *,
+                             cap: int = JOINT_CAP) -> list[tuple[Scenario, Decimal]]:
+    """The full joint price-outcome space under independence.
+
+    Every price distribution site expands independently; each combination
+    yields a deterministic scenario with the outcome prices as quotes and a
+    probability that is the exact product of the outcome weights. Fee
+    distributions are not expanded: they enter through their checked
+    per-broker means, matching how the expected-mode objective treats them.
+    Every distribution is checked as :func:`build_expected_market` checks
+    it before the number of outcomes is held to ``cap``.
+    """
+    fees = build_expected_market(scenario).fees
+    sites = [(sec.security_id, t, sec.distributions[t].outcomes)
+             for sec in scenario.market.securities for t in sorted(sec.distributions)]
+    total = 1
+    for *_, outcomes in sites:
+        total *= len(outcomes)
+        if total > cap:
+            raise InstanceTooLargeError(total, cap)
+    joint = []
+    for combo in product(*(outcomes for *_, outcomes in sites)):
+        prob = Decimal(1)
+        prices: dict[str, dict[int, Decimal]] = {}
+        for (sid, t, _), (value, weight) in zip(sites, combo):
+            prob = EXACT_CONTEXT.multiply(prob, weight)
+            prices.setdefault(sid, {})[t] = value
+        joint.append((_instance(scenario, prices, fees), prob))
+    return joint
+
+
+def _instance(scenario: Scenario, prices: dict[str, dict[int, Decimal]],
+              fees: FeeTable) -> Scenario:
+    """The deterministic scenario quoting ``prices[security][time]`` at each distribution site.
+
+    ``prices`` maps each security with a distribution to its site prices in
+    time order, which follow its quotes. A security without a distribution
+    is shared with ``scenario``. The market is a new
+    :class:`~rebalplan.market.Market` on the same grid, its securities in
+    the same order, with its own deal book.
+    """
+    securities = tuple(
+        Security(sec.security_id, sec.issue_time, sec.maturity,
+                 {**sec.quotes, **prices[sec.security_id]}, {}) if sec.distributions else sec
+        for sec in scenario.market.securities)
+    return Scenario(scenario.initial_capital, Market(scenario.market.grid, securities), fees,
+                    scenario.options._replace(mode=MODE_DETERMINISTIC))
 
 
 def expected_fee_table(fees: FeeTable, price_scale: int) -> FeeTable:

@@ -107,9 +107,11 @@ class Deals(NamedTuple):
     ``per_lot`` maps each security in circulation at ``time``, in id order,
     to the cash paid per lot bought and the cash received per lot sold (the
     latter negative where the fee exceeds the price). The entry is ``None``
-    where the security has no quote or no scalar fee at ``time``, or where a
-    per-lot amount would need rounding. ``carried`` holds the ids of the
-    securities in circulation at the next grid time, in id order.
+    where the security has no quote at ``time`` or one that is not
+    positive, no scalar fee or a cheapest one below zero, or where a per-lot
+    amount would need rounding; :func:`raise_unpriced` raises the typed
+    error for it. ``carried`` holds the ids of the securities in
+    circulation at the next grid time, in id order.
     """
 
     time: int
@@ -158,7 +160,7 @@ def _page(market: Market, fees: FeeTable, lot: Decimal, index: int) -> Deals:
         price = sec.quotes.get(t)
         fee = lowest_fee(fees, sid, t)
         deal = None
-        if price is not None and fee is not None:
+        if price is not None and price > 0 and fee is not None and fee >= 0:
             try:
                 deal = (multiply(add(price, fee), lot), multiply(subtract(price, fee), lot))
             except Inexact:

@@ -9,8 +9,9 @@ circulation), which a :class:`Market` holds for it, is the one cache of
 prices and fees, and the solver reads them only through that book; nothing
 else here is indexed beyond the securities by id. :func:`price_at` and
 :func:`effective_fee` stay the checked lookups that raise the typed error
-for a missing entry, and :func:`lowest_fee` is the one cheapest-broker
-choice, made for the book and for :func:`effective_fee` alike.
+for a missing entry or one out of range, and :func:`lowest_fee` is the one
+cheapest-broker choice, made for the book and for :func:`effective_fee`
+alike.
 
 :func:`distribution_errors` is the one rule for price and fee
 distributions. It lists every error, which the loader reports as issues;
@@ -194,23 +195,34 @@ def price_at(security: Security, t: int) -> Decimal:
     """Quoted price of an active security; never a stand-in for inactive ones.
 
     Callers valuing a portfolio must treat securities outside their window as
-    worth zero instead of asking for a price.
+    worth zero instead of asking for a price. Raises, in this order, for a
+    security out of circulation, a missing quote and a quote that is not
+    positive (possible only in a scenario built in code, as a loaded one is
+    validated).
     """
     if not is_active(security, t):
         raise InactiveSecurityError(security.security_id, t)
     quote = security.quotes.get(t)
     if quote is None:
         raise QuoteMissingError(security.security_id, t)
+    if quote <= 0:
+        raise NonpositivePriceError(quote, security.security_id, t)
     return quote
 
 
 def effective_fee(security: Security, t: int, fees: FeeTable) -> Decimal:
-    """Cheapest per-unit fee across brokers for trading the security at ``t``."""
+    """Cheapest per-unit fee across brokers for trading the security at ``t``.
+
+    Raises, in this order, for a security out of circulation, no scalar fee
+    from any broker and a cheapest fee below zero.
+    """
     if not is_active(security, t):
         raise InactiveSecurityError(security.security_id, t)
     fee = lowest_fee(fees, security.security_id, t)
     if fee is None:
         raise FeeMissingError(security.security_id, t)
+    if fee < 0:
+        raise NegativeFeeError(fee, security.security_id, t)
     return fee
 
 

@@ -15,12 +15,20 @@ from rebalplan import (
     SolverOptions,
     TimeGrid,
     brute_force_solve,
+    build_expected_market,
     enumerate_joint_outcomes,
     replay_terminal_wealth,
     scenario_from_dict,
     solve_deterministic,
+    validate_scenario,
 )
-from rebalplan.errors import InstanceTooLargeError
+from rebalplan.errors import (
+    EmptyTableError,
+    InstanceTooLargeError,
+    NegativeFeeError,
+    NonpositivePriceError,
+)
+from rebalplan.scenario import MODE_DETERMINISTIC
 
 from scenariogen import (
     degenerate_twin,
@@ -65,6 +73,32 @@ def test_oracle_beats_any_hand_written_policy():
         lazy = Policy(tuple((t, {}) for t in scn.market.grid.points[:-1]),
                       scn.initial_capital)
         assert value >= replay_terminal_wealth(scn, lazy)
+
+
+@pytest.mark.parametrize("solve", [solve_deterministic, brute_force_solve])
+@pytest.mark.parametrize("quote,fee,error,bad", [
+    ("1", "-1", NegativeFeeError, "fee"),
+    ("1", "-2", NegativeFeeError, "fee"),
+    ("-1", "0.5", NonpositivePriceError, "price"),
+    ("0", "0.5", NonpositivePriceError, "price"),
+])
+def test_a_quote_or_fee_out_of_range_raises_its_typed_error(solve, quote, fee, error, bad):
+    # built in code, so never validated; every time charges the fee
+    scn = simple_scenario(capital="10", quotes={1: quote, 2: "11.5000", 3: "12.0000"}, fee=fee)
+    assert validate_scenario(scn)
+    with pytest.raises(error) as info:
+        solve(scn)
+    value = D(quote if bad == "price" else fee)
+    assert (getattr(info.value, bad), info.value.security_id, info.value.time) == (value, "A", 1)
+
+
+def test_the_oracle_raises_a_typed_error_when_no_sequence_survives():
+    # a negative capital built in code: not even the all-zero trades are admissible
+    scn = simple_scenario(capital="-5")
+    with pytest.raises(EmptyTableError):
+        solve_deterministic(scn)
+    with pytest.raises(EmptyTableError):
+        brute_force_solve(scn)
 
 
 def test_oracle_work_cap():
@@ -168,6 +202,11 @@ def test_joint_outcomes_form_the_product_measure():
         scn = random_audit_scenario(rng)
         outcomes = enumerate_joint_outcomes(scn)
         assert sum(p for _, p in outcomes) == 1
+        mean_fees = build_expected_market(scn).fees
+        for outcome, _ in outcomes:
+            assert outcome.options.mode == MODE_DETERMINISTIC
+            assert validate_scenario(outcome) == []
+            assert outcome.fees == mean_fees
         if len(outcomes) > 1:
             seen_multi += 1
         assert len(outcomes) <= 64

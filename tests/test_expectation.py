@@ -152,6 +152,23 @@ def test_a_fee_distribution_is_checked_in_the_reduction(reduce):
     assert (info.value.actual_sum, info.value.security_id, info.value.time) == (D("0.5"), "A", 1)
 
 
+@pytest.mark.parametrize("reduce", [build_expected_market, solve_deterministic,
+                                    brute_force_solve, enumerate_joint_outcomes,
+                                    pytest.param(lambda scn: enumerate_joint_outcomes(scn, cap=0),
+                                                 id="enumerate_joint_outcomes_cap_0")])
+def test_a_price_distribution_is_checked_before_any_outcome_is_built(reduce):
+    # A's price at time 2 is 12.0000 with weight 0.5 alone; the cap comes after the check
+    grid = TimeGrid((1, 2, 3))
+    sec = Security("A", 1, 2, {1: D("10.0000"), 3: D("11.0000")}, {2: dist(("12.0000", "0.5"))})
+    fees = FeeTable((Broker("b1", {("A", t): D("0.0000") for t in (1, 2, 3)}),))
+    scn = Scenario(D("100.0000"), Market(grid, (sec,)), fees, SolverOptions(mode=MODE_EXPECTED))
+    assert "BadNormalization" in [issue.code for issue in validate_scenario(scn)]
+    with pytest.raises(BadNormalizationError) as info:
+        reduce(scn)
+    assert (info.value.actual_sum, info.value.security_id, info.value.time) == (D("0.5"), "A", 2)
+    assert str(info.value) == "distribution weights sum to 0.5, not 1 at (A, t=2)"
+
+
 def test_a_negative_fee_outcome_is_refused_in_the_reduction():
     with pytest.raises(NegativeFeeError) as info:
         build_expected_market(one_fee_distribution_scenario("-0.1000", "1"))
