@@ -38,7 +38,8 @@ def brute_force_solve(scenario: Scenario, *,
     :data:`STAGE_CAP` stages raises :class:`InstanceTooLargeError` before
     the walk starts. The walk raises :class:`InexactArithmeticError` where
     a cash amount would need rounding; the expected-mode reduction rounds
-    means before it.
+    means before it. Where no trade sequence is admissible, it raises
+    :class:`EmptyTableError`, as the staged solver does.
     """
     scenario = priced_instance(scenario)
     market = scenario.market
@@ -85,7 +86,6 @@ def brute_force_solve(scenario: Scenario, *,
     with exact_arithmetic():
         walk(scenario.initial_state(), 0, [], 0, ())
     if best_key is None:
-        # no sequence is admissible, as from a negative capital
         raise EmptyTableError("no trade sequence reaches the horizon end")
     return Policy(best_trades, -best_key[0]), -best_key[0]
 

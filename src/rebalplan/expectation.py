@@ -76,9 +76,13 @@ def build_expected_market(scenario: Scenario) -> Scenario:
     each by time, before the fee table.
     """
     scale = scenario.options.price_scale
-    means = {sec.security_id: {t: _checked_mean(sec.distributions[t], scale, sec.security_id, t)
-                               for t in sorted(sec.distributions)}
-             for sec in scenario.market.securities if sec.distributions}
+    means: dict[str, dict[int, Decimal]] = {}
+    for sec in scenario.market.securities:
+        if sec.distributions:
+            sid = sec.security_id
+            means[sid] = site = {}
+            for t, dist in sorted(sec.distributions.items()):
+                site[t] = _checked_mean(dist, scale, sid, t)
     return _instance(scenario, means, expected_fee_table(scenario.fees, scale))
 
 
@@ -123,12 +127,14 @@ def _instance(scenario: Scenario, prices: dict[str, dict[int, Decimal]],
     :class:`~rebalplan.market.Market` on the same grid, its securities in
     the same order, with its own deal book.
     """
-    securities = tuple(
-        Security(sec.security_id, sec.issue_time, sec.maturity,
-                 {**sec.quotes, **prices[sec.security_id]}, {}) if sec.distributions else sec
-        for sec in scenario.market.securities)
-    return Scenario(scenario.initial_capital, Market(scenario.market.grid, securities), fees,
-                    scenario.options._replace(mode=MODE_DETERMINISTIC))
+    securities = []
+    for sec in scenario.market.securities:
+        if sec.distributions:
+            sec = Security(sec.security_id, sec.issue_time, sec.maturity,
+                           {**sec.quotes, **prices[sec.security_id]}, {})
+        securities.append(sec)
+    return Scenario(scenario.initial_capital, Market(scenario.market.grid, tuple(securities)),
+                    fees, scenario.options._replace(mode=MODE_DETERMINISTIC))
 
 
 def expected_fee_table(fees: FeeTable, price_scale: int) -> FeeTable:
