@@ -138,7 +138,7 @@ def _instance(scenario: Scenario, prices: dict[str, dict[int, Decimal]],
 
 
 def expected_fee_table(fees: FeeTable, price_scale: int) -> FeeTable:
-    """Fee table with every per-broker fee distribution at its checked, rounded mean."""
+    """The table at checked, rounded mean fees; a broker or table with no distribution is shared."""
     brokers = []
     changed = False
     for broker in fees.brokers:
