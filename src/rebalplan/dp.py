@@ -12,7 +12,7 @@ function over a cash grid.
 
 A node's trade vectors are streamed, one at a time, by an iterative walk
 over the securities in id order that reads its per-lot amounts from the
-ledger's deal book. Each vector is replayed through the ledger step as it
+market's deal book. Each vector is replayed through the ledger step as it
 comes, and the layer's node cap is checked as each successor is kept, so
 the cap bounds the memory of a layer even inside one node's expansion, and
 the number of securities is not limited by the interpreter's recursion
@@ -46,12 +46,10 @@ from .ledger import (
     LedgerState,
     TradeRules,
     apply_rebalance,
-    deals_at,
     full_sale,
-    raise_unpriced,
     trade_lots,
 )
-from .market import FeeTable, Market, TimeGrid
+from .market import FeeTable, Market, TimeGrid, deals_at, lot_terms
 from .money import exact_arithmetic
 from .scenario import Scenario
 
@@ -104,7 +102,7 @@ def enumerate_controls(state: LedgerState, market: Market, fees: FeeTable,
     any vector whose aggregate cash stays non-negative. Selling one security
     to fund buying another in the same step is admissible, and enumerated.
 
-    The per-lot amounts come from the ledger's deal book, and a missing
+    The per-lot amounts come from the market's deal book, and a missing
     quote or fee raises its typed error here, before the first vector. The
     vectors are then made one at a time, in lexicographic order of their
     deltas, by an iterative walk: memory stays linear in the number of
@@ -116,7 +114,7 @@ def enumerate_controls(state: LedgerState, market: Market, fees: FeeTable,
     terms = []
     for sid, deal in page.per_lot.items():
         if deal is None:
-            raise_unpriced(market, fees, sid, page.time)
+            deal = lot_terms(market.security(sid), page.time, fees, rules.lot_size)
         # cash out per lot bought, cash in per lot sold (may be negative),
         # lots sellable down to the floor
         terms.append((sid, deal[0], deal[1], held.get(sid, 0) - floor))

@@ -1,4 +1,4 @@
-"""Investor state, the per-stage deal book and the per-step accounting.
+"""Investor state and the per-step accounting.
 
 A ledger state is (time index, holdings, cash). A trade maps security ids to
 integer lot deltas; applying it at time t costs the quoted price per unit
@@ -9,18 +9,9 @@ operation returns a new state. Holdings are canonical: in security id order
 and without zero positions, so two states with the same positions compare
 and key alike.
 
-The deal book is the one place that prices a lot. For each decision time
-(grid index) it holds the time, ``(price + fee) * lot`` and
-``(price - fee) * lot`` for every security in circulation there, and the
-securities still in circulation at the next time. It is built lazily, one
-page per grid index, in one pass over the securities that finds both
-times' circulation, read straight from the securities' quotes and the
-brokers' fees, always in :data:`~rebalplan.money.LEDGER_CONTEXT`, so no
-caller's decimal context can leave a rounded value in it. A trade step
-then costs one multiplication per lot delta, and the solver's enumerator
-reads the same page.
-
-The step is one pass over the trade and one over the securities carried to
+The per-lot amounts come from the market's deal book
+(:func:`~rebalplan.market.deals_at`), the one place that prices a lot. The
+step is one pass over the trade and one over the securities carried to
 the next time: the first prices each delta and notes the position it moves
 to, the second reads those positions (or the unmoved ones) in id order, so
 the successor's holdings come out canonical, and the state is built from
@@ -31,13 +22,12 @@ way, its empty holdings being canonical already.
 
 from __future__ import annotations
 
-from decimal import Decimal, Inexact
+from decimal import Decimal
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, NoReturn
+from typing import Mapping, NamedTuple
 
-from .errors import InadmissibleTradeError, InexactArithmeticError, ShortCapExceededError
-from .market import FeeTable, Market, effective_fee, is_active, lowest_fee, price_at
-from .money import LEDGER_CONTEXT
+from .errors import InadmissibleTradeError, ShortCapExceededError
+from .market import FeeTable, Market, deals_at, is_active, lot_terms, price_at
 
 # A trade vector: security id -> lot delta (holdings after minus holdings
 # before). Canonical form carries no zero entries.
@@ -101,83 +91,6 @@ def opening_state(cash: Decimal) -> LedgerState:
     return _new_state(LedgerState, (0, _NO_HOLDINGS, cash))
 
 
-class Deals(NamedTuple):
-    """One page of the deal book: the terms of trading at one grid index.
-
-    ``per_lot`` maps each security in circulation at ``time``, in id order,
-    to the cash paid per lot bought and the cash received per lot sold (the
-    latter negative where the fee exceeds the price). The entry is ``None``
-    where the security has no quote at ``time`` or one that is not
-    positive, no scalar fee or a cheapest one below zero, or where a per-lot
-    amount would need rounding; :func:`raise_unpriced` raises the typed
-    error for it. ``carried`` holds the ids of the securities in
-    circulation at the next grid time, in id order.
-    """
-
-    time: int
-    per_lot: dict[str, tuple[Decimal, Decimal] | None]
-    carried: tuple[str, ...]
-
-
-def deals_at(market: Market, fees: FeeTable, lot: Decimal, index: int) -> Deals:
-    """The deal book's page for trading at grid index ``index``.
-
-    The market holds one book, for the fee table and lot objects it was last
-    asked for, and builds each page on its first use. A page set is reused
-    only for those same two objects: every caller passes its scenario's
-    ``options.lot_size`` itself, and a lot of 1 and one of 1.0 would give
-    amounts of different exponents. There is no page for the horizon end,
-    where no trading happens.
-    """
-    book_fees, book_lot, pages = market._deal_book
-    if book_fees is not fees or book_lot is not lot:
-        pages = [None] * (len(market.grid.points) - 1)
-        # holding the fee table keeps its id from being reused
-        market._deal_book = (fees, lot, pages)
-    if index >= len(pages):
-        raise ValueError("cannot trade at the horizon end")
-    page = pages[index]
-    if page is None:
-        page = pages[index] = _page(market, fees, lot, index)
-    return page
-
-
-def _page(market: Market, fees: FeeTable, lot: Decimal, index: int) -> Deals:
-    """One pass over the securities: this time's terms and the next time's ids."""
-    points = market.grid.points
-    t = points[index]
-    following = points[index + 1]
-    per_lot: dict[str, tuple[Decimal, Decimal] | None] = {}
-    carried = []
-    add, subtract, multiply = LEDGER_CONTEXT.add, LEDGER_CONTEXT.subtract, LEDGER_CONTEXT.multiply
-    for sid, sec in market._by_id.items():
-        issued = sec.issue_time
-        end = issued + sec.maturity
-        if issued <= following <= end:
-            carried.append(sid)
-        if not issued <= t <= end:
-            continue
-        price = sec.quotes.get(t)
-        fee = lowest_fee(fees, sid, t)
-        deal = None
-        if price is not None and price > 0 and fee is not None and fee >= 0:
-            try:
-                deal = (multiply(add(price, fee), lot), multiply(subtract(price, fee), lot))
-            except Inexact:
-                pass  # trading it raises InexactArithmeticError
-        per_lot[sid] = deal
-    return Deals(t, per_lot, tuple(carried))
-
-
-def raise_unpriced(market: Market, fees: FeeTable, sid: str, t: int) -> NoReturn:
-    """Raise the typed error for a security a page holds no terms for."""
-    sec = market.security(sid)
-    price_at(sec, t)
-    effective_fee(sec, t, fees)
-    # quoted and charged at t: its per-lot amount would have to round
-    raise InexactArithmeticError(LEDGER_CONTEXT.prec)
-
-
 def trade_lots(trade: TradeVector) -> int:
     """Total lots moved by the trade, buys and sells both counted."""
     return sum(map(abs, trade.values()))
@@ -227,7 +140,7 @@ def apply_rebalance(state: LedgerState, trade: TradeVector, market: Market,
             continue
         deal = per_lot.get(sid)
         if deal is None:
-            raise_unpriced(market, fees, sid, page.time)
+            deal = lot_terms(market.security(sid), page.time, fees, rules.lot_size)
         cash -= deal[0 if delta > 0 else 1] * delta
         qty = moved[sid] = held.get(sid, 0) + delta
         if qty < floor:

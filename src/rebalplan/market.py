@@ -1,17 +1,19 @@
 """Static market description: securities, quotes, fees, discrete distributions.
 
-Everything here is immutable after construction. Prices are per unit of a
-security; a security is tradable exactly on the closed window
-[issue_time, issue_time + maturity] and is worthless outside it.
+Everything here is immutable after construction, but for the deal book a
+:class:`Market` caches. Prices are per unit of a security; a security is
+tradable exactly on the closed window [issue_time, issue_time + maturity]
+and is worthless outside it.
 
-The ledger's per-stage deal book (per-lot amounts and next-time
-circulation), which a :class:`Market` holds for it, is the one cache of
-prices and fees, and the solver reads them only through that book; nothing
-else here is indexed beyond the securities by id. :func:`price_at` and
-:func:`effective_fee` stay the checked lookups that raise the typed error
-for a missing entry or one out of range, and :func:`lowest_fee` is the one
-cheapest-broker choice, made for the book and for :func:`effective_fee`
-alike.
+:func:`lot_terms` is the one rule for what a lot costs to buy and brings
+when sold, from the checked lookups :func:`price_at` and
+:func:`effective_fee`, which raise the typed error for a missing entry or
+one out of range. The deal book caches it: one page per grid index, built
+on first use in one pass over the securities, holds the terms of every
+security in circulation at that time and the ids still in circulation at
+the next. A trade step then costs one multiplication per lot delta, and
+the solver's enumerator reads the same page. Nothing else here is indexed
+beyond the securities by id.
 
 :func:`distribution_errors` is the one rule for price and fee
 distributions. It lists every error, which the loader reports as issues;
@@ -20,7 +22,7 @@ the expected-mode reduction raises the first (``expectation``).
 
 from __future__ import annotations
 
-from decimal import Decimal
+from decimal import Decimal, Inexact
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -28,13 +30,14 @@ from .errors import (
     BadNormalizationError,
     FeeMissingError,
     InactiveSecurityError,
+    InexactArithmeticError,
     NegativeFeeError,
     NegativeWeightError,
     NonpositivePriceError,
     QuoteMissingError,
     RebalplanError,
 )
-from .money import EXACT_CONTEXT
+from .money import EXACT_CONTEXT, LEDGER_CONTEXT
 
 
 class _TimeGridFields(NamedTuple):
@@ -147,9 +150,9 @@ class Market:
     """A time grid plus securities, indexed for lookup.
 
     ``grid`` and ``securities`` are read-only, and two markets are equal
-    when their grids and securities are. The id index and the ledger's deal
-    book (fee table, lot, pages; see ``ledger.deals_at``) are derived
-    from them and take no part in equality or the ``repr``. A market is not
+    when their grids and securities are. The id index and the deal book
+    (fee table, lot, pages; see :func:`deals_at`) are derived from them
+    and take no part in equality or the ``repr``. A market is not
     hashable, as its securities hold dicts. Every market, the expected-mode
     reduction's too, is built by the constructor.
     """
@@ -213,31 +216,98 @@ def price_at(security: Security, t: int) -> Decimal:
 def effective_fee(security: Security, t: int, fees: FeeTable) -> Decimal:
     """Cheapest per-unit fee across brokers for trading the security at ``t``.
 
-    Raises, in this order, for a security out of circulation, no scalar fee
-    from any broker and a cheapest fee below zero.
+    The first minimal scalar fee in broker order: fee distributions are
+    skipped, as every solve, replay and trace prices an expected-mode
+    scenario on its mean instance. Raises, in this order, for a security
+    out of circulation, no scalar fee from any broker and a cheapest fee
+    below zero.
     """
     if not is_active(security, t):
         raise InactiveSecurityError(security.security_id, t)
-    fee = lowest_fee(fees, security.security_id, t)
-    if fee is None:
-        raise FeeMissingError(security.security_id, t)
-    if fee < 0:
-        raise NegativeFeeError(fee, security.security_id, t)
-    return fee
-
-
-def lowest_fee(fees: FeeTable, security_id: str, t: int) -> Decimal | None:
-    """The first minimal scalar fee in broker order, or ``None`` if there is none.
-
-    Fee distributions are skipped: every solve, replay and trace prices an
-    expected-mode scenario on its mean instance, where they are scalar fees.
-    """
     best = None
     for broker in fees.brokers:
-        fee = broker.fees.get((security_id, t))
+        fee = broker.fees.get((security.security_id, t))
         if isinstance(fee, Decimal) and (best is None or fee < best):
             best = fee
+    if best is None:
+        raise FeeMissingError(security.security_id, t)
+    if best < 0:
+        raise NegativeFeeError(best, security.security_id, t)
     return best
+
+
+def lot_terms(security: Security, t: int, fees: FeeTable,
+              lot: Decimal) -> tuple[Decimal, Decimal]:
+    """Cash paid per lot bought and received per lot sold at ``t``, exactly.
+
+    ``((price + fee) * lot, (price - fee) * lot)`` in
+    :data:`~rebalplan.money.LEDGER_CONTEXT`, whatever the caller's context.
+    Raises :func:`price_at`'s errors, then :func:`effective_fee`'s, then
+    :class:`InexactArithmeticError` where an amount would need rounding.
+    """
+    price = price_at(security, t)
+    fee = effective_fee(security, t, fees)
+    ctx = LEDGER_CONTEXT
+    try:
+        return ctx.multiply(ctx.add(price, fee), lot), ctx.multiply(ctx.subtract(price, fee), lot)
+    except Inexact:
+        raise InexactArithmeticError(ctx.prec) from None
+
+
+class Deals(NamedTuple):
+    """One page of the deal book: the terms of trading at one grid index.
+
+    ``per_lot`` maps each security in circulation at ``time``, in id order,
+    to its :func:`lot_terms`, or to ``None`` where that raises; a caller
+    that meets ``None`` calls :func:`lot_terms` again for the typed error.
+    ``carried`` holds the ids of the securities in circulation at the next
+    grid time, in id order.
+    """
+
+    time: int
+    per_lot: dict[str, tuple[Decimal, Decimal] | None]
+    carried: tuple[str, ...]
+
+
+def deals_at(market: Market, fees: FeeTable, lot: Decimal, index: int) -> Deals:
+    """The deal book's page for trading at grid index ``index``.
+
+    The market holds one book, for the fee table and lot objects it was last
+    asked for, and builds each page on its first use. A page set is reused
+    only for those same two objects: every caller passes its scenario's
+    ``options.lot_size`` itself, and a lot of 1 and one of 1.0 would give
+    amounts of different exponents. There is no page for the horizon end,
+    where no trading happens.
+    """
+    book_fees, book_lot, pages = market._deal_book
+    if book_fees is not fees or book_lot is not lot:
+        pages = [None] * (len(market.grid.points) - 1)
+        # holding the fee table keeps its id from being reused
+        market._deal_book = (fees, lot, pages)
+    if index >= len(pages):
+        raise ValueError("cannot trade at the horizon end")
+    page = pages[index]
+    if page is None:
+        page = pages[index] = _page(market, fees, lot, index)
+    return page
+
+
+def _page(market: Market, fees: FeeTable, lot: Decimal, index: int) -> Deals:
+    """One pass over the securities: this time's terms and the next time's ids."""
+    points = market.grid.points
+    t = points[index]
+    following = points[index + 1]
+    per_lot: dict[str, tuple[Decimal, Decimal] | None] = {}
+    carried = []
+    for sid, sec in market._by_id.items():
+        if is_active(sec, following):
+            carried.append(sid)
+        if is_active(sec, t):
+            try:
+                per_lot[sid] = lot_terms(sec, t, fees, lot)
+            except RebalplanError:
+                per_lot[sid] = None  # trading it raises the same error
+    return Deals(t, per_lot, tuple(carried))
 
 
 def distribution_errors(dist: DiscreteDistribution, security: str | None = None,

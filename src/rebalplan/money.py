@@ -96,7 +96,8 @@ def parse_decimal(text: str | int | Decimal, scale: int, *, what: str = "value")
 class exact_arithmetic:
     """Context manager running its block in :data:`LEDGER_CONTEXT`.
 
-    A result that would be rounded raises :class:`InexactArithmeticError`.
+    A result that would be rounded, or an integer quotient with more digits
+    than the context holds, raises :class:`InexactArithmeticError`.
     """
 
     def __enter__(self):
@@ -105,9 +106,20 @@ class exact_arithmetic:
 
     def __exit__(self, kind, exc, tb):
         self._local.__exit__(kind, exc, tb)
-        if kind is not None and issubclass(kind, decimal.Inexact):
+        if kind is not None and (issubclass(kind, (decimal.Inexact, decimal.DivisionImpossible))
+                                 or _lists_division_impossible(exc)):
             raise InexactArithmeticError(LEDGER_CONTEXT.prec) from exc
         return False
+
+
+def _lists_division_impossible(exc: BaseException) -> bool:
+    """True iff ``exc`` is the C module's ``InvalidOperation`` for a ``DivisionImpossible``.
+
+    That module lists the conditions in the first argument. A module that
+    raises the condition's own class is matched by its type instead.
+    """
+    conditions = exc.args[0] if isinstance(exc, decimal.InvalidOperation) and exc.args else ()
+    return isinstance(conditions, list) and decimal.DivisionImpossible in conditions
 
 
 def format_decimal(value: Decimal, scale: int) -> str:

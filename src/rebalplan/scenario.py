@@ -53,6 +53,7 @@ from .market import (
     Security,
     TimeGrid,
     distribution_errors,
+    is_active,
 )
 from .money import FixedPointError, format_decimal, parse_decimal
 
@@ -418,8 +419,7 @@ def validate_scenario(scenario: Scenario) -> list[ValidationIssue]:
     windows = []
     for sec in scenario.market.securities:
         sid = sec.security_id
-        start, end = sec.issue_time, sec.window_end
-        active = [t for t in grid.points if start <= t <= end]
+        active = [t for t in grid.points if is_active(sec, t)]
         windows.append((sid, active))
         if sec.issue_time not in on_grid:
             issues.append(ValidationIssue(

@@ -85,6 +85,25 @@ def twenty_nine_digit_doc(late_quote: str = "5000000000000001") -> dict:
     }
 
 
+def many_lots_doc() -> dict:
+    """A valid document whose count of affordable lots needs more than 28 digits.
+
+    Capital 9999999999999999.999999999999 buys about 10**40 lots of
+    10**-12 units quoted 10**-12 each, so dividing the cash by a lot's cost,
+    as the solver and the oracle do, gives a quotient no 28-digit context
+    can hold.
+    """
+    tiny = "0.000000000001"
+    return {
+        "initial_capital": "9999999999999999.999999999999",
+        "times": [1, 2, 3],
+        "securities": [{"id": "A", "issue_time": 1, "maturity": 2,
+                        "quotes": {"1": tiny, "2": tiny, "3": tiny}}],
+        "brokers": [{"id": "b1", "fees": {"A": {"1": "0", "2": "0", "3": "0"}}}],
+        "options": {"price_scale": 12, "lot_size": tiny},
+    }
+
+
 def fee_distribution_doc(mode: str) -> dict:
     """Broker ``b2`` charges a one-point fee distribution of 0.10 on ``A``.
 
@@ -209,13 +228,15 @@ def random_scenario(rng: random.Random, *, allow_short: bool | None = None,
 
 
 def degenerate_twin(scenario: Scenario) -> Scenario:
-    """The same instance with every quote wrapped as a one-point distribution."""
+    """The same instance in expected mode, every quote wrapped as a one-point distribution.
+
+    The distributions a security already has are kept.
+    """
     securities = []
     for sec in scenario.market.securities:
-        dists = {
-            t: DiscreteDistribution(((q, D(1)),))
-            for t, q in sec.quotes.items()
-        }
+        dists = dict(sec.distributions)
+        for t, q in sec.quotes.items():
+            dists[t] = DiscreteDistribution(((q, D(1)),))
         securities.append(Security(sec.security_id, sec.issue_time, sec.maturity,
                                    {}, dists))
     return Scenario(

@@ -14,20 +14,28 @@ from rebalplan import (
     Security,
     SolverOptions,
     TimeGrid,
+    apply_rebalance,
     brute_force_solve,
     build_expected_market,
+    enumerate_controls,
     enumerate_joint_outcomes,
     replay_terminal_wealth,
     scenario_from_dict,
     solve_deterministic,
+    trace_text,
     validate_scenario,
 )
 from rebalplan.errors import (
     EmptyTableError,
+    FeeMissingError,
+    InexactArithmeticError,
     InstanceTooLargeError,
     NegativeFeeError,
     NonpositivePriceError,
+    QuoteMissingError,
 )
+from rebalplan.market import lot_terms
+from rebalplan.replay import replay_policy
 from rebalplan.scenario import MODE_DETERMINISTIC
 
 from scenariogen import (
@@ -75,21 +83,56 @@ def test_oracle_beats_any_hand_written_policy():
         assert value >= replay_terminal_wealth(scn, lazy)
 
 
-@pytest.mark.parametrize("solve", [solve_deterministic, brute_force_solve])
+BUY_A_AT_1 = Policy(((1, {"A": 1}), (2, {"A": -1})), D(0))
+
+
+def apply_rebalance_at_open(scn):
+    return apply_rebalance(scn.initial_state(), {"A": 1}, scn.market, scn.fees, scn.trade_rules())
+
+
+def enumerate_controls_at_open(scn):
+    return enumerate_controls(scn.initial_state(), scn.market, scn.fees, scn.trade_rules())
+
+
+def replay_buying_a(scn):
+    return replay_policy(scn, BUY_A_AT_1)
+
+
+def trace_buying_a(scn):
+    return trace_text(scn, BUY_A_AT_1)
+
+
+@pytest.mark.parametrize("call", [solve_deterministic, brute_force_solve, apply_rebalance_at_open,
+                                  enumerate_controls_at_open, replay_buying_a, trace_buying_a])
 @pytest.mark.parametrize("quote,fee,error,bad", [
     ("1", "-1", NegativeFeeError, "fee"),
     ("1", "-2", NegativeFeeError, "fee"),
     ("-1", "0.5", NonpositivePriceError, "price"),
     ("0", "0.5", NonpositivePriceError, "price"),
+    (None, "0.5", QuoteMissingError, "price"),
+    ("1", None, FeeMissingError, "fee"),
+    # as test_dp's fractional-lot document: (price + fee) * 1.5 needs 29 digits
+    ("999999999999999.999999999999", "0", InexactArithmeticError, "lot"),
 ])
-def test_a_quote_or_fee_out_of_range_raises_its_typed_error(solve, quote, fee, error, bad):
-    # built in code, so never validated; every time charges the fee
-    scn = simple_scenario(capital="10", quotes={1: quote, 2: "11.5000", 3: "12.0000"}, fee=fee)
-    assert validate_scenario(scn)
+def test_a_quote_or_fee_out_of_range_raises_its_typed_error(call, quote, fee, error, bad):
+    # built in code, so never validated; every time charges the fee, and None
+    # leaves the quote or the fee at time 1 out
+    quotes = {t: q for t, q in {1: quote, 2: "11.5000", 3: "12.0000"}.items() if q is not None}
+    options = {"lot_size": D("1.5")} if bad == "lot" else {}
+    scn = simple_scenario(capital="10", quotes=quotes, fee=fee or "0.5", **options)
+    if fee is None:
+        del scn.fees.brokers[0].fees[("A", 1)]
+    assert bool(validate_scenario(scn)) is (bad != "lot")
+    with pytest.raises(error) as direct:
+        lot_terms(scn.market.security("A"), 1, scn.fees, scn.options.lot_size)
     with pytest.raises(error) as info:
-        solve(scn)
-    value = D(quote if bad == "price" else fee)
-    assert (getattr(info.value, bad), info.value.security_id, info.value.time) == (value, "A", 1)
+        call(scn)
+    assert str(info.value) == str(direct.value)
+    if bad == "lot":
+        return
+    assert (info.value.security_id, info.value.time) == ("A", 1)
+    if quote is not None and fee is not None:
+        assert getattr(info.value, bad) == D(quote if bad == "price" else fee)
 
 
 def test_the_oracle_raises_a_typed_error_when_no_sequence_survives():

@@ -42,6 +42,7 @@ from scenariogen import (
     fee_050_scenario,
     fee_100_scenario,
     flat_doc,
+    many_lots_doc,
     random_scenario,
     simple_scenario,
     twenty_nine_digit_doc,
@@ -379,6 +380,15 @@ def test_a_result_that_would_round_raises():
         solve_deterministic(scn, prune=False)
     with pytest.raises(InexactArithmeticError):
         replay_policy(scn, round_trip)
+    with pytest.raises(InexactArithmeticError):
+        brute_force_solve(scn)
+
+
+def test_a_lot_count_too_long_to_hold_raises():
+    # valid, but about 10**40 lots are affordable: cash // cost cannot be held
+    scn = scenario_from_dict(many_lots_doc())
+    with pytest.raises(InexactArithmeticError):
+        solve_deterministic(scn)
     with pytest.raises(InexactArithmeticError):
         brute_force_solve(scn)
 

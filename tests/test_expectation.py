@@ -26,7 +26,7 @@ from rebalplan.errors import BadNormalizationError, NegativeFeeError, Nonpositiv
 from rebalplan.replay import replay_policy, replay_terminal_wealth
 from rebalplan.scenario import MODE_EXPECTED
 
-from scenariogen import degenerate_twin, fee_distribution_doc, random_scenario
+from scenariogen import degenerate_twin, fee_distribution_doc, random_audit_scenario, random_scenario
 
 D = Decimal
 
@@ -212,6 +212,14 @@ def test_solve_stochastic_reduces_to_deterministic_on_degenerate_inputs():
         sto_value = sto_policy.terminal_wealth
         assert sto_value == det_policy.terminal_wealth
         assert sto_policy.trades == det_policy.trades
+
+
+def test_the_degenerate_twin_of_a_stochastic_scenario_is_the_same_instance():
+    # the twin keeps the distributions it is given and wraps only the quotes
+    rng = random.Random(11)
+    for _ in range(60):
+        scn = random_audit_scenario(rng)
+        assert build_expected_market(degenerate_twin(scn)) == build_expected_market(scn)
 
 
 def test_the_solver_reduces_an_expected_scenario_as_the_oracle_does():

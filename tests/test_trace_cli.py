@@ -22,7 +22,13 @@ from rebalplan import (
 )
 from rebalplan.trace import TRACE_HEADER
 
-from scenariogen import fee_050_scenario, flat_doc, random_scenario, twenty_nine_digit_doc
+from scenariogen import (
+    fee_050_scenario,
+    flat_doc,
+    many_lots_doc,
+    random_scenario,
+    twenty_nine_digit_doc,
+)
 
 D = Decimal
 
@@ -238,6 +244,17 @@ def test_cli_validate_rejects_capital_too_long_to_hold(tmp_path, capsys):
 def test_cli_reports_a_result_that_would_round(command, tmp_path, capsys):
     path = tmp_path / "long.json"
     path.write_text(json.dumps(twenty_nine_digit_doc()), encoding="utf-8")
+    assert cli.main([command, "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "more than 28 significant digits" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_cli_reports_a_lot_count_too_long_to_hold(command, tmp_path, capsys):
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(many_lots_doc()), encoding="utf-8")
+    assert cli.main(["validate", "--scenario", str(path)]) == 0
     assert cli.main([command, "--scenario", str(path)]) == 2
     err = capsys.readouterr().err
     assert "more than 28 significant digits" in err
