@@ -19,7 +19,7 @@ from .errors import EmptyTableError, InadmissibleTradeError, InstanceTooLargeErr
 from .expectation import priced_instance
 from .ledger import LedgerState, apply_rebalance, full_sale, trade_lots
 from .market import Market, effective_fee, price_at
-from .money import exact_arithmetic
+from .money import exact_arithmetic, whole_lots
 from .scenario import Scenario
 
 POLICY_CAP = 10_000_000
@@ -121,7 +121,7 @@ def _stage_candidates(state: LedgerState, market: Market, fees, rules,
     ranges = []
     for i, sec in enumerate(secs):
         budget = state.cash + gross_total - gross[i]
-        hi = int(budget // unit_cost[i])
+        hi = whole_lots(budget, unit_cost[i])
         ranges.append(range(-sellable[i], hi + 1))
     if not all(ranges):
         return

@@ -50,7 +50,7 @@ from .ledger import (
     trade_lots,
 )
 from .market import FeeTable, Market, TimeGrid, deals_at, lot_terms
-from .money import exact_arithmetic
+from .money import exact_arithmetic, whole_lots
 from .scenario import Scenario
 
 # One flattened trade: (grid time, security id, lot delta).
@@ -138,10 +138,10 @@ def _deltas(term: tuple[str, Decimal, Decimal, int], headroom: Decimal) -> range
     """
     _, buy_cost, sell_net, sell_bound = term
     if headroom >= 0:
-        # Decimal // truncates; operands are non-negative here, so it floors.
-        hi = int(headroom // buy_cost)
+        # the quotient truncates; operands are non-negative here, so it floors
+        hi = whole_lots(headroom, buy_cost)
         if sell_net < 0:
-            lo = -min(sell_bound, int(headroom // -sell_net))
+            lo = -min(sell_bound, whole_lots(headroom, -sell_net))
         else:
             lo = -sell_bound
         return range(lo, hi + 1)
@@ -149,7 +149,7 @@ def _deltas(term: tuple[str, Decimal, Decimal, int], headroom: Decimal) -> range
     # this one; only net-positive sales can do that.
     if sell_net <= 0:
         return range(0)
-    lots_needed = int(-headroom // sell_net)
+    lots_needed = whole_lots(-headroom, sell_net)
     if lots_needed * sell_net < -headroom:
         lots_needed += 1
     return range(-sell_bound, -lots_needed + 1)

@@ -18,6 +18,11 @@ the successor's holdings come out canonical, and the state is built from
 them in one tuple construction, without the cleaning the
 :class:`LedgerState` constructor does. The opening state is built the same
 way, its empty holdings being canonical already.
+
+Every state that holds nothing, the opening state, a successor that sold
+or forfeited every position and a constructed one alike, shares the one
+read-only empty mapping :data:`_NO_HOLDINGS`, so a search that keeps many
+such states builds no map for them.
 """
 
 from __future__ import annotations
@@ -50,6 +55,10 @@ class TradeRules(NamedTuple):
 DEFAULT_RULES = TradeRules()
 
 
+# the holdings of every state that holds nothing
+_NO_HOLDINGS = MappingProxyType({})
+
+
 class _LedgerStateFields(NamedTuple):
     time_index: int
     holdings: Mapping[str, int]
@@ -60,9 +69,10 @@ class LedgerState(_LedgerStateFields):
     """Position on the grid, holdings carried into that time, and cash.
 
     The holdings are stored canonical: id order, zero positions dropped, in
-    a read-only mapping. The constructor cleans the holdings it is given;
-    the ledger builds the states it makes with :data:`_new_state`, which
-    takes holdings that are canonical already.
+    a read-only mapping, :data:`_NO_HOLDINGS` where nothing is held. The
+    constructor cleans the holdings it is given; the ledger builds the
+    states it makes with :data:`_new_state`, which takes holdings that are
+    canonical already.
     """
 
     __slots__ = ()
@@ -70,7 +80,8 @@ class LedgerState(_LedgerStateFields):
     def __new__(cls, time_index: int, holdings: Mapping[str, int],
                 cash: Decimal) -> "LedgerState":
         clean = {sid: holdings[sid] for sid in sorted(holdings) if holdings[sid] != 0}
-        return tuple.__new__(cls, (time_index, MappingProxyType(clean), cash))
+        held = MappingProxyType(clean) if clean else _NO_HOLDINGS
+        return tuple.__new__(cls, (time_index, held, cash))
 
     def holdings_key(self) -> tuple[tuple[str, int], ...]:
         """Canonical hashable form of the holdings map."""
@@ -79,7 +90,6 @@ class LedgerState(_LedgerStateFields):
 
 # a state from its (time index, canonical holdings, cash) as they are
 _new_state = tuple.__new__
-_NO_HOLDINGS = MappingProxyType({})
 
 
 def opening_state(cash: Decimal) -> LedgerState:
@@ -125,7 +135,8 @@ def apply_rebalance(state: LedgerState, trade: TradeVector, market: Market,
     forfeited (dropped at zero value), keeping states canonical.
 
     The successor's holdings come out of the carried-position pass
-    canonical, so it is built as they are, not cleaned again.
+    canonical, so it is built as they are, not cleaned again, and one that
+    holds nothing shares :data:`_NO_HOLDINGS`.
     """
     index = state.time_index
     page = deals_at(market, fees, rules.lot_size, index)
@@ -155,7 +166,8 @@ def apply_rebalance(state: LedgerState, trade: TradeVector, market: Market,
             qty = held.get(sid, 0)
         if qty:
             carried[sid] = qty
-    return _new_state(LedgerState, (index + 1, MappingProxyType(carried), cash))
+    holdings = MappingProxyType(carried) if carried else _NO_HOLDINGS
+    return _new_state(LedgerState, (index + 1, holdings, cash))
 
 
 def full_sale(state: LedgerState, market: Market, t: int) -> dict[str, int]:

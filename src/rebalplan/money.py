@@ -20,6 +20,17 @@ the calling code has set:
 
 The contexts are passed to each operation, so no ``localcontext`` is
 entered per value.
+
+A process that loads many scenarios reads the same few amounts again and
+again, so :func:`parse_decimal` keeps the ``Decimal`` it made for each
+``(text, scale)`` and hands that one object out for every later read of the
+same text at the same scale. A ``Decimal`` is immutable, so sharing it
+changes no answer. The table only grows: it stops at
+:data:`AMOUNT_TABLE_CAP` entries and takes texts of at most
+:data:`AMOUNT_TEXT_CAP` characters, and an error is never kept.
+
+:func:`whole_lots` is the one integer quotient of cash by a per-lot amount,
+for the solver's enumerator and the oracle's candidate bound.
 """
 
 from __future__ import annotations
@@ -53,6 +64,17 @@ _PADDING_CONTEXT = decimal.Context(
 # quantum(scale) for every scale a scenario may declare (0..12)
 _QUANTA = tuple(Decimal((0, (1,), -scale)) for scale in range(13))
 
+# parse_decimal's table, (text, scale) -> the Decimal parsed from it, for a
+# plain str of at most AMOUNT_TEXT_CAP characters at a scenario scale. An
+# entry costs at most about 0.5 KB: its key tuple (56 bytes), the text it
+# keeps alive (236 bytes at 40 four-byte characters), the Decimal (104
+# bytes) and its slots in the dict. So the full table holds at most about
+# 2 MB; a pass over 2,000 benchmark scenarios reads about 2,400 distinct
+# amounts.
+AMOUNT_TABLE_CAP = 4096
+AMOUNT_TEXT_CAP = 40
+_AMOUNTS: dict[tuple[str, int], Decimal] = {}
+
 
 class FixedPointError(ValueError):
     """A value cannot be represented exactly at the requested scale."""
@@ -69,8 +91,15 @@ def parse_decimal(text: str | int | Decimal, scale: int, *, what: str = "value")
     """Parse a decimal string, rejecting anything not exact at ``scale``.
 
     Accepts int and Decimal inputs as a convenience for in-code scenario
-    construction; floats are deliberately not accepted.
+    construction; floats are deliberately not accepted. A string read
+    before at the same scale returns the object parsed then (see
+    :data:`AMOUNT_TABLE_CAP`).
     """
+    shared = type(text) is str and len(text) <= AMOUNT_TEXT_CAP and 0 <= scale < len(_QUANTA)
+    if shared:
+        value = _AMOUNTS.get((text, scale))
+        if value is not None:
+            return value
     if isinstance(text, float):
         raise FixedPointError(f"{what} must be a string, not a float: {text!r}")
     try:
@@ -79,9 +108,8 @@ def parse_decimal(text: str | int | Decimal, scale: int, *, what: str = "value")
         raise FixedPointError(f"{what} is not a decimal number: {text!r}") from exc
     if not raw.is_finite():
         raise FixedPointError(f"{what} must be finite: {text!r}")
-    step = _QUANTA[scale] if 0 <= scale < len(_QUANTA) else quantum(scale)
     try:
-        return raw.quantize(step, None, LEDGER_CONTEXT)
+        value = raw.quantize(quantum(scale), None, LEDGER_CONTEXT)
     except decimal.Inexact as exc:
         raise FixedPointError(
             f"{what} {text!r} has more than {scale} fractional digits"
@@ -91,13 +119,32 @@ def parse_decimal(text: str | int | Decimal, scale: int, *, what: str = "value")
             f"{what} {text!r} needs more than {LEDGER_CONTEXT.prec} "
             f"significant digits at scale {scale}"
         ) from exc
+    if shared and len(_AMOUNTS) < AMOUNT_TABLE_CAP:
+        _AMOUNTS[text, scale] = value
+    return value
+
+
+def whole_lots(cash: Decimal, per_lot: Decimal) -> int:
+    """How many whole ``per_lot`` amounts fit in ``cash``, truncated toward zero.
+
+    Divided in :data:`LEDGER_CONTEXT`, whatever the caller's context. A
+    quotient with more digits than that context holds raises
+    :class:`InexactArithmeticError`: the C ``decimal`` module reports it as
+    an ``InvalidOperation`` listing ``DivisionImpossible``, the pure-Python
+    one as a plain ``InvalidOperation``, and both are taken alike. The
+    callers divide by a positive amount, so no other invalid operation
+    reaches here.
+    """
+    try:
+        return int(LEDGER_CONTEXT.divide_int(cash, per_lot))
+    except decimal.InvalidOperation as exc:
+        raise InexactArithmeticError(LEDGER_CONTEXT.prec) from exc
 
 
 class exact_arithmetic:
     """Context manager running its block in :data:`LEDGER_CONTEXT`.
 
-    A result that would be rounded, or an integer quotient with more digits
-    than the context holds, raises :class:`InexactArithmeticError`.
+    A result that would be rounded raises :class:`InexactArithmeticError`.
     """
 
     def __enter__(self):
@@ -106,20 +153,9 @@ class exact_arithmetic:
 
     def __exit__(self, kind, exc, tb):
         self._local.__exit__(kind, exc, tb)
-        if kind is not None and (issubclass(kind, (decimal.Inexact, decimal.DivisionImpossible))
-                                 or _lists_division_impossible(exc)):
+        if kind is not None and issubclass(kind, decimal.Inexact):
             raise InexactArithmeticError(LEDGER_CONTEXT.prec) from exc
         return False
-
-
-def _lists_division_impossible(exc: BaseException) -> bool:
-    """True iff ``exc`` is the C module's ``InvalidOperation`` for a ``DivisionImpossible``.
-
-    That module lists the conditions in the first argument. A module that
-    raises the condition's own class is matched by its type instead.
-    """
-    conditions = exc.args[0] if isinstance(exc, decimal.InvalidOperation) and exc.args else ()
-    return isinstance(conditions, list) and decimal.DivisionImpossible in conditions
 
 
 def format_decimal(value: Decimal, scale: int) -> str:

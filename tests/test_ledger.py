@@ -25,7 +25,7 @@ from rebalplan.errors import (
     QuoteMissingError,
     ShortCapExceededError,
 )
-from rebalplan.ledger import full_sale
+from rebalplan.ledger import full_sale, opening_state
 
 D = Decimal
 
@@ -54,6 +54,17 @@ def test_holdings_are_kept_in_id_order_without_zeros():
     assert list(state.holdings.items()) == [("A", 2), ("B", 1)]
     assert state.holdings_key() == (("A", 2), ("B", 1))
     assert state == LedgerState(0, {"A": 2, "B": 1}, D("1.00"))
+
+
+def test_a_state_that_holds_nothing_shares_the_opening_mapping():
+    opening = opening_state(D("100.00"))
+    bought = apply_rebalance(opening, {"A": 2}, MARKET, FEES)
+    sold = apply_rebalance(bought, {"A": -2}, MARKET, FEES)
+    forfeited = apply_rebalance(opening, {"M": 1}, MARKET, FEES)  # M matures after t=1
+    built = LedgerState(1, {"A": 0}, D("1.00"))
+    for state in (sold, forfeited, built):
+        assert state.holdings == {} and state.holdings is opening.holdings
+    assert bought.holdings is not opening.holdings
 
 
 def test_wealth_marks_holdings_to_market():

@@ -21,6 +21,7 @@ from rebalplan.errors import (
     NonpositivePriceError,
     QuoteMissingError,
 )
+from rebalplan.market import Market, deals_at
 
 D = Decimal
 
@@ -36,6 +37,19 @@ def test_time_grid_rejects_disorder():
         TimeGrid((3, 2))
     with pytest.raises(ValueError):
         TimeGrid(())
+
+
+def test_a_market_refuses_a_repeated_security_id():
+    with pytest.raises(ValueError, match="duplicate security id 'A'"):
+        Market(TimeGrid((1, 2)), (sec(1, 1), sec(1, 1)))
+
+
+def test_the_deal_book_has_no_page_at_the_horizon_end():
+    market = Market(TimeGrid((1, 2)), (sec(1, 1, {1: "10", 2: "10"}),))
+    fees = FeeTable((Broker("b1", {("A", 1): D(0), ("A", 2): D(0)}),))
+    assert deals_at(market, fees, D(1), 0).per_lot == {"A": (D(10), D(10))}
+    with pytest.raises(ValueError, match="horizon end"):
+        deals_at(market, fees, D(1), 1)
 
 
 def test_replace_rebuilds_the_one_field_records():

@@ -4,13 +4,16 @@ from pathlib import Path
 
 import pytest
 
+import rebalplan.money as money
 from rebalplan import build_expected_market, scenario_from_dict
+from rebalplan.errors import InexactArithmeticError
 from rebalplan.money import (
     EXACT_CONTEXT,
     FixedPointError,
     format_decimal,
     parse_decimal,
     round_half_even,
+    whole_lots,
 )
 
 DOCS = Path(__file__).resolve().parent.parent / "docs" / "examples"
@@ -60,7 +63,12 @@ def test_round_half_even_at_the_midpoint():
 
 
 def _conversions():
-    """What each conversion makes of a fixed set of inputs, errors included."""
+    """What each conversion makes of a fixed set of inputs, errors included.
+
+    The amount table is emptied first, so every amount is parsed in this
+    pass, not read from a parse made in another context.
+    """
+    money._AMOUNTS.clear()
     out = []
     for text, scale in [("123456.7890", 4), ("10.5", 4), ("10.00001", 4),
                         ("1234567890123456789012345.6789", 4),
@@ -86,3 +94,55 @@ def test_no_conversion_reads_the_callers_context(context):
     expected = _conversions()
     with localcontext(context):
         assert _conversions() == expected
+
+
+@pytest.fixture
+def no_amounts():
+    """An empty amount table, so no test reads what another one parsed."""
+    money._AMOUNTS.clear()
+
+
+def test_the_same_amount_text_parses_to_one_object(no_amounts):
+    first = parse_decimal("10.5000", 4)
+    again = parse_decimal("".join(["10.5", "000"]), 4)  # equal text, another str
+    assert again is first
+
+
+def test_the_same_text_at_another_scale_gets_its_own_object(no_amounts):
+    at_4 = parse_decimal("10.5", 4)
+    at_6 = parse_decimal("10.5", 6)
+    assert at_6 is not at_4
+    assert repr(at_4) == "Decimal('10.5000')" and repr(at_6) == "Decimal('10.500000')"
+    assert (at_4.as_tuple().exponent, at_6.as_tuple().exponent) == (-4, -6)
+
+
+def test_a_full_amount_table_still_parses_and_stays_at_its_cap(no_amounts, monkeypatch):
+    monkeypatch.setattr(money, "AMOUNT_TABLE_CAP", 3)
+    texts = [f"{n}.25" for n in range(5)]
+    assert [repr(parse_decimal(text, 2)) for text in texts] == \
+        [f"Decimal('{text}')" for text in texts]
+    assert len(money._AMOUNTS) == 3
+    assert parse_decimal("4.25", 2) == Decimal("4.25")
+    assert len(money._AMOUNTS) == 3
+
+
+def test_only_short_strings_that_parse_are_kept(no_amounts):
+    for text, scale in [("10.00001", 4), ("ten", 4)]:
+        for _ in range(2):
+            with pytest.raises(FixedPointError):
+                parse_decimal(text, scale)
+    parse_decimal(3, 4)
+    parse_decimal(Decimal("3"), 4)
+    parse_decimal(" " * money.AMOUNT_TEXT_CAP + "3", 4)
+    parse_decimal("3", 13)
+    assert money._AMOUNTS == {}
+
+
+def test_whole_lots_divides_in_the_ledger_context():
+    assert whole_lots(Decimal("10.0000"), Decimal("3.0000")) == 3
+    # at six digits the caller's context could not hold this quotient
+    with localcontext(Context(prec=6)):
+        assert whole_lots(Decimal("10000000"), Decimal("0.5")) == 20000000
+    with pytest.raises(InexactArithmeticError):
+        # a lot costing 10**-24: about 10**40 lots, more digits than 28
+        whole_lots(Decimal("9999999999999999.999999999999"), Decimal("1E-24"))

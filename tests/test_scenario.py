@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rebalplan.cli as cli
+import rebalplan.money as money
+import rebalplan.scenario as scenario_module
 from rebalplan import (
     Scenario,
     dump_scenario,
@@ -129,6 +131,8 @@ def test_weights_sum_exactly_whatever_the_callers_context():
         "2": [["20.0000", "0.5000001"], ["10.0000", "0.5000000"]]
     }
     doc["options"].update(mode="expected", prob_scale=7)
+    # emptied, so the weights are parsed here, not read from an earlier parse
+    money._AMOUNTS.clear()
     with localcontext(Context(prec=6)):
         with pytest.raises(ScenarioValidationError) as info:
             scenario_from_dict(doc)
@@ -277,12 +281,14 @@ def test_monetary_strings_must_fit_the_scale():
 
 
 @pytest.mark.parametrize("key", ["02", " 2", "2 ", "+2", "1_0", "\u0662"])
-@pytest.mark.parametrize("where", ["quotes", "fees"])
+@pytest.mark.parametrize("where", ["quotes", "fees", "distributions"])
 def test_a_time_key_must_be_an_integer_in_canonical_form(key, where):
     # int() reads each of these keys, and "02" would overwrite the entry at "2"
     doc = json.loads((DOCS / "buy_then_liquidate.json").read_text(encoding="utf-8"))
     if where == "quotes":
         doc["securities"][0]["quotes"][key] = "99.0000"
+    elif where == "distributions":
+        doc["securities"][0]["distributions"] = {key: [["99.0000", "1.000000"]]}
     else:
         doc["brokers"][0]["fees"]["A"][key] = "0.0000"
     with pytest.raises(ScenarioValidationError) as info:
@@ -291,6 +297,36 @@ def test_a_time_key_must_be_an_integer_in_canonical_form(key, where):
     assert [(i.code, i.security, i.time, i.broker) for i in info.value.issues] == [
         ("UnknownTime", "A", None, broker)]
     assert repr(key) in info.value.issues[0].message
+
+
+def test_two_loads_share_their_amounts_ids_and_fee_sites():
+    # ids longer than one character, which the interpreter shares anyway
+    doc = minimal_doc()
+    doc["securities"][0]["id"] = "ACME"
+    doc["brokers"][0] = {"id": "alpha", "fees": {"ACME": doc["brokers"][0]["fees"]["A"]}}
+    text = json.dumps(doc)
+    money._AMOUNTS.clear()
+    one, two = (scenario_from_dict(json.loads(text)) for _ in range(2))
+    sec_one, sec_two = one.market.securities[0], two.market.securities[0]
+    assert all(sec_two.quotes[t] is sec_one.quotes[t] for t in sec_one.quotes)
+    assert sec_two.security_id is sec_one.security_id
+    broker_one, broker_two = one.fees.brokers[0], two.fees.brokers[0]
+    assert broker_two.broker_id is broker_one.broker_id
+    sites = list(zip(broker_one.fees, broker_two.fees))
+    assert len(sites) == 3 and all(a is b for a, b in sites)
+    assert all(site[0] is sec_one.security_id for site in broker_one.fees)
+    assert dump_scenario(two) == dump_scenario(one)
+
+
+def test_a_full_fee_site_table_still_loads_and_stays_at_its_cap(monkeypatch):
+    monkeypatch.setattr(scenario_module, "_FEE_SITES", {})
+    monkeypatch.setattr(scenario_module, "FEE_SITE_CAP", 2)
+    text = json.dumps(minimal_doc())
+    one, two = (scenario_from_dict(json.loads(text)) for _ in range(2))
+    assert len(scenario_module._FEE_SITES) == 2
+    assert two == one and dump_scenario(two) == dump_scenario(one)
+    kept = [a is b for a, b in zip(one.fees.brokers[0].fees, two.fees.brokers[0].fees)]
+    assert kept == [True, True, False]
 
 
 def _edit(doc, path, value):

@@ -173,6 +173,15 @@ def test_cli_rejects_a_node_cap_below_one_as_a_usage_error(command, cap, capsys)
     assert "--max-states" in err and "over the cap" not in err
 
 
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_cli_rejects_a_node_cap_that_is_no_integer(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--scenario", str(DOCS / "buy_then_liquidate.json"),
+                  "--max-states", "abc"])
+    assert exc.value.code == 2
+    assert "--max-states: invalid int value: 'abc'" in capsys.readouterr().err
+
+
 def test_cli_oracle_takes_no_output_path(tmp_path, capsys):
     # the oracle writes no trace, so a trace destination is a usage error
     out = tmp_path / "trace.csv"
@@ -259,6 +268,32 @@ def test_cli_reports_a_lot_count_too_long_to_hold(command, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "more than 28 significant digits" in err
     assert "Traceback" not in err
+
+
+# the CLI with the C decimal module blocked, so decimal is the pure-Python
+# _pydecimal, which reports a quotient too long to hold otherwise
+_WITHOUT_C_DECIMAL = """
+import sys
+sys.modules["_decimal"] = None
+import rebalplan.cli as cli
+if "_pydecimal" not in sys.modules:
+    sys.exit("the C decimal module was not blocked")
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_cli_reports_a_lot_count_too_long_to_hold_in_pure_python_decimal(command, tmp_path):
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(many_lots_doc()), encoding="utf-8")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_C_DECIMAL, command, "--scenario", str(path)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stdout + done.stderr
+    assert "more than 28 significant digits" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("command", ["solve", "oracle"])
