@@ -11,6 +11,7 @@ exceeded, 4 I/O failure, 5 oracle mismatch.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -35,11 +36,22 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command and map its outcome to the exit code.
 
     This is the one place a package error becomes an exit code: budget
-    errors exit 3, every other :class:`RebalplanError` exits 2.
+    errors exit 3, every other :class:`RebalplanError` exits 2. Standard
+    output closed by its reader, as ``| head`` leaves it, exits 4.
     """
     args = _build_parser().parse_args(argv)
     try:
-        return _run(args)
+        status = _run(args)
+        sys.stdout.flush()  # so a closed reader is met here, not at exit
+        return status
+    except BrokenPipeError as exc:
+        # the interpreter flushes stdout once more as it exits: let that go
+        # to devnull, so it raises nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_IO
     except RebalplanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, (StateBudgetExceededError, InstanceTooLargeError)):

@@ -22,8 +22,10 @@ the expected-mode reduction raises the first (``expectation``).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from decimal import Decimal, Inexact
 from operator import attrgetter
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import (
@@ -90,54 +92,39 @@ class DiscreteDistribution(NamedTuple):
     outcomes: tuple[tuple[Decimal, Decimal], ...]
 
 
-class _SecurityFields(NamedTuple):
-    security_id: str
-    issue_time: int
-    maturity: int
-    quotes: dict[int, Decimal]
-    distributions: dict[int, DiscreteDistribution]
+# The map a Security or Broker holds where none is given: one read-only
+# mapping shared by all, so none can gain an entry another then sees
+_NO_ENTRIES: Mapping = MappingProxyType({})
 
 
-class Security(_SecurityFields):
+class Security(NamedTuple):
     """One instrument type with its circulation window and price series.
 
     ``quotes`` and ``distributions`` are keyed by grid time; at most one of
-    the two may carry an entry for a given time. Each left out is a new
-    empty dict.
+    the two may carry an entry for a given time. Each left out is
+    :data:`_NO_ENTRIES`.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, security_id: str, issue_time: int, maturity: int,
-                quotes: dict[int, Decimal] | None = None,
-                distributions: dict[int, DiscreteDistribution] | None = None) -> "Security":
-        return tuple.__new__(cls, (security_id, issue_time, maturity,
-                                   {} if quotes is None else quotes,
-                                   {} if distributions is None else distributions))
+    security_id: str
+    issue_time: int
+    maturity: int
+    quotes: Mapping[int, Decimal] = _NO_ENTRIES
+    distributions: Mapping[int, DiscreteDistribution] = _NO_ENTRIES
 
     @property
     def window_end(self) -> int:
         return self.issue_time + self.maturity
 
 
-class _BrokerFields(NamedTuple):
-    broker_id: str
-    fees: dict[tuple[str, int], Decimal | DiscreteDistribution]
-
-
-class Broker(_BrokerFields):
+class Broker(NamedTuple):
     """Per-unit fees one brokerage charges, keyed by (security id, time).
 
     A fee entry is either a plain decimal or a :class:`DiscreteDistribution`
-    of fees (expected mode only). ``fees`` left out is a new empty dict.
+    of fees (expected mode only). ``fees`` left out is :data:`_NO_ENTRIES`.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, broker_id: str,
-                fees: dict[tuple[str, int], Decimal | DiscreteDistribution] | None = None
-                ) -> "Broker":
-        return tuple.__new__(cls, (broker_id, {} if fees is None else fees))
+    broker_id: str
+    fees: Mapping[tuple[str, int], Decimal | DiscreteDistribution] = _NO_ENTRIES
 
 
 class FeeTable(NamedTuple):

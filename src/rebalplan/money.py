@@ -36,6 +36,7 @@ for the solver's enumerator and the oracle's candidate bound.
 from __future__ import annotations
 
 import decimal
+import re
 from decimal import Decimal
 
 from .errors import InexactArithmeticError
@@ -75,6 +76,10 @@ AMOUNT_TABLE_CAP = 4096
 AMOUNT_TEXT_CAP = 40
 _AMOUNTS: dict[tuple[str, int], Decimal] = {}
 
+# A document amount, so that none of the Decimal constructor's other spellings
+# ("1e1", "+1", "1_0", " 1", "١", "NaN", "1.", ".5") loads as if written plainly
+_AMOUNT_GRAMMAR = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
+
 
 class FixedPointError(ValueError):
     """A value cannot be represented exactly at the requested scale."""
@@ -87,27 +92,27 @@ def quantum(scale: int) -> Decimal:
     return Decimal((0, (1,), -scale))
 
 
-def parse_decimal(text: str | int | Decimal, scale: int, *, what: str = "value") -> Decimal:
-    """Parse a decimal string, rejecting anything not exact at ``scale``.
+def parse_decimal(text: str | Decimal, scale: int, *, what: str = "value") -> Decimal:
+    """Parse a document amount, rejecting anything not exact at ``scale``.
 
-    Accepts int and Decimal inputs as a convenience for in-code scenario
-    construction; floats are deliberately not accepted. A string read
-    before at the same scale returns the object parsed then (see
-    :data:`AMOUNT_TABLE_CAP`).
+    The one rule for an amount: a string of an optional ``-``, ASCII digits
+    and an optional ``.`` and digits, or a finite ``Decimal`` given in code.
+    A string read before at the same scale returns the object parsed then
+    (see :data:`AMOUNT_TABLE_CAP`).
     """
     shared = type(text) is str and len(text) <= AMOUNT_TEXT_CAP and 0 <= scale < len(_QUANTA)
     if shared:
         value = _AMOUNTS.get((text, scale))
         if value is not None:
             return value
-    if isinstance(text, float):
-        raise FixedPointError(f"{what} must be a string, not a float: {text!r}")
-    try:
-        raw = Decimal(str(text), LEDGER_CONTEXT)
-    except decimal.InvalidOperation as exc:
-        raise FixedPointError(f"{what} is not a decimal number: {text!r}") from exc
-    if not raw.is_finite():
-        raise FixedPointError(f"{what} must be finite: {text!r}")
+    if isinstance(text, Decimal) and text.is_finite():
+        raw = text
+    elif not isinstance(text, str):
+        raise FixedPointError(f"{what} must be a decimal string, got {text!r}")
+    elif _AMOUNT_GRAMMAR.fullmatch(text) is None:
+        raise FixedPointError(f"{what} is not a decimal number: {text!r}")
+    else:
+        raw = Decimal(text, LEDGER_CONTEXT)
     try:
         value = raw.quantize(quantum(scale), None, LEDGER_CONTEXT)
     except decimal.Inexact as exc:

@@ -1,8 +1,9 @@
 """Problem instances: the scenario file format, loading, and validation.
 
-A scenario is UTF-8 JSON. All monetary and probability values are decimal
-strings (for example ``"10.5000"``) so files survive editing and diffing
-without picking up binary-float noise. Field layout:
+A scenario is UTF-8 JSON. Every amount and probability is a decimal string
+so files survive editing and diffing without picking up binary-float noise:
+an optional ``-``, ASCII digits and an optional ``.`` with more digits, as in
+``"10.5000"``, and nothing else (:func:`~rebalplan.money.parse_decimal`). Field layout:
 
     {
       "initial_capital": "100.0000",
@@ -44,6 +45,7 @@ from __future__ import annotations
 import json
 import sys
 from decimal import Decimal
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -164,9 +166,8 @@ def scenario_from_dict(data: object, mode: str | None = None) -> Scenario:
 
     capital = Decimal(0)
     try:
-        capital = parse_decimal(_require_str(data, "initial_capital"), price_scale,
-                                what="initial_capital")
-    except (FixedPointError, _FieldError) as exc:
+        capital = parse_decimal(data.get("initial_capital"), price_scale, what="initial_capital")
+    except FixedPointError as exc:
         issues.append(ValidationIssue("BadCapital", str(exc)))
 
     grid = None
@@ -202,13 +203,6 @@ def scenario_from_dict(data: object, mode: str | None = None) -> Scenario:
 
 class _FieldError(RebalplanError):
     pass
-
-
-def _require_str(mapping: dict, key: str) -> str:
-    value = mapping.get(key)
-    if not isinstance(value, str):
-        raise _FieldError(f"{key} must be a decimal string, got {value!r}")
-    return value
 
 
 _DEFAULTS = SolverOptions()._asdict()
@@ -343,6 +337,9 @@ def _entries(raw: object, plural: str, kind: str, code: str,
 def _parse_securities(raw: object, price_scale: int, prob_scale: int,
                       issues: list[ValidationIssue]) -> list[Security]:
     securities: list[Security] = []
+    quote = partial(parse_decimal, scale=price_scale, what="quote")
+    dist = partial(_parse_distribution, price_scale=price_scale, prob_scale=prob_scale,
+                   where="distribution")
     for sid, entry in _entries(raw, "securities", "security", "BadSecurity", issues).items():
         issue_time = entry.get("issue_time")
         maturity = entry.get("maturity")
@@ -358,47 +355,44 @@ def _parse_securities(raw: object, price_scale: int, prob_scale: int,
                 "BadSecurity", "quotes and distributions must be objects keyed by time",
                 security=sid))
             continue
-        quotes: dict[int, Decimal] = {}
-        for key, value in quote_map.items():
-            t = _parse_time_key(key, sid, issues)
-            if t is None:
-                continue
-            try:
-                quotes[t] = parse_decimal(value, price_scale, what="quote")
-            except FixedPointError as exc:
-                issues.append(ValidationIssue("BadValue", str(exc), security=sid, time=t))
-        dists: dict[int, DiscreteDistribution] = {}
-        for key, value in dist_map.items():
-            t = _parse_time_key(key, sid, issues)
-            if t is None:
-                continue
-            try:
-                dists[t] = _parse_distribution(value, price_scale, prob_scale, "distribution")
-            except (FixedPointError, _FieldError) as exc:
-                issues.append(ValidationIssue("BadValue", str(exc), security=sid, time=t))
+        quotes = _by_time(quote_map, quote, issues, sid)
+        dists = _by_time(dist_map, dist, issues, sid)
         securities.append(Security(sid, issue_time, maturity, quotes, dists))
     return securities
 
 
-def _parse_time_key(key: object, sid: str, issues: list[ValidationIssue],
-                    bid: str | None = None) -> int | None:
-    # JSON object keys are strings; only int's own spelling names a time, so
-    # "02" or " 2" cannot load as, and overwrite, the entry at "2"
-    try:
-        t = int(key)
-    except (TypeError, ValueError):
-        t = None
-    if t is None or str(t) != key:
-        issues.append(ValidationIssue(
-            "UnknownTime", f"time key {key!r} is not an integer in canonical form",
-            security=sid, broker=bid))
-        return None
-    return t
+def _by_time(raw: dict, read, issues: list[ValidationIssue], sid: str,
+             bid: str | None = None) -> dict[int, object]:
+    """``raw``'s values read by ``read`` and keyed by time, less each one that is an issue."""
+    by_time = {}
+    for key, value in raw.items():
+        # JSON object keys are strings; only int's own spelling names a time,
+        # so "02" or " 2" cannot load as, and overwrite, the entry at "2"
+        try:
+            t = int(key)
+        except (TypeError, ValueError):
+            t = None
+        if t is None or str(t) != key:
+            issues.append(ValidationIssue(
+                "UnknownTime", f"time key {key!r} is not an integer in canonical form",
+                security=sid, broker=bid))
+            continue
+        try:
+            by_time[t] = read(value)
+        except (FixedPointError, _FieldError) as exc:
+            issues.append(ValidationIssue("BadValue", str(exc), security=sid, time=t, broker=bid))
+    return by_time
 
 
 def _parse_brokers(raw: object, price_scale: int, prob_scale: int,
                    issues: list[ValidationIssue]) -> list[Broker]:
     brokers: list[Broker] = []
+
+    def fee(value: object) -> Decimal | DiscreteDistribution:
+        if isinstance(value, list):
+            return _parse_distribution(value, price_scale, prob_scale, "fee distribution")
+        return parse_decimal(value, price_scale, what="fee")
+
     for bid, entry in _entries(raw, "brokers", "broker", "BadBroker", issues).items():
         fees: dict[tuple[str, int], Decimal | DiscreteDistribution] = {}
         fee_map = entry.get("fees") or {}
@@ -411,19 +405,8 @@ def _parse_brokers(raw: object, price_scale: int, prob_scale: int,
                 issues.append(ValidationIssue("BadBroker", f"fees for {sid!r} must be an object",
                                               broker=bid, security=sid))
                 continue
-            for key, value in by_time.items():
-                t = _parse_time_key(key, sid, issues, bid)
-                if t is None:
-                    continue
-                try:
-                    if isinstance(value, list):
-                        fees[_fee_site(sid, t)] = _parse_distribution(
-                            value, price_scale, prob_scale, "fee distribution")
-                    else:
-                        fees[_fee_site(sid, t)] = parse_decimal(value, price_scale, what="fee")
-                except (FixedPointError, _FieldError) as exc:
-                    issues.append(ValidationIssue("BadValue", str(exc),
-                                                  security=sid, time=t, broker=bid))
+            for t, value in _by_time(by_time, fee, issues, sid, bid).items():
+                fees[_fee_site(sid, t)] = value
         brokers.append(Broker(bid, fees))
     return brokers
 
@@ -482,9 +465,7 @@ def validate_scenario(scenario: Scenario) -> list[ValidationIssue]:
                     "BothQuoteAndDistribution",
                     "a time may carry a quote or a distribution, not both",
                     security=sid, time=t))
-            for error in distribution_errors(dist):
-                issues.append(ValidationIssue(type(error).__name__.removesuffix("Error"),
-                                              str(error), security=sid, time=t))
+            _distribution_issues(issues, dist, security=sid, time=t)
         for t in active:
             has_quote = t in sec.quotes
             has_dist = t in sec.distributions
@@ -523,10 +504,8 @@ def validate_scenario(scenario: Scenario) -> list[ValidationIssue]:
                     issues.append(ValidationIssue(
                         "BadValue", "a fee distribution needs expected mode",
                         broker=broker.broker_id, security=sid, time=t))
-                for error in distribution_errors(fee, fees=True):
-                    issues.append(ValidationIssue(type(error).__name__.removesuffix("Error"),
-                                                  str(error), broker=broker.broker_id,
-                                                  security=sid, time=t))
+                _distribution_issues(issues, fee, fees=True, broker=broker.broker_id,
+                                     security=sid, time=t)
 
     for sid, active in windows:
         for t in active:
@@ -540,14 +519,25 @@ def validate_scenario(scenario: Scenario) -> list[ValidationIssue]:
     return issues
 
 
+def _distribution_issues(issues: list[ValidationIssue], dist: DiscreteDistribution, *,
+                         fees: bool = False, **where) -> None:
+    """Each error of ``distribution_errors``, as an issue named after its class."""
+    for error in distribution_errors(dist, fees=fees):
+        issues.append(ValidationIssue(type(error).__name__.removesuffix("Error"), str(error),
+                                      **where))
+
+
 # ---------------------------------------------------------------------------
 # canonical dump
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     opts = scenario.options
-    money = lambda d: format_decimal(d, opts.price_scale)  # noqa: E731
-    prob = lambda d: format_decimal(d, opts.prob_scale)  # noqa: E731
+
+    def cell(value: Decimal | DiscreteDistribution) -> object:
+        if isinstance(value, Decimal):
+            return format_decimal(value, opts.price_scale)
+        return [[cell(v), format_decimal(w, opts.prob_scale)] for v, w in value.outcomes]
 
     securities = []
     for sec in scenario.market.securities:
@@ -557,30 +547,22 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             "maturity": sec.maturity,
         }
         if sec.quotes:
-            entry["quotes"] = {str(t): money(q) for t, q in sorted(sec.quotes.items())}
+            entry["quotes"] = {str(t): cell(q) for t, q in sorted(sec.quotes.items())}
         if sec.distributions:
-            entry["distributions"] = {
-                str(t): [[money(v), prob(w)] for v, w in d.outcomes]
-                for t, d in sorted(sec.distributions.items())
-            }
+            entry["distributions"] = {str(t): cell(d) for t, d in sorted(sec.distributions.items())}
         securities.append(entry)
 
     brokers = []
     for broker in scenario.fees.brokers:
         by_security: dict[str, dict[str, object]] = {}
         for (sid, t), fee in sorted(broker.fees.items()):
-            cell: object
-            if isinstance(fee, Decimal):
-                cell = money(fee)
-            else:
-                cell = [[money(v), prob(w)] for v, w in fee.outcomes]
-            by_security.setdefault(sid, {})[str(t)] = cell
+            by_security.setdefault(sid, {})[str(t)] = cell(fee)
         brokers.append({"id": broker.broker_id, "fees": by_security})
 
     return {
-        "initial_capital": money(scenario.initial_capital),
+        "initial_capital": cell(scenario.initial_capital),
         "times": list(scenario.market.grid.points),
         "securities": securities,
         "brokers": brokers,
-        "options": {**opts._asdict(), "lot_size": money(opts.lot_size)},
+        "options": {**opts._asdict(), "lot_size": cell(opts.lot_size)},
     }

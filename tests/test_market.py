@@ -52,6 +52,17 @@ def test_the_deal_book_has_no_page_at_the_horizon_end():
         deals_at(market, fees, D(1), 1)
 
 
+def test_records_built_without_maps_share_one_read_only_mapping():
+    a, b = Security("A", 1, 1), Security("B", 1, 2)
+    broker = Broker("b1")
+    assert a.quotes is b.quotes is a.distributions is b.distributions is broker.fees
+    with pytest.raises(TypeError):
+        a.quotes[1] = D("10")
+    with pytest.raises(TypeError):
+        broker.fees["A", 1] = D("0")
+    assert b.quotes == {} and broker.fees == {}
+
+
 def test_replace_rebuilds_the_one_field_records():
     grid = TimeGrid((1, 2))
     assert grid._replace(points=(1, 3, 4)) == TimeGrid((1, 3, 4))

@@ -22,7 +22,7 @@ DOCS = Path(__file__).resolve().parent.parent / "docs" / "examples"
 def test_parse_accepts_exact_values():
     assert parse_decimal("10.5000", 4) == Decimal("10.5")
     assert parse_decimal("10.5", 4) == Decimal("10.5000")
-    assert parse_decimal(3, 4) == Decimal(3)
+    assert parse_decimal(Decimal(3), 4) == Decimal(3)
 
 
 def test_parse_rejects_excess_digits():
@@ -40,6 +40,12 @@ def test_parse_rejects_floats_and_garbage():
         parse_decimal("ten", 4)
     with pytest.raises(FixedPointError):
         parse_decimal("NaN", 4)
+
+
+def test_a_decimal_given_in_code_must_be_finite():
+    for value in (Decimal("NaN"), Decimal("Infinity"), Decimal("-Infinity"), Decimal("sNaN")):
+        with pytest.raises(FixedPointError, match="must be a decimal string"):
+            parse_decimal(value, 4)
 
 
 def test_format_pads_to_scale():
@@ -127,13 +133,12 @@ def test_a_full_amount_table_still_parses_and_stays_at_its_cap(no_amounts, monke
 
 
 def test_only_short_strings_that_parse_are_kept(no_amounts):
-    for text, scale in [("10.00001", 4), ("ten", 4)]:
+    for text, scale in [("10.00001", 4), ("ten", 4), (3, 4)]:
         for _ in range(2):
             with pytest.raises(FixedPointError):
                 parse_decimal(text, scale)
-    parse_decimal(3, 4)
     parse_decimal(Decimal("3"), 4)
-    parse_decimal(" " * money.AMOUNT_TEXT_CAP + "3", 4)
+    parse_decimal("0" * money.AMOUNT_TEXT_CAP + "3", 4)
     parse_decimal("3", 13)
     assert money._AMOUNTS == {}
 

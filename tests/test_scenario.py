@@ -299,6 +299,66 @@ def test_a_time_key_must_be_an_integer_in_canonical_form(key, where):
     assert repr(key) in info.value.issues[0].message
 
 
+def test_a_time_key_that_is_no_integer_is_an_unknown_time():
+    doc = minimal_doc()
+    doc["securities"][0]["quotes"]["x"] = "10.0000"
+    with pytest.raises(ScenarioValidationError) as info:
+        scenario_from_dict(doc)
+    assert [(i.code, i.security, i.time, i.broker, i.message) for i in info.value.issues] == [
+        ("UnknownTime", "A", None, None, "time key 'x' is not an integer in canonical form")]
+
+
+# where an amount sits in minimal_doc (the outcome value in expected mode, in
+# place of the quote at 2), its name in the message, and the issue it makes:
+# (code, security, time, broker)
+AMOUNT_SITES = {
+    "capital": (("initial_capital",), "initial_capital", ("BadCapital", None, None, None)),
+    "quote": (("securities", 0, "quotes", "2"), "quote", ("BadValue", "A", 2, None)),
+    "fee": (("brokers", 0, "fees", "A", "2"), "fee", ("BadValue", "A", 2, "b1")),
+    "outcome": (("securities", 0, "distributions", "2", 0, 0), "distribution outcome value",
+                ("BadValue", "A", 2, None)),
+    "lot_size": (("options", "lot_size"), "lot_size", ("BadOption", None, None, None)),
+}
+
+
+def _with_amount(site: str, value: object) -> dict:
+    doc = minimal_doc()
+    if site == "outcome":
+        doc["options"]["mode"] = "expected"
+        del doc["securities"][0]["quotes"]["2"]
+        doc["securities"][0]["distributions"] = {"2": [["11.0000", "1.000000"]]}
+    _edit(doc, AMOUNT_SITES[site][0], value)
+    return doc
+
+
+def _amount_issues(site: str, value: object) -> list:
+    with pytest.raises(ScenarioValidationError) as info:
+        scenario_from_dict(_with_amount(site, value))
+    return [(i.code, i.security, i.time, i.broker, i.message) for i in info.value.issues]
+
+
+@pytest.mark.parametrize("text", ["1_00", " 100 ", "+100", "1e2", "\u0661\u0660\u0660", "1.", ".5"])
+@pytest.mark.parametrize("site", sorted(AMOUNT_SITES))
+def test_an_amount_is_a_plain_decimal_string(site, text):
+    # the Decimal constructor reads each of these; a document amount is only
+    # an optional "-", ASCII digits and an optional "." with more digits
+    _, what, issue = AMOUNT_SITES[site]
+    assert _amount_issues(site, text) == [(*issue, f"{what} is not a decimal number: {text!r}")]
+
+
+@pytest.mark.parametrize("site", sorted(AMOUNT_SITES))
+def test_an_amount_is_never_a_json_number(site):
+    _, what, issue = AMOUNT_SITES[site]
+    for number in (100, 1.5):
+        assert _amount_issues(site, number) == [
+            (*issue, f"{what} must be a decimal string, got {number!r}")]
+
+
+def test_a_well_formed_amount_still_loads_at_every_site():
+    for site in AMOUNT_SITES:
+        assert scenario_from_dict(_with_amount(site, "2.5"))
+
+
 def test_two_loads_share_their_amounts_ids_and_fee_sites():
     # ids longer than one character, which the interpreter shares anyway
     doc = minimal_doc()

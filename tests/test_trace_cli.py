@@ -372,3 +372,25 @@ def test_cli_rejects_an_id_that_is_not_utf8(command, where, code, tmp_path, caps
     extra = ["--output", str(tmp_path / "trace.csv")] if command == "solve" else []
     assert cli.main([command, "--scenario", str(path), *extra]) == 2
     assert code in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("command", ["validate", "solve", "oracle"])
+def test_cli_exits_io_when_the_reader_of_stdout_has_gone(command, unbuffered):
+    # a pipe whose read end is closed, as "| head" leaves it once it has read
+    # enough: buffered, the write fails at the last flush, unbuffered at once
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED=unbuffered)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "rebalplan.cli", command,
+             "--scenario", str(DOCS / "buy_then_liquidate.json")],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == cli.EXIT_IO, done.stderr
+    assert done.stderr.startswith("error: cannot write output")
+    assert done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
