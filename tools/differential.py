@@ -51,6 +51,7 @@ EXAMPLES = ROOT / "docs" / "examples"
 RANDOM_SEED, RANDOM_COUNT = 2024, 300
 AUDIT_SEED, AUDIT_COUNT = 5, 100
 MUTATION_SEED, MUTATION_COUNT = 19, 3000
+SHOWN_DIFFERENCES = 10
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +252,7 @@ def _loads(record: dict) -> bool:
     return "repr" in record["load"]
 
 
-def compare(parent_src: Path, limit: int | None, show: int) -> int:
+def compare(parent_src: Path, limit: int | None) -> int:
     """Run both trees over the inputs, print the counts and differences; the exit status."""
     inputs = build_inputs(limit)
     with tempfile.TemporaryDirectory() as tmp:
@@ -262,7 +263,8 @@ def compare(parent_src: Path, limit: int | None, show: int) -> int:
         paths = {side: Path(tmp, f"{side}.jsonl") for side in ("parent", "change")}
         runs = [_start_tree(parent_src, inputs_path, limit, paths["parent"]),
                 _start_tree(ROOT / "src", inputs_path, limit, paths["change"])]
-        if any(run.wait() != 0 for run in runs):
+        statuses = [run.wait() for run in runs]
+        if any(statuses):
             print("a tree's run failed", file=sys.stderr)
             return 1
         with open(paths["parent"], encoding="utf-8") as a, \
@@ -298,7 +300,7 @@ def compare(parent_src: Path, limit: int | None, show: int) -> int:
     print(f"well-formed inputs that differ: {len(well_formed)}")
     print("malformed inputs that differ: "
           + ", ".join(f"{k} {n}" for k, n in malformed.items()))
-    for _, old, new in (well_formed + malformed_shown)[:show]:
+    for _, old, new in (well_formed + malformed_shown)[:SHOWN_DIFFERENCES]:
         print(f"--- {old['id']}")
         for field in sorted(set(old) | set(new)):
             if old.get(field) != new.get(field):
@@ -325,16 +327,14 @@ def main(argv: list[str] | None = None) -> int:
     which.add_argument("--run", metavar="INPUTS", help=argparse.SUPPRESS)
     parser.add_argument("--limit", type=int, metavar="N",
                         help="keep the first N inputs of each set")
-    parser.add_argument("--show", type=int, default=10, metavar="K",
-                        help="print the first K differences (default 10)")
     args = parser.parse_args(argv)
     if args.run is not None:
         run_tree(args.run, args.limit)
         return 0
     if args.parent_src is not None:
-        return compare(args.parent_src.resolve(), args.limit, args.show)
+        return compare(args.parent_src.resolve(), args.limit)
     with tempfile.TemporaryDirectory() as tmp:
-        return compare(_extract(args.parent, Path(tmp)), args.limit, args.show)
+        return compare(_extract(args.parent, Path(tmp)), args.limit)
 
 
 if __name__ == "__main__":
