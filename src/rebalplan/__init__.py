@@ -33,7 +33,6 @@ from .market import (
     is_active,
     price_at,
 )
-from .replay import replay_policy, replay_terminal_wealth
 from .scenario import (
     MODE_DETERMINISTIC,
     MODE_EXPECTED,
@@ -44,7 +43,7 @@ from .scenario import (
     scenario_from_dict,
     validate_scenario,
 )
-from .trace import build_trace_rows, trace_text
+from .trace import build_trace_rows, replay_policy, replay_terminal_wealth, trace_text
 
 __all__ = [
     "Broker",

@@ -4,8 +4,8 @@ validate files.
 ``solve`` and ``oracle`` solve the scenario's priced instance once, under
 the ``--max-states`` cap, and the trace and the oracle read that instance.
 
-Exit codes: 0 success, 2 validation or parse failure, 3 solver budget
-exceeded, 4 I/O failure, 5 oracle mismatch.
+Exit codes: 0 success, 1 internal error (a bug), 2 validation or parse
+failure, 3 solver budget exceeded, 4 I/O failure, 5 oracle mismatch.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ def main(argv: list[str] | None = None) -> int:
 
     This is the one place a package error becomes an exit code: budget
     errors exit 3, every other :class:`RebalplanError` exits 2. Standard
-    output closed by its reader, as ``| head`` leaves it, exits 4.
+    output closed by its reader, as ``| head`` leaves it, exits 4. Any other
+    exception is a bug: it prints one line, not a traceback, and exits 1.
     """
     args = _build_parser().parse_args(argv)
     try:
@@ -57,6 +58,9 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(exc, (StateBudgetExceededError, InstanceTooLargeError)):
             return EXIT_BUDGET
         return EXIT_VALIDATION
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 def _run(args) -> int:

@@ -1,6 +1,11 @@
-"""Policy trace emission: one CSV row per (time, traded or held security).
+"""Replaying a trade policy through the ledger, and its per-trade trace.
 
-Row columns: time, security, holdings_before, holdings_after, trade_cash,
+The replay runs a policy's trades through the ledger step by step:
+:func:`replay_policy` returns the states it visits and
+:func:`replay_terminal_wealth` the ending cash over the full horizon.
+
+The trace prints one CSV row per (time, traded or held security). Row
+columns: time, security, holdings_before, holdings_after, trade_cash,
 fee_paid, cash_after, wealth. Subtracting trade_cash and fee_paid from the
 previous row's cash reproduces cash_after row by row, starting from the
 initial capital. Within a decision time, sells and holds print before buys
@@ -11,14 +16,15 @@ lowers it by exactly its fee paid, as a trade at the quoted price swaps
 cash for a position of the same mark. The file ends with a summary row
 carrying the terminal cash and wealth.
 
-The rows price the instance the solver solves, the
+The replay and the rows price the instance the solver solves, the
 :func:`~rebalplan.expectation.priced_instance`, in the solver's exact
-context, so an amount that would need rounding raises
+context, :data:`~rebalplan.money.LEDGER_CONTEXT`, entered once per public
+call; an amount that would need rounding raises
 :class:`~rebalplan.errors.InexactArithmeticError` rather than printing a
-rounded figure. The states come from replaying the
-policy through the ledger first, in the same exact block, so a policy whose
-trade times do not follow the grid, or that stops before the last decision
-time, raises the replay's ``ValueError`` before any row is priced.
+rounded figure. The trace replays the policy first, in the same exact
+block, so a policy whose trade times do not follow the grid, or that stops
+before the last decision time, raises the replay's ``ValueError`` before
+any row is priced.
 
 A decision time where nothing is held or traded prints no row and costs no
 row work. At every time, the cash the rows reach must equal the ledger's,
@@ -34,10 +40,9 @@ from decimal import Decimal
 
 from .dp import Policy
 from .expectation import priced_instance
-from .ledger import wealth
+from .ledger import LedgerState, apply_rebalance, wealth
 from .market import effective_fee, price_at
 from .money import exact_arithmetic, format_decimal
-from .replay import full_horizon_states
 from .scenario import Scenario
 
 TRACE_HEADER = (
@@ -46,6 +51,23 @@ TRACE_HEADER = (
 )
 # the header as the CSV writer prints it: no field needs quoting
 _HEADER_LINE = ",".join(TRACE_HEADER) + "\n"
+
+
+def replay_policy(scenario: Scenario, policy: Policy) -> list[LedgerState]:
+    """States visited by the policy, initial state first.
+
+    Raises whatever the ledger raises if a trade is inadmissible on this
+    scenario, and :class:`InexactArithmeticError` if a cash amount would need
+    rounding; the policy's trade times must match the grid step for step.
+    """
+    with exact_arithmetic():
+        return _states(scenario, policy)
+
+
+def replay_terminal_wealth(scenario: Scenario, policy: Policy) -> Decimal:
+    """Ending cash after replaying the policy over the full horizon."""
+    with exact_arithmetic():
+        return _full_horizon_states(scenario, policy)[-1].cash
 
 
 def build_trace_rows(scenario: Scenario, policy: Policy) -> list[list[str]]:
@@ -63,7 +85,7 @@ def _rows(scenario: Scenario, policy: Policy) -> list[list[str]]:
 
     rules = scenario.trade_rules()
     rows: list[list[str]] = []
-    states = full_horizon_states(scenario, policy)
+    states = _full_horizon_states(scenario, policy)
     for (t, trade), state, reached in zip(policy.trades, states, states[1:]):
         cash = state.cash
         held = state.holdings
@@ -104,3 +126,34 @@ def trace_text(scenario: Scenario, policy: Policy) -> str:
     buffer.write(_HEADER_LINE)
     csv.writer(buffer, lineterminator="\n").writerows(rows)
     return buffer.getvalue()
+
+
+def _full_horizon_states(scenario: Scenario, policy: Policy) -> list[LedgerState]:
+    """As :func:`_states`, for a policy that trades at every decision time.
+
+    A policy that stops before the last decision time raises ``ValueError``.
+    Runs in the caller's :func:`~rebalplan.money.exact_arithmetic` block.
+    """
+    states = _states(scenario, policy)
+    if states[-1].time_index != len(scenario.market.grid) - 1:
+        raise ValueError("policy does not cover every decision time")
+    return states
+
+
+def _states(scenario: Scenario, policy: Policy) -> list[LedgerState]:
+    scenario = priced_instance(scenario)
+    market = scenario.market
+    fees = scenario.fees
+    rules = scenario.trade_rules()
+    points = market.grid.points
+    state = scenario.initial_state()
+    states = [state]
+    for t, trade in policy.trades:
+        if points[state.time_index] != t:
+            raise ValueError(
+                f"policy trades at {t} but the next decision time is "
+                f"{points[state.time_index]}"
+            )
+        state = apply_rebalance(state, trade, market, fees, rules)
+        states.append(state)
+    return states

@@ -11,6 +11,8 @@ import random
 import time
 from contextlib import contextmanager
 from decimal import Decimal, localcontext
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,17 +26,23 @@ from rebalplan import (
     brute_force_solve,
     build_expected_market,
     dump_scenario,
+    effective_fee,
     enumerate_joint_outcomes,
+    is_active,
+    load_scenario,
+    price_at,
+    replay_terminal_wealth,
     solve_deterministic,
     wealth,
 )
 from rebalplan.errors import (
     InadmissibleTradeError,
     InstanceTooLargeError,
+    RebalplanError,
     ShortCapExceededError,
 )
+from rebalplan.expectation import priced_instance
 from rebalplan.money import EXACT_CONTEXT
-from rebalplan.replay import replay_terminal_wealth
 from rebalplan.scenario import validate_scenario
 from rebalplan.trace import trace_text
 
@@ -50,6 +58,7 @@ D = Decimal
 
 SWEEP_SIZE = 200
 ORACLE_WORK_CAP = 60_000  # trade applications per instance; larger draws re-roll
+DOCS = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
 
 @contextmanager
@@ -280,3 +289,59 @@ def test_criterion_9_state_budget_bounds_the_widest_layer(tmp_path, capsys):
         assert cli.main(solve + ["--max-states", str(widest - 1)]) == 3
         assert f"layer {layer} reached {widest} states" in capsys.readouterr().err
         info["detail"] = f"(layer {layer} holds {widest} nodes)"
+
+
+def _root_bound(scn: Scenario) -> Fraction:
+    """``U_0 = m_0 · capital``, an upper bound on a long-only instance's answer.
+
+    Read backwards from the horizon end, where ``m = 1`` and every lot is
+    worth 0. At the decision time ``t_j``, ``v'_s`` is the next time's worth
+    of a lot of ``s``, 0 if ``s`` leaves circulation. At a forced last sale,
+    ``m_j = 1`` and a lot is worth its sale. Otherwise cash turns into lots
+    at the best rate ``max_s v'_s / buy_s`` if that beats ``m_{j+1}``, and a
+    lot is worth the better of keeping it and selling it into cash,
+    ``max(v'_s, sell_s · m_j)``. Neither the deal book nor the walk is read.
+    """
+    scn = priced_instance(scn)
+    points = scn.market.grid.points
+    lot = Fraction(scn.options.lot_size)
+    m, worth = Fraction(1), {}
+    for j in reversed(range(len(points) - 1)):
+        t = points[j]
+        terms = {}
+        for sec in scn.market.securities:
+            if is_active(sec, t):
+                price = Fraction(price_at(sec, t))
+                fee = Fraction(effective_fee(sec, t, scn.fees))
+                terms[sec.security_id] = ((price + fee) * lot, (price - fee) * lot)
+        if j == len(points) - 2 and not scn.options.hold_to_end:
+            m, worth = Fraction(1), {sid: sell for sid, (_, sell) in terms.items()}
+        else:
+            # a security not active at t_{j+1} has no worth there: it reads 0
+            m = max([m] + [worth.get(sid, 0) / buy for sid, (buy, _) in terms.items()])
+            worth = {sid: max(worth.get(sid, 0), sell * m) for sid, (_, sell) in terms.items()}
+    return m * Fraction(scn.initial_capital)
+
+
+def test_no_long_only_answer_exceeds_the_root_bound():
+    rng7, rng11, rng5 = random.Random(7), random.Random(11), random.Random(5)
+    instances = (
+        [random_scenario(rng7, allow_short=False, hold_to_end=True) for _ in range(300)]
+        + [random_scenario(rng11, allow_short=False) for _ in range(300)]
+        + [random_audit_scenario(rng5) for _ in range(100)]
+        + [load_scenario(path) for path in sorted(DOCS.glob("*.json"))]
+    )
+    checked = tight = 0
+    for scn in instances:
+        if scn.options.allow_short:
+            continue
+        try:
+            policy, _ = solve_deterministic(scn)
+        except RebalplanError:
+            continue
+        bound = _root_bound(scn)
+        assert policy.terminal_wealth <= bound, scn
+        checked += 1
+        tight += policy.terminal_wealth == bound
+    # a bound loose everywhere, or a sweep that skipped everything, certifies nothing
+    assert tight > checked // 2, (tight, checked)

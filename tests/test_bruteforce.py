@@ -19,6 +19,7 @@ from rebalplan import (
     build_expected_market,
     enumerate_controls,
     enumerate_joint_outcomes,
+    replay_policy,
     replay_terminal_wealth,
     scenario_from_dict,
     solve_deterministic,
@@ -35,7 +36,6 @@ from rebalplan.errors import (
     QuoteMissingError,
 )
 from rebalplan.market import lot_terms
-from rebalplan.replay import replay_policy
 from rebalplan.scenario import MODE_DETERMINISTIC
 
 from scenariogen import (

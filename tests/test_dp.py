@@ -24,6 +24,8 @@ from rebalplan import (
     enumerate_controls,
     extract_policy,
     price_at,
+    replay_policy,
+    replay_terminal_wealth,
     scenario_from_dict,
     solve_deterministic,
     trace_text,
@@ -36,7 +38,6 @@ from rebalplan.errors import (
     RebalplanError,
     StateBudgetExceededError,
 )
-from rebalplan.replay import replay_policy, replay_terminal_wealth
 
 from scenariogen import (
     fee_050_scenario,

@@ -17,13 +17,14 @@ from rebalplan import (
     effective_fee,
     enumerate_joint_outcomes,
     expected_price,
+    replay_policy,
+    replay_terminal_wealth,
     scenario_from_dict,
     solve_deterministic,
     trace_text,
     validate_scenario,
 )
 from rebalplan.errors import BadNormalizationError, NegativeFeeError, NonpositivePriceError
-from rebalplan.replay import replay_policy, replay_terminal_wealth
 from rebalplan.scenario import MODE_EXPECTED
 
 from scenariogen import degenerate_twin, fee_distribution_doc, random_audit_scenario, random_scenario

@@ -103,17 +103,17 @@ def test_trace_refuses_a_policy_that_stops_early():
 _OFF_BY_ONE_QUANTUM = """
 import sys
 from decimal import Decimal
-import rebalplan.replay as replay
+import rebalplan.trace as trace
 from rebalplan import LedgerState, load_scenario, solve_deterministic, trace_text
 scn = load_scenario(sys.argv[1])
 policy, _ = solve_deterministic(scn)
-ledger_step = replay.apply_rebalance
+ledger_step = trace.apply_rebalance
 def off_by_one(state, trade, market, fees, rules):
     reached = ledger_step(state, trade, market, fees, rules)
     if state.time_index == 0:
         reached = LedgerState(1, reached.holdings, reached.cash + Decimal("0.0001"))
     return reached
-replay.apply_rebalance = off_by_one
+trace.apply_rebalance = off_by_one
 try:
     print(trace_text(scn, policy))
 except AssertionError as exc:
@@ -225,6 +225,27 @@ def test_cli_oracle_mismatch_exits_five(monkeypatch, capsys):
     code = cli.main(["oracle", "--scenario", str(DOCS / "buy_then_liquidate.json")])
     assert code == 5
     assert "oracle mismatch" in capsys.readouterr().err
+
+
+def test_cli_reports_a_stray_exception_in_one_line(monkeypatch, capsys):
+    def broken_solver(scenario):
+        raise RuntimeError("solver state went missing")
+
+    monkeypatch.setattr(cli, "solve_deterministic", broken_solver)
+    code = cli.main(["solve", "--scenario", str(DOCS / "buy_then_liquidate.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: internal error: RuntimeError: solver state went missing\n"
+    assert "Traceback" not in err
+
+
+def test_cli_lets_an_interrupt_through(monkeypatch):
+    def interrupted(scenario):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "solve_deterministic", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["solve", "--scenario", str(DOCS / "buy_then_liquidate.json")])
 
 
 @pytest.mark.parametrize("command", ["solve", "oracle"])

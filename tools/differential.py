@@ -8,6 +8,9 @@ compares what each records for every input:
   message, security, time, broker), or the error type and message;
 - the solve: the policy, the layer sizes, the trace and the replayed
   wealth, or the error type and message;
+- for a scenario with a price or fee distribution, the ``repr`` and dump of
+  its expected-mode reduction, and the probability of each joint outcome
+  with the solved policy's wealth replayed on it, or each error;
 - the oracle's policy and wealth, for the examples and ``batch``;
 - the CLI's exit code, stdout and stderr for ``validate``, ``solve`` and
   ``oracle`` on each example, as written and with ``--mode exp``.
@@ -149,7 +152,8 @@ def _error(exc: Exception) -> dict:
     return {"error": [type(exc).__name__, str(exc)]}
 
 
-def _solve_record(scenario) -> dict:
+def _solve_record(scenario) -> tuple[dict, object]:
+    """The solve's record, and its policy, or None if any of it raised."""
     from rebalplan import replay_terminal_wealth, solve_deterministic, trace_text
 
     try:
@@ -157,8 +161,44 @@ def _solve_record(scenario) -> dict:
         return {"policy": repr(policy.trades), "wealth": str(policy.terminal_wealth),
                 "layers": [len(layer) for layer in table.layers],
                 "trace": trace_text(scenario, policy),
-                "replayed": str(replay_terminal_wealth(scenario, policy))}
+                "replayed": str(replay_terminal_wealth(scenario, policy))}, policy
     except Exception as exc:  # recorded, to be compared with the other tree's
+        return _error(exc), None
+
+
+def _has_distribution(scenario) -> bool:
+    from rebalplan import DiscreteDistribution
+
+    return (any(sec.distributions for sec in scenario.market.securities)
+            or any(isinstance(fee, DiscreteDistribution)
+                   for broker in scenario.fees.brokers for fee in broker.fees.values()))
+
+
+def _expected_record(scenario, policy) -> dict:
+    """The expected-mode reduction, and ``policy`` replayed on each joint outcome."""
+    from rebalplan import build_expected_market, dump_scenario, enumerate_joint_outcomes
+
+    try:
+        reduced = build_expected_market(scenario)
+        record = {"reduced": {"repr": repr(reduced), "dump": dump_scenario(reduced)}}
+    except Exception as exc:
+        record = {"reduced": _error(exc)}
+    try:
+        outcomes = enumerate_joint_outcomes(scenario)
+    except Exception as exc:  # past JOINT_CAP, among others
+        record["outcomes"] = _error(exc)
+        return record
+    record["outcomes"] = [[str(prob), None if policy is None else _replayed(outcome, policy)]
+                          for outcome, prob in outcomes]
+    return record
+
+
+def _replayed(outcome, policy) -> object:
+    from rebalplan import replay_terminal_wealth
+
+    try:
+        return str(replay_terminal_wealth(outcome, policy))
+    except Exception as exc:  # an outcome the mean policy cannot afford, among others
         return _error(exc)
 
 
@@ -192,7 +232,11 @@ def _scenario_record(scenario) -> dict:
         loaded = {"repr": repr(scenario), "dump": dump_scenario(scenario)}
     except Exception as exc:
         loaded = _error(exc)
-    return {"load": loaded, "solve": _solve_record(scenario)}
+    record = {"load": loaded}
+    record["solve"], policy = _solve_record(scenario)
+    if _has_distribution(scenario):
+        record["expected"] = _expected_record(scenario, policy)
+    return record
 
 
 def _document_record(item: dict) -> dict:
