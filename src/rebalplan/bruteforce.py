@@ -18,7 +18,7 @@ from .dp import Policy, TradeEntry, trade_entries
 from .errors import EmptyTableError, InadmissibleTradeError, InstanceTooLargeError
 from .expectation import priced_instance
 from .ledger import LedgerState, apply_rebalance, full_sale, trade_lots
-from .market import Market, effective_fee, price_at
+from .market import Market, deal_book, effective_fee, price_at
 from .money import exact_arithmetic, whole_lots
 from .scenario import Scenario
 
@@ -45,6 +45,7 @@ def brute_force_solve(scenario: Scenario, *,
     market = scenario.market
     fees = scenario.fees
     rules = scenario.trade_rules()
+    book = deal_book(market, fees, rules.lot_size)
     grid = market.grid
     stages = len(grid) - 1
     if stages > STAGE_CAP:
@@ -75,7 +76,7 @@ def brute_force_solve(scenario: Scenario, *,
             if applied > cap:
                 raise InstanceTooLargeError(applied, cap)
             try:
-                successor = apply_rebalance(state, trade, market, fees, rules)
+                successor = apply_rebalance(state, trade, book, rules)
             except InadmissibleTradeError:
                 continue
             trades.append((t, trade))

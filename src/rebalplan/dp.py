@@ -12,7 +12,8 @@ function over a cash grid.
 
 A node's trade vectors are streamed, one at a time, by an iterative walk
 over the securities in id order that reads its per-lot amounts from the
-market's deal book. Each vector is replayed through the ledger step as it
+stage's page of the solve's own deal book
+(:func:`~rebalplan.market.deal_book`). Each vector is replayed through the ledger step as it
 comes, and the layer's node cap is checked as each successor is kept, so
 the cap bounds the memory of a layer even inside one node's expansion, and
 the number of securities is not limited by the interpreter's recursion
@@ -49,7 +50,7 @@ from .ledger import (
     full_sale,
     trade_lots,
 )
-from .market import FeeTable, Market, TimeGrid, deals_at, lot_terms
+from .market import Deals, Market, TimeGrid, deal_book
 from .money import exact_arithmetic, whole_lots
 from .scenario import Scenario
 
@@ -92,7 +93,7 @@ def trade_entries(t: int, trade: dict[str, int]) -> tuple[TradeEntry, ...]:
     return tuple((t, sid, delta) for sid, delta in sorted(trade.items()) if delta != 0)
 
 
-def enumerate_controls(state: LedgerState, market: Market, fees: FeeTable,
+def enumerate_controls(state: LedgerState, book: tuple[Deals, ...],
                        rules: TradeRules = DEFAULT_RULES) -> Iterator[dict[str, int]]:
     """Every admissible trade vector at the state's decision time, streamed.
 
@@ -102,22 +103,23 @@ def enumerate_controls(state: LedgerState, market: Market, fees: FeeTable,
     any vector whose aggregate cash stays non-negative. Selling one security
     to fund buying another in the same step is admissible, and enumerated.
 
-    The per-lot amounts come from the market's deal book, and a missing
-    quote or fee raises its typed error here, before the first vector. The
-    vectors are then made one at a time, in lexicographic order of their
-    deltas, by an iterative walk: memory stays linear in the number of
-    securities whatever the number of vectors.
+    The per-lot amounts come from the state's page of ``book``, a
+    :func:`~rebalplan.market.deal_book` for ``rules.lot_size``, read in id
+    order, so the first missing quote or fee raises its typed error here,
+    before the first vector. The vectors are then made one at a time, in
+    lexicographic order of their deltas, by an iterative walk: memory stays
+    linear in the number of securities whatever the number of vectors.
     """
-    page = deals_at(market, fees, rules.lot_size, state.time_index)
+    page = book[state.time_index]
+    per_lot = page.per_lot
     held = state.holdings
     floor = rules.position_floor
     terms = []
-    for sid, deal in page.per_lot.items():
-        if deal is None:
-            deal = lot_terms(market.security(sid), page.time, fees, rules.lot_size)
+    for sid in page.active:
+        buy_cost, sell_net = per_lot[sid]
         # cash out per lot bought, cash in per lot sold (may be negative),
         # lots sellable down to the floor
-        terms.append((sid, deal[0], deal[1], held.get(sid, 0) - floor))
+        terms.append((sid, buy_cost, sell_net, held.get(sid, 0) - floor))
     if not terms:
         return iter(({},))
 
@@ -211,8 +213,8 @@ def solve_deterministic(scenario: Scenario, *, prune: bool = True) -> tuple[Poli
     """
     scenario = priced_instance(scenario)
     market = scenario.market
-    fees = scenario.fees
     rules = scenario.trade_rules()
+    book = deal_book(market, scenario.fees, rules.lot_size)
     grid = market.grid
     cap = scenario.options.max_states
     stages = len(grid) - 1
@@ -222,7 +224,7 @@ def solve_deterministic(scenario: Scenario, *, prune: bool = True) -> tuple[Poli
     with exact_arithmetic():
         for i in range(stages):
             forced = i == stages - 1 and not scenario.options.hold_to_end
-            layers.append(_expand(layers[-1], market, fees, rules, forced, prune,
+            layers.append(_expand(layers[-1], market, book, rules, forced, prune,
                                   cap, len(layers)))
 
     table = ValueTable(grid, layers)
@@ -246,7 +248,7 @@ def extract_policy(table: ValueTable) -> Policy:
     return Policy(steps, best.state.cash)
 
 
-def _expand(frontier: list[ValueNode], market: Market, fees: FeeTable,
+def _expand(frontier: list[ValueNode], market: Market, book: tuple[Deals, ...],
             rules: TradeRules, forced: bool, prune: bool, cap: int,
             layer: int) -> list[ValueNode]:
     """Build layer ``layer`` from its predecessor, keeping at most ``cap`` nodes.
@@ -263,11 +265,11 @@ def _expand(frontier: list[ValueNode], market: Market, fees: FeeTable,
         if forced:
             trades = (full_sale(state, market, points[state.time_index]),)
         else:
-            trades = enumerate_controls(state, market, fees, rules)
+            trades = enumerate_controls(state, book, rules)
         lots = node.lots
         for trade in trades:
             try:
-                successor = apply_rebalance(state, trade, market, fees, rules)
+                successor = apply_rebalance(state, trade, book, rules)
             except InadmissibleTradeError:
                 # only the forced sale can fail here (closing shorts needs cash)
                 continue

@@ -125,7 +125,7 @@ def _instance(scenario: Scenario, prices: dict[str, dict[int, Decimal]],
     time order, which follow its quotes. A security without a distribution
     is shared with ``scenario``. The market is a new
     :class:`~rebalplan.market.Market` on the same grid, its securities in
-    the same order, with its own deal book.
+    the same order.
     """
     securities = []
     for sec in scenario.market.securities:

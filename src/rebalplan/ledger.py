@@ -9,14 +9,15 @@ operation returns a new state. Holdings are canonical: in security id order
 and without zero positions, so two states with the same positions compare
 and key alike.
 
-The per-lot amounts come from the market's deal book
-(:func:`~rebalplan.market.deals_at`), the one place that prices a lot. The
-step is one pass over the trade and one over the securities carried to
-the next time: the first prices each delta and notes the position it moves
-to, the second reads those positions (or the unmoved ones) in id order, so
-the successor's holdings come out canonical, and the state is built from
-them in one tuple construction, without the cleaning the
-:class:`LedgerState` constructor does. The opening state is built the same
+The per-lot amounts come from the page of the deal book the caller hands
+the step (:func:`~rebalplan.market.deal_book`), which prices each lot by
+the one rule, :func:`~rebalplan.market.lot_terms`. The step is one pass
+over the trade and one over the securities carried to the next time: the
+first prices each delta and notes the position it moves to, the second
+reads those positions (or the unmoved ones) in id order, so the
+successor's holdings come out canonical, and the state is built from them
+in one tuple construction, without the cleaning the :class:`LedgerState`
+constructor does. The opening state is built the same
 way, its empty holdings being canonical already.
 
 Every state that holds nothing, the opening state, a successor that sold
@@ -32,7 +33,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .errors import InadmissibleTradeError, ShortCapExceededError
-from .market import FeeTable, Market, deals_at, is_active, lot_terms, price_at
+from .market import Deals, Market, is_active, price_at
 
 # A trade vector: security id -> lot delta (holdings after minus holdings
 # before). Canonical form carries no zero entries.
@@ -123,10 +124,12 @@ def wealth(state: LedgerState, market: Market, t: int,
     return total
 
 
-def apply_rebalance(state: LedgerState, trade: TradeVector, market: Market,
-                    fees: FeeTable, rules: TradeRules = DEFAULT_RULES) -> LedgerState:
+def apply_rebalance(state: LedgerState, trade: TradeVector, book: tuple[Deals, ...],
+                    rules: TradeRules = DEFAULT_RULES) -> LedgerState:
     """Apply a trade at the state's grid time and advance one step.
 
+    ``book`` is the caller's :func:`~rebalplan.market.deal_book`, built for
+    ``rules.lot_size``; the step reads its page for the state's time index.
     New cash is old cash minus, per lot delta in id order, the page's per-lot
     amount for its side times the delta: the signed redistribution plus fees
     on every lot moved. The trade is admissible iff that cash is
@@ -139,7 +142,7 @@ def apply_rebalance(state: LedgerState, trade: TradeVector, market: Market,
     holds nothing shares :data:`_NO_HOLDINGS`.
     """
     index = state.time_index
-    page = deals_at(market, fees, rules.lot_size, index)
+    page = book[index]
     per_lot = page.per_lot
     floor = rules.position_floor
     held = state.holdings
@@ -149,9 +152,7 @@ def apply_rebalance(state: LedgerState, trade: TradeVector, market: Market,
         delta = trade[sid]
         if delta == 0:
             continue
-        deal = per_lot.get(sid)
-        if deal is None:
-            deal = lot_terms(market.security(sid), page.time, fees, rules.lot_size)
+        deal = per_lot[sid]
         cash -= deal[0 if delta > 0 else 1] * delta
         qty = moved[sid] = held.get(sid, 0) + delta
         if qty < floor:

@@ -1,19 +1,17 @@
 """Static market description: securities, quotes, fees, discrete distributions.
 
-Everything here is immutable after construction, but for the deal book a
-:class:`Market` caches. Prices are per unit of a security; a security is
-tradable exactly on the closed window [issue_time, issue_time + maturity]
-and is worthless outside it.
+Every record here is immutable after construction, and a :class:`Market`
+keeps nothing but its grid, its securities and their index by id. Prices
+are per unit of a security; a security is tradable exactly on the closed
+window [issue_time, issue_time + maturity] and is worthless outside it.
 
 :func:`lot_terms` is the one rule for what a lot costs to buy and brings
 when sold, from the checked lookups :func:`price_at` and
 :func:`effective_fee`, which raise the typed error for a missing entry or
-one out of range. The deal book caches it: one page per grid index, built
-on first use in one pass over the securities, holds the terms of every
-security in circulation at that time and the ids still in circulation at
-the next. A trade step then costs one multiplication per lot delta, and
-the solver's enumerator reads the same page. Nothing else here is indexed
-beyond the securities by id.
+one out of range. :func:`deal_book` builds one page per stage for a solve,
+a replay or a trace, each security's terms priced on their first read. A
+trade step then costs one multiplication per lot delta, and the solver's
+enumerator reads the same page.
 
 :func:`distribution_errors` is the one rule for price and fee
 distributions. It lists every error, which the loader reports as issues;
@@ -137,14 +135,13 @@ class Market:
     """A time grid plus securities, indexed for lookup.
 
     ``grid`` and ``securities`` are read-only, and two markets are equal
-    when their grids and securities are. The id index and the deal book
-    (fee table, lot, pages; see :func:`deals_at`) are derived from them
-    and take no part in equality or the ``repr``. A market is not
+    when their grids and securities are. The id index is derived from them
+    and takes no part in equality or the ``repr``. A market is not
     hashable, as its securities hold dicts. Every market, the expected-mode
     reduction's too, is built by the constructor.
     """
 
-    __slots__ = ("_grid", "_securities", "_by_id", "_deal_book")
+    __slots__ = ("_grid", "_securities", "_by_id")
 
     def __init__(self, grid: TimeGrid, securities: tuple[Security, ...]):
         by_id = {}
@@ -155,7 +152,6 @@ class Market:
         self._grid = grid
         self._securities = securities
         self._by_id = by_id
-        self._deal_book = (None, None, ())
 
     grid = property(attrgetter("_grid"))
     securities = property(attrgetter("_securities"))
@@ -241,60 +237,52 @@ def lot_terms(security: Security, t: int, fees: FeeTable,
         raise InexactArithmeticError(ctx.prec) from None
 
 
-class Deals(NamedTuple):
-    """One page of the deal book: the terms of trading at one grid index.
+class _Terms(dict):
+    """Per-lot terms by security id: a first read calls :func:`lot_terms` and keeps the result.
 
-    ``per_lot`` maps each security in circulation at ``time``, in id order,
-    to its :func:`lot_terms`, or to ``None`` where that raises; a caller
-    that meets ``None`` calls :func:`lot_terms` again for the typed error.
-    ``carried`` holds the ids of the securities in circulation at the next
-    grid time, in id order.
+    A read that cannot be priced raises the typed error (``KeyError`` for an
+    unknown id) and keeps nothing.
+    """
+
+    __slots__ = ("_at",)  # (market, time, fee table, lot), set by deal_book
+
+    def __missing__(self, sid: str) -> tuple[Decimal, Decimal]:
+        market, t, fees, lot = self._at
+        terms = self[sid] = lot_terms(market.security(sid), t, fees, lot)
+        return terms
+
+
+class Deals(NamedTuple):
+    """One page of a deal book: the terms of trading at one grid time.
+
+    ``active`` and ``carried`` hold the ids of the securities in
+    circulation at ``time`` and at the next grid time, in id order.
+    ``per_lot`` maps a security id to its :func:`lot_terms` at ``time``,
+    priced on the first read.
     """
 
     time: int
-    per_lot: dict[str, tuple[Decimal, Decimal] | None]
+    active: tuple[str, ...]
     carried: tuple[str, ...]
+    per_lot: Mapping[str, tuple[Decimal, Decimal]]
 
 
-def deals_at(market: Market, fees: FeeTable, lot: Decimal, index: int) -> Deals:
-    """The deal book's page for trading at grid index ``index``.
+def deal_book(market: Market, fees: FeeTable, lot: Decimal) -> tuple[Deals, ...]:
+    """The pages for trading on ``market`` at ``fees`` in lots of ``lot``, one per stage.
 
-    The market holds one book, for the fee table and lot objects it was last
-    asked for, and builds each page on its first use. A page set is reused
-    only for those same two objects: every caller passes its scenario's
-    ``options.lot_size`` itself, and a lot of 1 and one of 1.0 would give
-    amounts of different exponents. There is no page for the horizon end,
-    where no trading happens.
+    Page ``i`` is for grid index ``i``, and none is for the horizon end.
+    Nothing is priced or kept here: each public call builds its own book,
+    so an edit to a quote or a fee between two calls is seen by the second.
     """
-    book_fees, book_lot, pages = market._deal_book
-    if book_fees is not fees or book_lot is not lot:
-        pages = [None] * (len(market.grid.points) - 1)
-        # holding the fee table keeps its id from being reused
-        market._deal_book = (fees, lot, pages)
-    if index >= len(pages):
-        raise ValueError("cannot trade at the horizon end")
-    page = pages[index]
-    if page is None:
-        page = pages[index] = _page(market, fees, lot, index)
-    return page
-
-
-def _page(market: Market, fees: FeeTable, lot: Decimal, index: int) -> Deals:
-    """One pass over the securities: this time's terms and the next time's ids."""
     points = market.grid.points
-    t = points[index]
-    following = points[index + 1]
-    per_lot: dict[str, tuple[Decimal, Decimal] | None] = {}
-    carried = []
-    for sid, sec in market._by_id.items():
-        if is_active(sec, following):
-            carried.append(sid)
-        if is_active(sec, t):
-            try:
-                per_lot[sid] = lot_terms(sec, t, fees, lot)
-            except RebalplanError:
-                per_lot[sid] = None  # trading it raises the same error
-    return Deals(t, per_lot, tuple(carried))
+    ids = [tuple(sid for sid, sec in market._by_id.items() if is_active(sec, t))
+           for t in points]
+    pages = []
+    for i, t in enumerate(points[:-1]):
+        per_lot = _Terms()
+        per_lot._at = (market, t, fees, lot)
+        pages.append(Deals(t, ids[i], ids[i + 1], per_lot))
+    return tuple(pages)
 
 
 def distribution_errors(dist: DiscreteDistribution, security: str | None = None,

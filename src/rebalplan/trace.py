@@ -21,10 +21,11 @@ The replay and the rows price the instance the solver solves, the
 context, :data:`~rebalplan.money.LEDGER_CONTEXT`, entered once per public
 call; an amount that would need rounding raises
 :class:`~rebalplan.errors.InexactArithmeticError` rather than printing a
-rounded figure. The trace replays the policy first, in the same exact
-block, so a policy whose trade times do not follow the grid, or that stops
-before the last decision time, raises the replay's ``ValueError`` before
-any row is priced.
+rounded figure. Each public call replays on a deal book of its own. The
+trace replays the policy first, in the same exact block, so a policy
+whose trade times do not follow the grid, or that stops before the last
+decision time, raises the replay's ``ValueError`` before any row is
+priced.
 
 A decision time where nothing is held or traded prints no row and costs no
 row work. At every time, the cash the rows reach must equal the ledger's,
@@ -41,7 +42,7 @@ from decimal import Decimal
 from .dp import Policy
 from .expectation import priced_instance
 from .ledger import LedgerState, apply_rebalance, wealth
-from .market import effective_fee, price_at
+from .market import deal_book, effective_fee, price_at
 from .money import exact_arithmetic, format_decimal
 from .scenario import Scenario
 
@@ -143,8 +144,8 @@ def _full_horizon_states(scenario: Scenario, policy: Policy) -> list[LedgerState
 def _states(scenario: Scenario, policy: Policy) -> list[LedgerState]:
     scenario = priced_instance(scenario)
     market = scenario.market
-    fees = scenario.fees
     rules = scenario.trade_rules()
+    book = deal_book(market, scenario.fees, rules.lot_size)
     points = market.grid.points
     state = scenario.initial_state()
     states = [state]
@@ -154,6 +155,8 @@ def _states(scenario: Scenario, policy: Policy) -> list[LedgerState]:
                 f"policy trades at {t} but the next decision time is "
                 f"{points[state.time_index]}"
             )
-        state = apply_rebalance(state, trade, market, fees, rules)
+        if state.time_index == len(book):
+            raise ValueError("cannot trade at the horizon end")
+        state = apply_rebalance(state, trade, book, rules)
         states.append(state)
     return states

@@ -42,6 +42,7 @@ from rebalplan.errors import (
     ShortCapExceededError,
 )
 from rebalplan.expectation import priced_instance
+from rebalplan.market import deal_book
 from rebalplan.money import EXACT_CONTEXT
 from rebalplan.scenario import validate_scenario
 from rebalplan.trace import trace_text
@@ -153,6 +154,7 @@ def test_criterion_3_self_financing_identity():
             scn = _zero_fee_clone(random_scenario(rng))
             market = scn.market
             rules = scn.trade_rules()
+            book = deal_book(market, scn.fees, rules.lot_size)
             state, t = _random_state(rng, scn)
             next_t = market.grid.points[state.time_index + 1]
             # the identity is about trade accounting; positions expiring
@@ -165,7 +167,7 @@ def test_criterion_3_self_financing_identity():
                 if sec.window_end >= next_t and rng.random() < 0.8
             }
             try:
-                after = apply_rebalance(state, trade, market, scn.fees, rules)
+                after = apply_rebalance(state, trade, book, rules)
             except (InadmissibleTradeError, ShortCapExceededError):
                 continue
             assert wealth(after, market, t, rules) == wealth(state, market, t, rules)
@@ -182,6 +184,7 @@ def test_criterion_4_admissibility_fuzz():
             scn = random_scenario(rng)
             market = scn.market
             rules = scn.trade_rules()
+            book = deal_book(market, scn.fees, rules.lot_size)
             for _ in range(25):
                 attempts += 1
                 state, t = _random_state(rng, scn)
@@ -191,7 +194,7 @@ def test_criterion_4_admissibility_fuzz():
                     if rng.random() < 0.8
                 }
                 try:
-                    after = apply_rebalance(state, trade, market, scn.fees, rules)
+                    after = apply_rebalance(state, trade, book, rules)
                 except (InadmissibleTradeError, ShortCapExceededError):
                     continue
                 assert after.cash >= 0

@@ -38,6 +38,7 @@ from rebalplan.errors import (
     RebalplanError,
     StateBudgetExceededError,
 )
+from rebalplan.market import deal_book
 
 from scenariogen import (
     fee_050_scenario,
@@ -54,10 +55,14 @@ D = Decimal
 DOCS = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
 
+def _book(scn):
+    """The deal book a solve of ``scn`` builds for itself."""
+    return deal_book(scn.market, scn.fees, scn.options.lot_size)
+
+
 def test_enumerate_controls_budget_bound():
     scn = fee_050_scenario()
-    controls = tuple(enumerate_controls(scn.initial_state(), scn.market, scn.fees,
-                                        scn.trade_rules()))
+    controls = tuple(enumerate_controls(scn.initial_state(), _book(scn), scn.trade_rules()))
     got = sorted(trade.get("A", 0) for trade in controls)
     # independent check: filter every lot count by cost <= cash
     expected = sorted(
@@ -71,14 +76,13 @@ def test_enumerate_controls_budget_bound():
 def test_enumerate_controls_can_only_sell_without_cash():
     scn = fee_050_scenario()
     state = LedgerState(0, {"A": 2}, D("0.00"))
-    controls = tuple(enumerate_controls(state, scn.market, scn.fees, scn.trade_rules()))
+    controls = tuple(enumerate_controls(state, _book(scn), scn.trade_rules()))
     assert sorted(t.get("A", 0) for t in controls) == [-2, -1, 0]
 
 
 def test_enumerate_controls_without_active_securities():
     scn = simple_scenario(issue_time=2, maturity=1)
-    controls = tuple(enumerate_controls(scn.initial_state(), scn.market, scn.fees,
-                                        scn.trade_rules()))
+    controls = tuple(enumerate_controls(scn.initial_state(), _book(scn), scn.trade_rules()))
     assert controls == ({},)
 
 
@@ -90,7 +94,7 @@ def test_enumerate_controls_allows_selling_to_fund_buying():
     fees = FeeTable((Broker("b1", {(s, t): D("0.00") for s in "AB" for t in (1, 2, 3)}),))
     scn = Scenario(D("0.00"), market, fees, SolverOptions())
     state = LedgerState(0, {"B": 3}, D("0.00"))
-    controls = tuple(enumerate_controls(state, market, fees, scn.trade_rules()))
+    controls = tuple(enumerate_controls(state, _book(scn), scn.trade_rules()))
     # with no cash at all, buying A is only reachable through selling B
     assert {"A": 3, "B": -3} in controls
     assert {"A": 1, "B": -1} in controls
@@ -114,8 +118,9 @@ def _check_each_vector_once_in_its_own_dict(fee_b):
     fees = FeeTable((Broker("b1", {(sid, t): D(fee[sid]) for sid in prices for t in (1, 2)}),))
     rules = TradeRules(position_floor=-1)
     state = LedgerState(0, {"A": 2, "B": 1}, D("20.00"))
+    book = deal_book(market, fees, rules.lot_size)
     # each vector is snapshot as it comes and compared once the walk is done
-    taken = [(trade, dict(trade)) for trade in enumerate_controls(state, market, fees, rules)]
+    taken = [(trade, dict(trade)) for trade in enumerate_controls(state, book, rules)]
     assert all(trade == snapshot for trade, snapshot in taken)
     assert len({id(trade) for trade, _ in taken}) == len(taken)
 
@@ -126,7 +131,7 @@ def _check_each_vector_once_in_its_own_dict(fee_b):
     for deltas in itertools.product(range(-3, 13), range(-2, 8), range(-1, 6)):
         trade = {sid: delta for sid, delta in zip("ABC", deltas) if delta}
         try:
-            apply_rebalance(state, trade, market, fees, rules)
+            apply_rebalance(state, trade, book, rules)
         except RebalplanError:
             continue
         admissible.add(tuple(sorted(trade.items())))
@@ -140,7 +145,7 @@ def test_enumerate_controls_yields_nothing_when_cash_cannot_be_recovered():
     market = Market(TimeGrid((1, 2)), (Security("A", 1, 1, {1: D("5.00"), 2: D("5.00")}),))
     fees = FeeTable((Broker("b1", {("A", t): D("6.00") for t in (1, 2)}),))
     state = LedgerState(0, {"A": 1}, D("-1.00"))
-    assert list(enumerate_controls(state, market, fees, TradeRules())) == []
+    assert list(enumerate_controls(state, deal_book(market, fees, D(1)), TradeRules())) == []
 
 
 def test_delta_wealth():
@@ -289,16 +294,32 @@ def test_the_deal_book_does_not_depend_on_its_first_caller(doc, first_use):
     if first_use == "apply_rebalance":
         state = scn.initial_state()
         for _ in hold.trades:
-            state = apply_rebalance(state, {}, scn.market, scn.fees, scn.trade_rules())
+            state = apply_rebalance(state, {}, _book(scn), scn.trade_rules())
     else:
         trace_text(scn, hold)
     assert _solved(scn) == fresh
 
 
+def test_a_solve_sees_quotes_and_fees_edited_in_place_after_an_earlier_solve():
+    scn = scenario_from_dict(json.loads((DOCS / "buy_then_liquidate.json").read_text()))
+    assert solve_deterministic(scn)[0].terminal_wealth == D("104.50000000")
+    assert brute_force_solve(scn)[1] == D("104.50000000")
+    # a loaded scenario's quotes and fees are plain dicts
+    scn.market.security("A").quotes[2] = D("20.0000")
+    scn.fees.brokers[0].fees[("A", 1)] = D("0.0000")
+    assert solve_deterministic(scn)[0].terminal_wealth == D("195.00000000")
+    assert brute_force_solve(scn)[1] == D("195.00000000")
+    # as a fresh load of the same edits solves it
+    doc = json.loads((DOCS / "buy_then_liquidate.json").read_text())
+    doc["securities"][0]["quotes"]["2"] = "20.0000"
+    doc["brokers"][0]["fees"]["A"]["1"] = "0.0000"
+    assert solve_deterministic(scenario_from_dict(doc))[0].terminal_wealth == D("195.00000000")
+
+
 def test_value_nodes_replay_to_their_own_state():
     scn = fee_050_scenario()
     policy, table = solve_deterministic(scn)
-    market, rules = scn.market, scn.trade_rules()
+    market, rules, book = scn.market, scn.trade_rules(), _book(scn)
     for layer in table.layers:
         for node in layer:
             # replay the parent chain through the ledger
@@ -310,7 +331,7 @@ def test_value_nodes_replay_to_their_own_state():
                 cursor = cursor.parent
             state = scn.initial_state()
             for t, trade in reversed(chain):
-                state = apply_rebalance(state, trade, market, scn.fees, rules)
+                state = apply_rebalance(state, trade, book, rules)
             assert state == node.state
     assert max(node.state.cash for node in table.layers[-1]) == policy.terminal_wealth
 

@@ -1,5 +1,6 @@
 import random
-from decimal import Decimal
+from decimal import Context, Decimal, Inexact
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +25,13 @@ from rebalplan import (
     trace_text,
     validate_scenario,
 )
-from rebalplan.errors import BadNormalizationError, NegativeFeeError, NonpositivePriceError
+from rebalplan.errors import (
+    BadNormalizationError,
+    InadmissibleTradeError,
+    InstanceTooLargeError,
+    NegativeFeeError,
+    NonpositivePriceError,
+)
 from rebalplan.scenario import MODE_EXPECTED
 
 from scenariogen import degenerate_twin, fee_distribution_doc, random_audit_scenario, random_scenario
@@ -252,3 +259,36 @@ def test_zero_drift_ties_break_to_no_trading():
     assert value == D("100.00")
     assert policy.trades == ((1, {}), (2, {}))
     assert sec.quotes[1] == D("10.00")
+
+
+def test_the_mean_plan_expects_no_more_than_perfect_foresight(monkeypatch):
+    # EEV <= WS over batch seed 1's expected-mode documents within JOINT_CAP:
+    # EEV is the mean plan replayed on each joint outcome, WS each outcome's
+    # own optimum, both weighted by the outcome's probability, exactly
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    exact = Context(prec=200, traps=[Inexact])
+    within = admissible = 0
+    for doc in workloads.batch(1):
+        if doc["options"]["mode"] != MODE_EXPECTED:
+            continue
+        scn = scenario_from_dict(doc)
+        try:
+            outcomes = enumerate_joint_outcomes(scn)
+        except InstanceTooLargeError:
+            continue
+        within += 1
+        plan, _ = solve_deterministic(scn)
+        eev = ws = D(0)
+        for outcome, prob in outcomes:
+            ws = exact.add(ws, exact.multiply(prob, solve_deterministic(outcome)[0].terminal_wealth))
+            if eev is not None:
+                try:
+                    eev = exact.add(eev, exact.multiply(prob, replay_terminal_wealth(outcome, plan)))
+                except InadmissibleTradeError:
+                    eev = None  # the plan is not admissible in every outcome
+        if eev is not None:
+            admissible += 1
+            assert eev <= ws, doc
+    assert (within, admissible) == (800, 781)

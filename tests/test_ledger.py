@@ -26,6 +26,7 @@ from rebalplan.errors import (
     ShortCapExceededError,
 )
 from rebalplan.ledger import full_sale, opening_state
+from rebalplan.market import deal_book
 
 D = Decimal
 
@@ -47,6 +48,7 @@ def flat_fees(fee):
 
 MARKET = two_security_market()
 FEES = flat_fees("0.50")
+BOOK = deal_book(MARKET, FEES, D(1))
 
 
 def test_holdings_are_kept_in_id_order_without_zeros():
@@ -58,9 +60,9 @@ def test_holdings_are_kept_in_id_order_without_zeros():
 
 def test_a_state_that_holds_nothing_shares_the_opening_mapping():
     opening = opening_state(D("100.00"))
-    bought = apply_rebalance(opening, {"A": 2}, MARKET, FEES)
-    sold = apply_rebalance(bought, {"A": -2}, MARKET, FEES)
-    forfeited = apply_rebalance(opening, {"M": 1}, MARKET, FEES)  # M matures after t=1
+    bought = apply_rebalance(opening, {"A": 2}, BOOK)
+    sold = apply_rebalance(bought, {"A": -2}, BOOK)
+    forfeited = apply_rebalance(opening, {"M": 1}, BOOK)  # M matures after t=1
     built = LedgerState(1, {"A": 0}, D("1.00"))
     for state in (sold, forfeited, built):
         assert state.holdings == {} and state.holdings is opening.holdings
@@ -84,7 +86,7 @@ def test_wealth_ignores_matured_positions():
 
 def test_apply_rebalance_charges_price_plus_fee():
     state = LedgerState(0, {}, D("100.00"))
-    after = apply_rebalance(state, {"A": 2}, MARKET, FEES)
+    after = apply_rebalance(state, {"A": 2}, BOOK)
     assert after.cash == D("79.00")
     assert dict(after.holdings) == {"A": 2}
     assert after.time_index == 1
@@ -93,13 +95,13 @@ def test_apply_rebalance_charges_price_plus_fee():
 def test_apply_rebalance_reports_the_deficit():
     state = LedgerState(0, {}, D("10.00"))
     with pytest.raises(InadmissibleTradeError) as info:
-        apply_rebalance(state, {"A": 2}, MARKET, FEES)
+        apply_rebalance(state, {"A": 2}, BOOK)
     assert info.value.deficit == D("11.00")
 
 
 def test_zero_trade_is_always_admissible():
     state = LedgerState(0, {"A": 2}, D("79.00"))
-    after = apply_rebalance(state, {}, MARKET, FEES)
+    after = apply_rebalance(state, {}, BOOK)
     assert after.cash == D("79.00")
     assert dict(after.holdings) == {"A": 2}
 
@@ -107,30 +109,30 @@ def test_zero_trade_is_always_admissible():
 def test_apply_rebalance_enforces_the_position_floor():
     state = LedgerState(0, {"A": 1}, D("100.00"))
     with pytest.raises(ShortCapExceededError):
-        apply_rebalance(state, {"A": -2}, MARKET, FEES)
+        apply_rebalance(state, {"A": -2}, BOOK)
     rules = TradeRules(position_floor=-3)
-    after = apply_rebalance(state, {"A": -2}, MARKET, FEES, rules)
+    after = apply_rebalance(state, {"A": -2}, BOOK, rules)
     assert dict(after.holdings) == {"A": -1}
     with pytest.raises(ShortCapExceededError):
-        apply_rebalance(state, {"A": -5}, MARKET, FEES, rules)
+        apply_rebalance(state, {"A": -5}, BOOK, rules)
 
 
 def test_apply_rebalance_rejects_unissued_or_matured():
     state = LedgerState(1, {}, D("100.00"))
     with pytest.raises(InactiveSecurityError):
-        apply_rebalance(state, {"M": 1}, MARKET, FEES)
+        apply_rebalance(state, {"M": 1}, BOOK)
 
 
 def test_expiring_positions_are_forfeited_on_advance():
     state = LedgerState(0, {"M": 4}, D("10.00"))
-    after = apply_rebalance(state, {}, MARKET, FEES)
+    after = apply_rebalance(state, {}, BOOK)
     assert dict(after.holdings) == {}  # M's window closed before t=2
 
 
 def liquidate_all(state, market, fees):
     """Cash after selling every position still in circulation."""
     t = market.grid.points[state.time_index]
-    return apply_rebalance(state, full_sale(state, market, t), market, fees).cash
+    return apply_rebalance(state, full_sale(state, market, t), deal_book(market, fees, D(1))).cash
 
 
 def test_liquidate_all_books_proceeds_minus_fees():
@@ -156,7 +158,7 @@ def test_liquidate_all_forfeits_matured_positions():
 def test_fractional_lot_size_scales_cash_flows():
     rules = TradeRules(lot_size=D("0.5"))
     state = LedgerState(0, {}, D("100.00"))
-    after = apply_rebalance(state, {"A": 3}, MARKET, FEES, rules)
+    after = apply_rebalance(state, {"A": 3}, deal_book(MARKET, FEES, rules.lot_size), rules)
     # 3 half-lots at 10.00 plus 0.50 fee per unit: 1.5 * 10.50
     assert after.cash == D("100.00") - D("15.75")
 
@@ -176,11 +178,12 @@ def random_state_and_trade(rng, fees):
 def test_self_financing_identity_with_zero_fees():
     rng = random.Random(7)
     zero_fees = flat_fees("0.00")
+    book = deal_book(MARKET, zero_fees, D(1))
     checked = 0
     for _ in range(300):
         state, trade = random_state_and_trade(rng, zero_fees)
         try:
-            after = apply_rebalance(state, trade, MARKET, zero_fees)
+            after = apply_rebalance(state, trade, book)
         except InadmissibleTradeError:
             continue
         assert wealth(after, MARKET, 1) == wealth(state, MARKET, 1)
@@ -192,14 +195,15 @@ def test_fees_only_ever_reduce_cash():
     rng = random.Random(8)
     cheap = flat_fees("0.10")
     costly = flat_fees("0.30")
+    cheap_book, costly_book = deal_book(MARKET, cheap, D(1)), deal_book(MARKET, costly, D(1))
     for _ in range(200):
         state, trade = random_state_and_trade(rng, cheap)
         try:
-            after_cheap = apply_rebalance(state, trade, MARKET, cheap)
+            after_cheap = apply_rebalance(state, trade, cheap_book)
         except InadmissibleTradeError:
             continue
         try:
-            after_costly = apply_rebalance(state, trade, MARKET, costly)
+            after_costly = apply_rebalance(state, trade, costly_book)
         except InadmissibleTradeError:
             continue
         assert after_costly.cash <= after_cheap.cash
@@ -211,10 +215,10 @@ def test_inverse_trade_leaks_exactly_the_fees():
         qty = rng.randint(1, 5)
         state = LedgerState(0, {"A": 3}, D("500.00"))
         trade = {"A": qty}
-        mid = apply_rebalance(state, trade, MARKET, FEES)
+        mid = apply_rebalance(state, trade, BOOK)
         # undo at the same prices: rewind the clock but keep the new book
         mid_at_t1 = LedgerState(0, dict(mid.holdings), mid.cash)
-        back = apply_rebalance(mid_at_t1, {"A": -qty}, MARKET, FEES)
+        back = apply_rebalance(mid_at_t1, {"A": -qty}, BOOK)
         assert dict(back.holdings) == dict(state.holdings)
         leak = D("0.50") * 2 * qty
         assert back.cash == state.cash - leak
@@ -225,7 +229,7 @@ def test_successful_rebalances_never_go_negative():
     for _ in range(500):
         state, trade = random_state_and_trade(rng, FEES)
         try:
-            after = apply_rebalance(state, trade, MARKET, FEES)
+            after = apply_rebalance(state, trade, BOOK)
         except InadmissibleTradeError:
             continue
         assert after.cash >= 0
@@ -337,7 +341,7 @@ def test_indexed_rebalance_matches_the_raw_quotes_and_fees(case):
     market, fees, state, trade, rules = case
     expected = reference_rebalance(state, trade, market, fees, rules)
     try:
-        got = apply_rebalance(state, trade, market, fees, rules)
+        got = apply_rebalance(state, trade, deal_book(market, fees, rules.lot_size), rules)
     except (InactiveSecurityError, QuoteMissingError, FeeMissingError,
             ShortCapExceededError, InadmissibleTradeError) as exc:
         assert type(exc) is expected

@@ -21,7 +21,7 @@ from rebalplan.errors import (
     NonpositivePriceError,
     QuoteMissingError,
 )
-from rebalplan.market import Market, deals_at
+from rebalplan.market import Market, deal_book
 
 D = Decimal
 
@@ -45,11 +45,20 @@ def test_a_market_refuses_a_repeated_security_id():
 
 
 def test_the_deal_book_has_no_page_at_the_horizon_end():
-    market = Market(TimeGrid((1, 2)), (sec(1, 1, {1: "10", 2: "10"}),))
-    fees = FeeTable((Broker("b1", {("A", 1): D(0), ("A", 2): D(0)}),))
-    assert deals_at(market, fees, D(1), 0).per_lot == {"A": (D(10), D(10))}
-    with pytest.raises(ValueError, match="horizon end"):
-        deals_at(market, fees, D(1), 1)
+    # A circulates at 1 and 2; no broker quotes a fee for it at 2
+    market = Market(TimeGrid((1, 2, 3)), (sec(1, 1, {1: "10", 2: "10"}),))
+    fees = FeeTable((Broker("b1", {("A", 1): D(0)}),))
+    book = deal_book(market, fees, D(1))
+    assert [(page.time, page.active, page.carried) for page in book] == [
+        (1, ("A",), ("A",)), (2, ("A",), ())]
+    assert book[0].per_lot["A"] == (D(10), D(10))
+    assert dict(book[1].per_lot) == {}  # nothing is priced before it is read
+    for _ in range(2):  # a read that cannot be priced raises each time
+        with pytest.raises(FeeMissingError):
+            book[1].per_lot["A"]
+    unissued = Market(TimeGrid((1, 2)), (sec(2, 1, {2: "10"}),))
+    with pytest.raises(InactiveSecurityError):
+        deal_book(unissued, fees, D(1))[0].per_lot["A"]
 
 
 def test_records_built_without_maps_share_one_read_only_mapping():

@@ -102,7 +102,7 @@ def test_the_records_are_read_only_values(path):
             with pytest.raises(AttributeError):
                 setattr(record, name, getattr(record, name))
 
-    # two loads compare equal, also once one has been solved and holds a deal book
+    # two loads compare equal, also once one has been solved
     first, second = load_scenario(path), load_scenario(path)
     solved = _reduced(second)
     solve_deterministic(solved)

@@ -98,6 +98,13 @@ def test_trace_refuses_a_policy_that_stops_early():
         trace_text(scn, stopped)
 
 
+def test_trace_refuses_a_policy_that_trades_at_the_horizon_end():
+    scn = load_scenario(DOCS / "buy_then_liquidate.json")
+    overlong = Policy(((1, {"A": 9}), (2, {"A": -9}), (3, {})), D("104.5000"))
+    with pytest.raises(ValueError, match="cannot trade at the horizon end"):
+        trace_text(scn, overlong)
+
+
 # Replays the documented example with the cash reached at time 1 one quantum
 # too high, then prints the trace; exits 3 if the trace refuses it.
 _OFF_BY_ONE_QUANTUM = """
@@ -108,8 +115,8 @@ from rebalplan import LedgerState, load_scenario, solve_deterministic, trace_tex
 scn = load_scenario(sys.argv[1])
 policy, _ = solve_deterministic(scn)
 ledger_step = trace.apply_rebalance
-def off_by_one(state, trade, market, fees, rules):
-    reached = ledger_step(state, trade, market, fees, rules)
+def off_by_one(state, trade, book, rules):
+    reached = ledger_step(state, trade, book, rules)
     if state.time_index == 0:
         reached = LedgerState(1, reached.holdings, reached.cash + Decimal("0.0001"))
     return reached

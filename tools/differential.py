@@ -10,7 +10,10 @@ compares what each records for every input:
   wealth, or the error type and message;
 - for a scenario with a price or fee distribution, the ``repr`` and dump of
   its expected-mode reduction, and the probability of each joint outcome
-  with the solved policy's wealth replayed on it, or each error;
+  with the solved policy's wealth replayed on it, or each error; and, as
+  exact sums weighted by those probabilities, ``ws``, the outcomes' own
+  optima (perfect foresight), and ``eev``, the replayed wealth, where the
+  policy is admissible in every outcome;
 - the oracle's policy and wealth, for the examples and ``batch``;
 - the CLI's exit code, stdout and stderr for ``validate``, ``solve`` and
   ``oracle`` on each example, as written and with ``--mode exp``.
@@ -46,6 +49,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from decimal import Context, Decimal, Inexact
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -190,7 +194,34 @@ def _expected_record(scenario, policy) -> dict:
         return record
     record["outcomes"] = [[str(prob), None if policy is None else _replayed(outcome, policy)]
                           for outcome, prob in outcomes]
+    record["ws"] = _weighted([[str(prob), _optimum(outcome)] for outcome, prob in outcomes])
+    replayed = _weighted(record["outcomes"])
+    if isinstance(replayed, str):
+        record["eev"] = replayed
     return record
+
+
+def _optimum(outcome) -> object:
+    from rebalplan import solve_deterministic
+
+    try:
+        return str(solve_deterministic(outcome)[0].terminal_wealth)
+    except Exception as exc:
+        return _error(exc)
+
+
+def _weighted(pairs: list) -> object:
+    """The exact sum of probability times wealth over ``[prob, wealth]`` pairs of strings.
+
+    The first wealth that is not a string (an error, or no policy) is returned instead.
+    """
+    exact = Context(prec=200, traps=[Inexact])
+    total = Decimal(0)
+    for prob, wealth in pairs:
+        if not isinstance(wealth, str):
+            return wealth
+        total = exact.add(total, exact.multiply(Decimal(prob), Decimal(wealth)))
+    return str(total)
 
 
 def _replayed(outcome, policy) -> object:
