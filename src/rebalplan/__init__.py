@@ -16,12 +16,7 @@ from .dp import (
 )
 from .errors import RebalplanError
 from .expectation import build_expected_market, enumerate_joint_outcomes, expected_price
-from .ledger import (
-    LedgerState,
-    TradeRules,
-    apply_rebalance,
-    wealth,
-)
+from .ledger import LedgerState, apply_rebalance, wealth
 from .market import (
     Broker,
     DiscreteDistribution,
@@ -59,7 +54,6 @@ __all__ = [
     "Security",
     "SolverOptions",
     "TimeGrid",
-    "TradeRules",
     "ValueTable",
     "apply_rebalance",
     "brute_force_solve",

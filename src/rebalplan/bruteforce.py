@@ -18,7 +18,7 @@ from .dp import Policy, TradeEntry, trade_entries
 from .errors import EmptyTableError, InadmissibleTradeError, InstanceTooLargeError
 from .expectation import priced_instance
 from .ledger import LedgerState, apply_rebalance, full_sale, trade_lots
-from .market import Market, deal_book, effective_fee, price_at
+from .market import Deals, Market, effective_fee, price_at
 from .money import exact_arithmetic, whole_lots
 from .scenario import Scenario
 
@@ -44,10 +44,9 @@ def brute_force_solve(scenario: Scenario, *,
     scenario = priced_instance(scenario)
     market = scenario.market
     fees = scenario.fees
-    rules = scenario.trade_rules()
-    book = deal_book(market, fees, rules.lot_size)
-    grid = market.grid
-    stages = len(grid) - 1
+    lot = scenario.options.lot_size
+    book = scenario.deal_book()
+    stages = len(book)
     if stages > STAGE_CAP:
         raise InstanceTooLargeError(stages, STAGE_CAP, "stages")
     hold_to_end = scenario.options.hold_to_end
@@ -66,17 +65,18 @@ def brute_force_solve(scenario: Scenario, *,
                 best_key = key
                 best_trades = tuple((t, dict(trade)) for t, trade in trades)
             return
-        t = grid.points[stage]
+        page = book[stage]
+        t = page.time
         if stage == stages - 1 and not hold_to_end:
-            candidates: Iterable[dict[str, int]] = [full_sale(state, market, t)]
+            candidates: Iterable[dict[str, int]] = [full_sale(state, page)]
         else:
-            candidates = _stage_candidates(state, market, fees, rules, t)
+            candidates = _stage_candidates(state, page, market, fees, lot)
         for trade in candidates:
             applied += 1
             if applied > cap:
                 raise InstanceTooLargeError(applied, cap)
             try:
-                successor = apply_rebalance(state, trade, book, rules)
+                successor = apply_rebalance(state, trade, book)
             except InadmissibleTradeError:
                 continue
             trades.append((t, trade))
@@ -91,10 +91,12 @@ def brute_force_solve(scenario: Scenario, *,
     return Policy(best_trades, -best_key[0]), -best_key[0]
 
 
-def _stage_candidates(state: LedgerState, market: Market, fees, rules,
-                      t: int) -> Iterator[dict[str, int]]:
-    """Superset of the admissible vectors at one time, loosely bounded.
+def _stage_candidates(state: LedgerState, page: Deals, market: Market, fees,
+                      lot: Decimal) -> Iterator[dict[str, int]]:
+    """Superset of the admissible vectors at the page's time, loosely bounded.
 
+    The page gives the time, the ids in circulation and the position floor;
+    the prices and fees come from the raw quotes, not the page's terms.
     Buying power for each security is capped by current cash plus the gross
     sale value of every other position (fees ignored), which can never
     exclude an admissible vector; exact filtering happens on application.
@@ -102,31 +104,31 @@ def _stage_candidates(state: LedgerState, market: Market, fees, rules,
     their deltas, by turning the per-security ranges as an odometer, so
     the caller's cap trips however wide a range is.
     """
-    secs = market.active_securities(t)
-    if not secs:
+    ids = page.active
+    if not ids:
         yield {}
         return
-    lot = rules.lot_size
+    t = page.time
     gross: list[Decimal] = []
     sellable: list[int] = []
     unit_cost: list[Decimal] = []
-    for sec in secs:
+    for sid in ids:
+        sec = market.security(sid)
         price = price_at(sec, t)
         fee = effective_fee(sec, t, fees)
-        bound = state.holdings.get(sec.security_id, 0) - rules.position_floor
+        bound = state.holdings.get(sid, 0) - page.floor
         sellable.append(bound)
         gross.append(price * lot * bound)
         unit_cost.append((price + fee) * lot)
     gross_total = sum(gross, Decimal(0))
 
     ranges = []
-    for i, sec in enumerate(secs):
+    for i in range(len(ids)):
         budget = state.cash + gross_total - gross[i]
         hi = whole_lots(budget, unit_cost[i])
         ranges.append(range(-sellable[i], hi + 1))
     if not all(ranges):
         return
-    ids = [sec.security_id for sec in secs]
     deltas = [r.start for r in ranges]
     last = len(ranges) - 1
     while True:

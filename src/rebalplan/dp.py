@@ -42,15 +42,8 @@ from typing import Iterator, NamedTuple, Optional
 
 from .errors import EmptyTableError, InadmissibleTradeError, StateBudgetExceededError
 from .expectation import priced_instance
-from .ledger import (
-    DEFAULT_RULES,
-    LedgerState,
-    TradeRules,
-    apply_rebalance,
-    full_sale,
-    trade_lots,
-)
-from .market import Deals, Market, TimeGrid, deal_book
+from .ledger import LedgerState, apply_rebalance, full_sale, trade_lots
+from .market import Deals, TimeGrid
 from .money import exact_arithmetic, whole_lots
 from .scenario import Scenario
 
@@ -93,8 +86,7 @@ def trade_entries(t: int, trade: dict[str, int]) -> tuple[TradeEntry, ...]:
     return tuple((t, sid, delta) for sid, delta in sorted(trade.items()) if delta != 0)
 
 
-def enumerate_controls(state: LedgerState, book: tuple[Deals, ...],
-                       rules: TradeRules = DEFAULT_RULES) -> Iterator[dict[str, int]]:
+def enumerate_controls(state: LedgerState, book: tuple[Deals, ...]) -> Iterator[dict[str, int]]:
     """Every admissible trade vector at the state's decision time, streamed.
 
     Deltas compose security by security in id order; the budget bound is
@@ -103,17 +95,18 @@ def enumerate_controls(state: LedgerState, book: tuple[Deals, ...],
     any vector whose aggregate cash stays non-negative. Selling one security
     to fund buying another in the same step is admissible, and enumerated.
 
-    The per-lot amounts come from the state's page of ``book``, a
-    :func:`~rebalplan.market.deal_book` for ``rules.lot_size``, read in id
-    order, so the first missing quote or fee raises its typed error here,
-    before the first vector. The vectors are then made one at a time, in
+    The ids in circulation, their per-lot amounts and the position floor
+    come from the state's page of ``book``, a
+    :func:`~rebalplan.market.deal_book`; the amounts are read in id order,
+    so the first missing quote or fee raises its typed error here, before
+    the first vector. The vectors are then made one at a time, in
     lexicographic order of their deltas, by an iterative walk: memory stays
     linear in the number of securities whatever the number of vectors.
     """
     page = book[state.time_index]
     per_lot = page.per_lot
     held = state.holdings
-    floor = rules.position_floor
+    floor = page.floor
     terms = []
     for sid in page.active:
         buy_cost, sell_net = per_lot[sid]
@@ -212,10 +205,8 @@ def solve_deterministic(scenario: Scenario, *, prune: bool = True) -> tuple[Poli
     :func:`priced_instance`, as the brute-force oracle does.
     """
     scenario = priced_instance(scenario)
-    market = scenario.market
-    rules = scenario.trade_rules()
-    book = deal_book(market, scenario.fees, rules.lot_size)
-    grid = market.grid
+    book = scenario.deal_book()
+    grid = scenario.market.grid
     cap = scenario.options.max_states
     stages = len(grid) - 1
 
@@ -224,7 +215,7 @@ def solve_deterministic(scenario: Scenario, *, prune: bool = True) -> tuple[Poli
     with exact_arithmetic():
         for i in range(stages):
             forced = i == stages - 1 and not scenario.options.hold_to_end
-            layers.append(_expand(layers[-1], market, book, rules, forced, prune,
+            layers.append(_expand(layers[-1], book, grid.points, forced, prune,
                                   cap, len(layers)))
 
     table = ValueTable(grid, layers)
@@ -248,9 +239,8 @@ def extract_policy(table: ValueTable) -> Policy:
     return Policy(steps, best.state.cash)
 
 
-def _expand(frontier: list[ValueNode], market: Market, book: tuple[Deals, ...],
-            rules: TradeRules, forced: bool, prune: bool, cap: int,
-            layer: int) -> list[ValueNode]:
+def _expand(frontier: list[ValueNode], book: tuple[Deals, ...], points: tuple[int, ...],
+            forced: bool, prune: bool, cap: int, layer: int) -> list[ValueNode]:
     """Build layer ``layer`` from its predecessor, keeping at most ``cap`` nodes.
 
     The layer is one dict. With ``prune`` it is keyed by holdings and keeps
@@ -258,18 +248,17 @@ def _expand(frontier: list[ValueNode], market: Market, book: tuple[Deals, ...],
     the incumbent is dropped before its node is built. Without, it is
     keyed by arrival order and keeps every successor in the order made.
     """
-    points = market.grid.points
     kept: dict[tuple[tuple[str, int], ...] | int, ValueNode] = {}
     for node in frontier:
         state = node.state
         if forced:
-            trades = (full_sale(state, market, points[state.time_index]),)
+            trades = (full_sale(state, book[state.time_index]),)
         else:
-            trades = enumerate_controls(state, book, rules)
+            trades = enumerate_controls(state, book)
         lots = node.lots
         for trade in trades:
             try:
-                successor = apply_rebalance(state, trade, book, rules)
+                successor = apply_rebalance(state, trade, book)
             except InadmissibleTradeError:
                 # only the forced sale can fail here (closing shorts needs cash)
                 continue

@@ -3,15 +3,16 @@
 A ledger state is (time index, holdings, cash). A trade maps security ids to
 integer lot deltas; applying it at time t costs the quoted price per unit
 plus the cheapest broker fee per unit, fees charged on the absolute quantity
-traded for buys and sells alike. Cash must never go negative: that single
-constraint defines admissibility. States are immutable values; every
-operation returns a new state. Holdings are canonical: in security id order
-and without zero positions, so two states with the same positions compare
-and key alike.
+traded for buys and sells alike. Cash must never go negative, and no
+position may end below the floor: those two limits define admissibility.
+States are immutable values; every operation returns a new state. Holdings
+are canonical: in security id order and without zero positions, so two
+states with the same positions compare and key alike.
 
-The per-lot amounts come from the page of the deal book the caller hands
-the step (:func:`~rebalplan.market.deal_book`), which prices each lot by
-the one rule, :func:`~rebalplan.market.lot_terms`. The step is one pass
+The terms of trade come from the page of the deal book the caller hands
+the step (:func:`~rebalplan.market.deal_book`): the per-lot amounts, which
+it prices by the one rule, :func:`~rebalplan.market.lot_terms`, the
+position floor and the ids in circulation. The step is one pass
 over the trade and one over the securities carried to the next time: the
 first prices each delta and notes the position it moves to, the second
 reads those positions (or the unmoved ones) in id order, so the
@@ -38,22 +39,6 @@ from .market import Deals, Market, is_active, price_at
 # A trade vector: security id -> lot delta (holdings after minus holdings
 # before). Canonical form carries no zero entries.
 TradeVector = Mapping[str, int]
-
-
-class TradeRules(NamedTuple):
-    """Scenario-level trading conventions the ledger needs.
-
-    ``lot_size`` is the number of security units per lot; prices and fees are
-    per unit, holdings are counted in integer lots. ``position_floor`` is the
-    fewest lots a position may hold: 0, or ``-short_cap`` with shorting on.
-    A named tuple, as a scenario builds one for each solve and each replay.
-    """
-
-    lot_size: Decimal = Decimal(1)
-    position_floor: int = 0
-
-
-DEFAULT_RULES = TradeRules()
 
 
 # the holdings of every state that holds nothing
@@ -108,8 +93,8 @@ def trade_lots(trade: TradeVector) -> int:
 
 
 def wealth(state: LedgerState, market: Market, t: int,
-           rules: TradeRules = DEFAULT_RULES) -> Decimal:
-    """Cash plus the mark-to-market value of holdings at time ``t``.
+           lot: Decimal = Decimal(1)) -> Decimal:
+    """Cash plus the mark-to-market value of holdings at time ``t``, in lots of ``lot``.
 
     Holdings in securities outside their circulation window at ``t``
     contribute zero: matured paper is worthless, unissued paper cannot be
@@ -120,22 +105,22 @@ def wealth(state: LedgerState, market: Market, t: int,
     for sid, qty in state.holdings.items():
         sec = market.security(sid)
         if is_active(sec, t):
-            total += price_at(sec, t) * rules.lot_size * qty
+            total += price_at(sec, t) * lot * qty
     return total
 
 
-def apply_rebalance(state: LedgerState, trade: TradeVector, book: tuple[Deals, ...],
-                    rules: TradeRules = DEFAULT_RULES) -> LedgerState:
+def apply_rebalance(state: LedgerState, trade: TradeVector,
+                    book: tuple[Deals, ...]) -> LedgerState:
     """Apply a trade at the state's grid time and advance one step.
 
-    ``book`` is the caller's :func:`~rebalplan.market.deal_book`, built for
-    ``rules.lot_size``; the step reads its page for the state's time index.
-    New cash is old cash minus, per lot delta in id order, the page's per-lot
-    amount for its side times the delta: the signed redistribution plus fees
-    on every lot moved. The trade is admissible iff that cash is
-    non-negative; there is no lower bound on selling beyond the position
-    floor. Positions whose window has closed by the next grid time are
-    forfeited (dropped at zero value), keeping states canonical.
+    ``book`` is the caller's :func:`~rebalplan.market.deal_book`; the step
+    reads its page for the state's time index. New cash is old cash minus,
+    per lot delta in id order, the page's per-lot amount for its side times
+    the delta: the signed redistribution plus fees on every lot moved. The
+    trade is admissible iff that cash is non-negative; there is no lower
+    bound on selling beyond the page's position floor. Positions not
+    carried to the next grid time are forfeited (dropped at zero value),
+    keeping states canonical.
 
     The successor's holdings come out of the carried-position pass
     canonical, so it is built as they are, not cleaned again, and one that
@@ -144,7 +129,7 @@ def apply_rebalance(state: LedgerState, trade: TradeVector, book: tuple[Deals, .
     index = state.time_index
     page = book[index]
     per_lot = page.per_lot
-    floor = rules.position_floor
+    floor = page.floor
     held = state.holdings
     cash = state.cash
     moved = {}
@@ -171,7 +156,7 @@ def apply_rebalance(state: LedgerState, trade: TradeVector, book: tuple[Deals, .
     return _new_state(LedgerState, (index + 1, holdings, cash))
 
 
-def full_sale(state: LedgerState, market: Market, t: int) -> dict[str, int]:
-    """The trade closing every position still in circulation at ``t``."""
-    return {sid: -qty for sid, qty in state.holdings.items()
-            if is_active(market.security(sid), t)}
+def full_sale(state: LedgerState, page: Deals) -> dict[str, int]:
+    """The trade closing every position in circulation at the page's time."""
+    active = page.active
+    return {sid: -qty for sid, qty in state.holdings.items() if sid in active}

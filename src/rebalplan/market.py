@@ -9,9 +9,11 @@ window [issue_time, issue_time + maturity] and is worthless outside it.
 when sold, from the checked lookups :func:`price_at` and
 :func:`effective_fee`, which raise the typed error for a missing entry or
 one out of range. :func:`deal_book` builds one page per stage for a solve,
-a replay or a trace, each security's terms priced on their first read. A
-trade step then costs one multiplication per lot delta, and the solver's
-enumerator reads the same page.
+a replay or a trace: the one record of the terms of trade at a time, which
+are the ids in circulation, each security's terms priced on their first
+read, and the position floor. A trade step then costs one multiplication
+per lot delta. The solver's enumerator and forced sale read the same page,
+and the oracle reads its time, ids and floor but prices from the quotes.
 
 :func:`distribution_errors` is the one rule for price and fee
 distributions. It lists every error, which the loader reports as issues;
@@ -167,10 +169,6 @@ class Market:
     def security(self, security_id: str) -> Security:
         return self._by_id[security_id]
 
-    def active_securities(self, t: int) -> tuple[Security, ...]:
-        """Securities in circulation at ``t``, in id order."""
-        return tuple(sec for sec in self._by_id.values() if is_active(sec, t))
-
 
 def is_active(security: Security, t: int) -> bool:
     """True iff ``t`` lies in the closed circulation window of the security."""
@@ -256,23 +254,28 @@ class Deals(NamedTuple):
     """One page of a deal book: the terms of trading at one grid time.
 
     ``active`` and ``carried`` hold the ids of the securities in
-    circulation at ``time`` and at the next grid time, in id order.
+    circulation at ``time`` and at the next grid time, in id order: only
+    an active id trades, and only a carried one is held past the step.
     ``per_lot`` maps a security id to its :func:`lot_terms` at ``time``,
-    priced on the first read.
+    priced on the first read. ``floor`` is the fewest lots a position may
+    hold after a trade: 0, or minus the short cap where shorting is on.
     """
 
     time: int
     active: tuple[str, ...]
     carried: tuple[str, ...]
     per_lot: Mapping[str, tuple[Decimal, Decimal]]
+    floor: int
 
 
-def deal_book(market: Market, fees: FeeTable, lot: Decimal) -> tuple[Deals, ...]:
+def deal_book(market: Market, fees: FeeTable, lot: Decimal,
+              floor: int = 0) -> tuple[Deals, ...]:
     """The pages for trading on ``market`` at ``fees`` in lots of ``lot``, one per stage.
 
     Page ``i`` is for grid index ``i``, and none is for the horizon end.
-    Nothing is priced or kept here: each public call builds its own book,
-    so an edit to a quote or a fee between two calls is seen by the second.
+    Every page holds positions to ``floor`` lots or more. Nothing is priced
+    or kept here: each public call builds its own book, so an edit to a
+    quote or a fee between two calls is seen by the second.
     """
     points = market.grid.points
     ids = [tuple(sid for sid, sec in market._by_id.items() if is_active(sec, t))
@@ -281,7 +284,7 @@ def deal_book(market: Market, fees: FeeTable, lot: Decimal) -> tuple[Deals, ...]
     for i, t in enumerate(points[:-1]):
         per_lot = _Terms()
         per_lot._at = (market, t, fees, lot)
-        pages.append(Deals(t, ids[i], ids[i + 1], per_lot))
+        pages.append(Deals(t, ids[i], ids[i + 1], per_lot, floor))
     return tuple(pages)
 
 

@@ -55,14 +55,16 @@ from .errors import (
     ScenarioValidationError,
     ValidationIssue,
 )
-from .ledger import LedgerState, TradeRules, opening_state
+from .ledger import LedgerState, opening_state
 from .market import (
     Broker,
+    Deals,
     DiscreteDistribution,
     FeeTable,
     Market,
     Security,
     TimeGrid,
+    deal_book,
     distribution_errors,
     is_active,
 )
@@ -92,10 +94,15 @@ class Scenario(NamedTuple):
     fees: FeeTable
     options: SolverOptions
 
-    def trade_rules(self) -> TradeRules:
+    def deal_book(self) -> tuple[Deals, ...]:
+        """The :func:`~rebalplan.market.deal_book` for trading this instance as it is.
+
+        Its pages hold positions to ``-short_cap`` lots with shorting on,
+        and to 0 with it off, whatever ``short_cap`` says.
+        """
         options = self.options
         floor = -options.short_cap if options.allow_short else 0
-        return TradeRules(options.lot_size, floor)
+        return deal_book(self.market, self.fees, options.lot_size, floor)
 
     def initial_state(self) -> LedgerState:
         return opening_state(self.initial_capital)

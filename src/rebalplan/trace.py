@@ -42,7 +42,7 @@ from decimal import Decimal
 from .dp import Policy
 from .expectation import priced_instance
 from .ledger import LedgerState, apply_rebalance, wealth
-from .market import deal_book, effective_fee, price_at
+from .market import effective_fee, price_at
 from .money import exact_arithmetic, format_decimal
 from .scenario import Scenario
 
@@ -84,7 +84,6 @@ def _rows(scenario: Scenario, policy: Policy) -> list[list[str]]:
     scale = scenario.options.price_scale
     money = lambda d: format_decimal(d, scale)  # noqa: E731
 
-    rules = scenario.trade_rules()
     rows: list[list[str]] = []
     states = _full_horizon_states(scenario, policy)
     for (t, trade), state, reached in zip(policy.trades, states, states[1:]):
@@ -93,7 +92,7 @@ def _rows(scenario: Scenario, policy: Policy) -> list[list[str]]:
         # a time where nothing is held or traded prints no row
         if held or any(trade.values()):
             touched = set(held) | {s for s, d in trade.items() if d != 0}
-            mark = wealth(state, market, t, rules)
+            mark = wealth(state, market, t, lot)
             for sid in sorted(touched, key=lambda sid: (trade.get(sid, 0) > 0, sid)):
                 delta = trade.get(sid, 0)
                 before = held.get(sid, 0)
@@ -143,10 +142,8 @@ def _full_horizon_states(scenario: Scenario, policy: Policy) -> list[LedgerState
 
 def _states(scenario: Scenario, policy: Policy) -> list[LedgerState]:
     scenario = priced_instance(scenario)
-    market = scenario.market
-    rules = scenario.trade_rules()
-    book = deal_book(market, scenario.fees, rules.lot_size)
-    points = market.grid.points
+    book = scenario.deal_book()
+    points = scenario.market.grid.points
     state = scenario.initial_state()
     states = [state]
     for t, trade in policy.trades:
@@ -157,6 +154,6 @@ def _states(scenario: Scenario, policy: Policy) -> list[LedgerState]:
             )
         if state.time_index == len(book):
             raise ValueError("cannot trade at the horizon end")
-        state = apply_rebalance(state, trade, book, rules)
+        state = apply_rebalance(state, trade, book)
         states.append(state)
     return states

@@ -42,7 +42,6 @@ from rebalplan.errors import (
     ShortCapExceededError,
 )
 from rebalplan.expectation import priced_instance
-from rebalplan.market import deal_book
 from rebalplan.money import EXACT_CONTEXT
 from rebalplan.scenario import validate_scenario
 from rebalplan.trace import trace_text
@@ -136,12 +135,12 @@ def _random_state(rng, scn, lo_index=0):
     grid = scn.market.grid
     idx = rng.randint(lo_index, len(grid) - 2)
     t = grid.points[idx]
-    floor = scn.trade_rules().position_floor
+    page = scn.deal_book()[idx]
     holdings = {}
-    for sec in scn.market.active_securities(t):
-        qty = rng.randint(floor, 6)
+    for sid in page.active:
+        qty = rng.randint(page.floor, 6)
         if qty:
-            holdings[sec.security_id] = qty
+            holdings[sid] = qty
     cash = D(rng.randint(0, 5000)) / 100
     return LedgerState(idx, holdings, cash), t
 
@@ -153,8 +152,7 @@ def test_criterion_3_self_financing_identity():
         while checked < 1000:
             scn = _zero_fee_clone(random_scenario(rng))
             market = scn.market
-            rules = scn.trade_rules()
-            book = deal_book(market, scn.fees, rules.lot_size)
+            book = scn.deal_book()
             state, t = _random_state(rng, scn)
             next_t = market.grid.points[state.time_index + 1]
             # the identity is about trade accounting; positions expiring
@@ -162,15 +160,16 @@ def test_criterion_3_self_financing_identity():
             if any(market.security(s).window_end < next_t for s in state.holdings):
                 continue
             trade = {
-                sec.security_id: rng.randint(-3, 3)
-                for sec in market.active_securities(t)
-                if sec.window_end >= next_t and rng.random() < 0.8
+                sid: rng.randint(-3, 3)
+                for sid in book[state.time_index].active
+                if market.security(sid).window_end >= next_t and rng.random() < 0.8
             }
             try:
-                after = apply_rebalance(state, trade, book, rules)
+                after = apply_rebalance(state, trade, book)
             except (InadmissibleTradeError, ShortCapExceededError):
                 continue
-            assert wealth(after, market, t, rules) == wealth(state, market, t, rules)
+            lot = scn.options.lot_size
+            assert wealth(after, market, t, lot) == wealth(state, market, t, lot)
             checked += 1
         info["detail"] = f"({checked} state/trade pairs, exact)"
 
@@ -183,18 +182,17 @@ def test_criterion_4_admissibility_fuzz():
         while attempts < 10_000:
             scn = random_scenario(rng)
             market = scn.market
-            rules = scn.trade_rules()
-            book = deal_book(market, scn.fees, rules.lot_size)
+            book = scn.deal_book()
             for _ in range(25):
                 attempts += 1
                 state, t = _random_state(rng, scn)
                 trade = {
-                    sec.security_id: rng.randint(-6, 6)
-                    for sec in market.active_securities(t)
+                    sid: rng.randint(-6, 6)
+                    for sid in book[state.time_index].active
                     if rng.random() < 0.8
                 }
                 try:
-                    after = apply_rebalance(state, trade, book, rules)
+                    after = apply_rebalance(state, trade, book)
                 except (InadmissibleTradeError, ShortCapExceededError):
                     continue
                 assert after.cash >= 0

@@ -35,7 +35,7 @@ from rebalplan.errors import (
     NonpositivePriceError,
     QuoteMissingError,
 )
-from rebalplan.market import deal_book, lot_terms
+from rebalplan.market import lot_terms
 from rebalplan.scenario import MODE_DETERMINISTIC
 
 from scenariogen import (
@@ -86,16 +86,12 @@ def test_oracle_beats_any_hand_written_policy():
 BUY_A_AT_1 = Policy(((1, {"A": 1}), (2, {"A": -1})), D(0))
 
 
-def _book(scn):
-    return deal_book(scn.market, scn.fees, scn.options.lot_size)
-
-
 def apply_rebalance_at_open(scn):
-    return apply_rebalance(scn.initial_state(), {"A": 1}, _book(scn), scn.trade_rules())
+    return apply_rebalance(scn.initial_state(), {"A": 1}, scn.deal_book())
 
 
 def enumerate_controls_at_open(scn):
-    return enumerate_controls(scn.initial_state(), _book(scn), scn.trade_rules())
+    return enumerate_controls(scn.initial_state(), scn.deal_book())
 
 
 def replay_buying_a(scn):

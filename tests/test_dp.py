@@ -17,7 +17,6 @@ from rebalplan import (
     Security,
     SolverOptions,
     TimeGrid,
-    TradeRules,
     apply_rebalance,
     brute_force_solve,
     build_expected_market,
@@ -55,14 +54,9 @@ D = Decimal
 DOCS = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
 
-def _book(scn):
-    """The deal book a solve of ``scn`` builds for itself."""
-    return deal_book(scn.market, scn.fees, scn.options.lot_size)
-
-
 def test_enumerate_controls_budget_bound():
     scn = fee_050_scenario()
-    controls = tuple(enumerate_controls(scn.initial_state(), _book(scn), scn.trade_rules()))
+    controls = tuple(enumerate_controls(scn.initial_state(), scn.deal_book()))
     got = sorted(trade.get("A", 0) for trade in controls)
     # independent check: filter every lot count by cost <= cash
     expected = sorted(
@@ -76,13 +70,13 @@ def test_enumerate_controls_budget_bound():
 def test_enumerate_controls_can_only_sell_without_cash():
     scn = fee_050_scenario()
     state = LedgerState(0, {"A": 2}, D("0.00"))
-    controls = tuple(enumerate_controls(state, _book(scn), scn.trade_rules()))
+    controls = tuple(enumerate_controls(state, scn.deal_book()))
     assert sorted(t.get("A", 0) for t in controls) == [-2, -1, 0]
 
 
-def test_enumerate_controls_without_active_securities():
+def test_enumerate_controls_with_nothing_in_circulation():
     scn = simple_scenario(issue_time=2, maturity=1)
-    controls = tuple(enumerate_controls(scn.initial_state(), _book(scn), scn.trade_rules()))
+    controls = tuple(enumerate_controls(scn.initial_state(), scn.deal_book()))
     assert controls == ({},)
 
 
@@ -94,7 +88,7 @@ def test_enumerate_controls_allows_selling_to_fund_buying():
     fees = FeeTable((Broker("b1", {(s, t): D("0.00") for s in "AB" for t in (1, 2, 3)}),))
     scn = Scenario(D("0.00"), market, fees, SolverOptions())
     state = LedgerState(0, {"B": 3}, D("0.00"))
-    controls = tuple(enumerate_controls(state, _book(scn), scn.trade_rules()))
+    controls = tuple(enumerate_controls(state, scn.deal_book()))
     # with no cash at all, buying A is only reachable through selling B
     assert {"A": 3, "B": -3} in controls
     assert {"A": 1, "B": -1} in controls
@@ -116,11 +110,10 @@ def _check_each_vector_once_in_its_own_dict(fee_b):
                                 for sid, p in prices.items()))
     fee = {"A": "0.50", "B": fee_b, "C": "0.50"}
     fees = FeeTable((Broker("b1", {(sid, t): D(fee[sid]) for sid in prices for t in (1, 2)}),))
-    rules = TradeRules(position_floor=-1)
     state = LedgerState(0, {"A": 2, "B": 1}, D("20.00"))
-    book = deal_book(market, fees, rules.lot_size)
+    book = deal_book(market, fees, D(1), floor=-1)
     # each vector is snapshot as it comes and compared once the walk is done
-    taken = [(trade, dict(trade)) for trade in enumerate_controls(state, book, rules)]
+    taken = [(trade, dict(trade)) for trade in enumerate_controls(state, book)]
     assert all(trade == snapshot for trade, snapshot in taken)
     assert len({id(trade) for trade, _ in taken}) == len(taken)
 
@@ -131,7 +124,7 @@ def _check_each_vector_once_in_its_own_dict(fee_b):
     for deltas in itertools.product(range(-3, 13), range(-2, 8), range(-1, 6)):
         trade = {sid: delta for sid, delta in zip("ABC", deltas) if delta}
         try:
-            apply_rebalance(state, trade, book, rules)
+            apply_rebalance(state, trade, book)
         except RebalplanError:
             continue
         admissible.add(tuple(sorted(trade.items())))
@@ -145,7 +138,7 @@ def test_enumerate_controls_yields_nothing_when_cash_cannot_be_recovered():
     market = Market(TimeGrid((1, 2)), (Security("A", 1, 1, {1: D("5.00"), 2: D("5.00")}),))
     fees = FeeTable((Broker("b1", {("A", t): D("6.00") for t in (1, 2)}),))
     state = LedgerState(0, {"A": 1}, D("-1.00"))
-    assert list(enumerate_controls(state, deal_book(market, fees, D(1)), TradeRules())) == []
+    assert list(enumerate_controls(state, deal_book(market, fees, D(1)))) == []
 
 
 def test_delta_wealth():
@@ -294,7 +287,7 @@ def test_the_deal_book_does_not_depend_on_its_first_caller(doc, first_use):
     if first_use == "apply_rebalance":
         state = scn.initial_state()
         for _ in hold.trades:
-            state = apply_rebalance(state, {}, _book(scn), scn.trade_rules())
+            state = apply_rebalance(state, {}, scn.deal_book())
     else:
         trace_text(scn, hold)
     assert _solved(scn) == fresh
@@ -319,7 +312,7 @@ def test_a_solve_sees_quotes_and_fees_edited_in_place_after_an_earlier_solve():
 def test_value_nodes_replay_to_their_own_state():
     scn = fee_050_scenario()
     policy, table = solve_deterministic(scn)
-    market, rules, book = scn.market, scn.trade_rules(), _book(scn)
+    market, book = scn.market, scn.deal_book()
     for layer in table.layers:
         for node in layer:
             # replay the parent chain through the ledger
@@ -331,7 +324,7 @@ def test_value_nodes_replay_to_their_own_state():
                 cursor = cursor.parent
             state = scn.initial_state()
             for t, trade in reversed(chain):
-                state = apply_rebalance(state, trade, book, rules)
+                state = apply_rebalance(state, trade, book)
             assert state == node.state
     assert max(node.state.cash for node in table.layers[-1]) == policy.terminal_wealth
 
@@ -424,7 +417,7 @@ def test_the_records_keep_no_instance_dict():
     sec = loaded.market.securities[0]
     node = table.layers[-1][0]
     records = [loaded.market.grid, next(iter(sec.distributions.values())), sec,
-               scn.fees.brokers[0], scn.fees, scn.market, scn.trade_rules(),
+               scn.fees.brokers[0], scn.fees, scn.market, scn.deal_book()[0],
                scn.initial_state(), node.state, node, policy, table,
                scn.options, scn]
     assert [type(r).__name__ for r in records if hasattr(r, "__dict__")] == []

@@ -1,5 +1,7 @@
+import json
 import random
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +15,10 @@ from rebalplan import (
     Market,
     Security,
     TimeGrid,
-    TradeRules,
     apply_rebalance,
     effective_fee,
+    scenario_from_dict,
+    solve_deterministic,
     wealth,
 )
 from rebalplan.errors import (
@@ -29,6 +32,8 @@ from rebalplan.ledger import full_sale, opening_state
 from rebalplan.market import deal_book
 
 D = Decimal
+
+DOCS = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
 
 def two_security_market():
@@ -110,11 +115,30 @@ def test_apply_rebalance_enforces_the_position_floor():
     state = LedgerState(0, {"A": 1}, D("100.00"))
     with pytest.raises(ShortCapExceededError):
         apply_rebalance(state, {"A": -2}, BOOK)
-    rules = TradeRules(position_floor=-3)
-    after = apply_rebalance(state, {"A": -2}, BOOK, rules)
+    book = deal_book(MARKET, FEES, D(1), floor=-3)
+    after = apply_rebalance(state, {"A": -2}, book)
     assert dict(after.holdings) == {"A": -1}
     with pytest.raises(ShortCapExceededError):
-        apply_rebalance(state, {"A": -5}, BOOK, rules)
+        apply_rebalance(state, {"A": -5}, book)
+
+
+def test_the_scenario_works_out_the_position_floor():
+    doc = json.loads((DOCS / "buy_then_liquidate.json").read_text())
+    doc["options"]["short_cap"] = 3
+    # a short cap with shorting off holds positions to 0, as no cap does
+    long_only = scenario_from_dict(doc)
+    assert [page.floor for page in long_only.deal_book()] == [0, 0]
+    doc["options"]["short_cap"] = 0
+    assert solve_deterministic(long_only) == solve_deterministic(scenario_from_dict(doc))
+
+    doc["options"].update(allow_short=True, short_cap=3)
+    shorting = scenario_from_dict(doc)
+    book = shorting.deal_book()
+    assert [page.floor for page in book] == [-3, -3]
+    state = shorting.initial_state()
+    assert dict(apply_rebalance(state, {"A": -3}, book).holdings) == {"A": -3}
+    with pytest.raises(ShortCapExceededError):
+        apply_rebalance(state, {"A": -4}, book)
 
 
 def test_apply_rebalance_rejects_unissued_or_matured():
@@ -131,8 +155,8 @@ def test_expiring_positions_are_forfeited_on_advance():
 
 def liquidate_all(state, market, fees):
     """Cash after selling every position still in circulation."""
-    t = market.grid.points[state.time_index]
-    return apply_rebalance(state, full_sale(state, market, t), deal_book(market, fees, D(1))).cash
+    book = deal_book(market, fees, D(1))
+    return apply_rebalance(state, full_sale(state, book[state.time_index]), book).cash
 
 
 def test_liquidate_all_books_proceeds_minus_fees():
@@ -151,14 +175,13 @@ def test_liquidate_all_with_nothing_to_sell():
 
 def test_liquidate_all_forfeits_matured_positions():
     state = LedgerState(1, {"M": 3}, D("50.00"))
-    assert full_sale(state, MARKET, 2) == {}
+    assert full_sale(state, BOOK[1]) == {}
     assert liquidate_all(state, MARKET, FEES) == D("50.00")
 
 
 def test_fractional_lot_size_scales_cash_flows():
-    rules = TradeRules(lot_size=D("0.5"))
     state = LedgerState(0, {}, D("100.00"))
-    after = apply_rebalance(state, {"A": 3}, deal_book(MARKET, FEES, rules.lot_size), rules)
+    after = apply_rebalance(state, {"A": 3}, deal_book(MARKET, FEES, D("0.5")))
     # 3 half-lots at 10.00 plus 0.50 fee per unit: 1.5 * 10.50
     assert after.cash == D("100.00") - D("15.75")
 
@@ -288,9 +311,8 @@ def rebalance_cases(draw):
     )
     trade = {sid: draw(deltas) for sid in ids if not draw(st.booleans())}
     short_cap = draw(st.integers(0, 3))
-    rules = TradeRules(lot_size=draw(st.sampled_from((D(1), D("0.5"), D("2.00")))),
-                       position_floor=-short_cap)
-    return market, FeeTable(tuple(brokers)), state, trade, rules
+    lot = draw(st.sampled_from((D(1), D("0.5"), D("2.00"))))
+    return market, FeeTable(tuple(brokers)), state, trade, lot, -short_cap
 
 
 def circulating(sec, t):
@@ -304,7 +326,7 @@ def reference_fee(sec, t, fees):
     return min(scalar) if scalar else None
 
 
-def reference_rebalance(state, trade, market, fees, rules):
+def reference_rebalance(state, trade, market, fees, lot, floor):
     """The successor state, or the error class, from the raw quotes and fees."""
     t = market.grid.points[state.time_index]
     next_t = market.grid.points[state.time_index + 1]
@@ -321,10 +343,10 @@ def reference_rebalance(state, trade, market, fees, rules):
         fee = reference_fee(sec, t, fees)
         if fee is None:
             return FeeMissingError
-        spend += sec.quotes[t] * rules.lot_size * delta
-        fee_total += fee * rules.lot_size * abs(delta)
+        spend += sec.quotes[t] * lot * delta
+        fee_total += fee * lot * abs(delta)
         holdings[sid] = holdings.get(sid, 0) + delta
-        if holdings[sid] < rules.position_floor:
+        if holdings[sid] < floor:
             return ShortCapExceededError
     cash = state.cash - spend - fee_total
     if cash < 0:
@@ -338,10 +360,10 @@ def reference_rebalance(state, trade, market, fees, rules):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(rebalance_cases())
 def test_indexed_rebalance_matches_the_raw_quotes_and_fees(case):
-    market, fees, state, trade, rules = case
-    expected = reference_rebalance(state, trade, market, fees, rules)
+    market, fees, state, trade, lot, floor = case
+    expected = reference_rebalance(state, trade, market, fees, lot, floor)
     try:
-        got = apply_rebalance(state, trade, deal_book(market, fees, rules.lot_size), rules)
+        got = apply_rebalance(state, trade, deal_book(market, fees, lot, floor))
     except (InactiveSecurityError, QuoteMissingError, FeeMissingError,
             ShortCapExceededError, InadmissibleTradeError) as exc:
         assert type(exc) is expected

@@ -13,6 +13,18 @@ original's by arithmetic, so no oracle is needed and no size limit applies:
   gives the same wealth and the same total lots (the tie-break on the
   trade sequence may pick another policy).
 
+Each is checked on deterministic instances and on their expected-mode
+twins, every quote a one-point distribution, whose policy is the
+instance's own. Two more hold on long-only instances:
+
+- copy: an identical copy of a security, with the same window, quotes and
+  fees at every broker, gives the same wealth and the same total lots;
+- dear security: one quoted 10,000,000.00 with zero fees at every time is
+  never affordable, so the policy is the same.
+
+With shorts, a copy would double the short capacity, and a dear security
+could be shorted and then forfeited.
+
 An input that fails must fail the same way once transformed.
 """
 
@@ -26,6 +38,7 @@ from hypothesis import strategies as st
 
 from rebalplan import (
     Broker,
+    DiscreteDistribution,
     FeeTable,
     Market,
     Scenario,
@@ -37,7 +50,7 @@ from rebalplan import (
 from rebalplan.errors import RebalplanError
 from rebalplan.ledger import trade_lots
 
-from scenariogen import random_scenario
+from scenariogen import degenerate_twin, random_scenario
 
 D = Decimal
 
@@ -48,7 +61,9 @@ def _mapped(scn: Scenario, *, ids=None, shift=0, scale=1) -> Scenario:
     rename = lambda sid: ids.get(sid, sid)  # noqa: E731
     securities = tuple(
         Security(rename(sec.security_id), sec.issue_time + shift, sec.maturity,
-                 {t + shift: q * scale for t, q in sec.quotes.items()})
+                 {t + shift: q * scale for t, q in sec.quotes.items()},
+                 {t + shift: DiscreteDistribution(tuple((q * scale, p) for q, p in dist.outcomes))
+                  for t, dist in sec.distributions.items()})
         for sec in scn.market.securities)
     brokers = tuple(
         Broker(broker.broker_id, {(rename(sid), t + shift): fee * scale
@@ -66,6 +81,30 @@ def _with_costlier_broker(scn: Scenario) -> Scenario:
             cheapest[site] = min(cheapest.get(site, fee), fee)
     costly = Broker("costly", {site: fee + 1 for site, fee in cheapest.items()})
     return scn._replace(fees=FeeTable((costly, *scn.fees.brokers)))
+
+
+def _with_copy(scn: Scenario) -> Scenario:
+    """``scn`` with a copy of its first security, ``<id>c``, quoted and charged alike."""
+    sec = scn.market.securities[0]
+    sid, copy_id = sec.security_id, f"{sec.security_id}c"
+    brokers = tuple(
+        Broker(broker.broker_id,
+               {**broker.fees, **{(copy_id, t): fee for (s, t), fee in broker.fees.items() if s == sid}})
+        for broker in scn.fees.brokers)
+    market = Market(scn.market.grid, (*scn.market.securities, sec._replace(security_id=copy_id)))
+    return scn._replace(market=market, fees=FeeTable(brokers))
+
+
+def _with_dear_security(scn: Scenario) -> Scenario:
+    """``scn`` with ``DEAR``, quoted 10,000,000.00 at zero fee at every time."""
+    points = scn.market.grid.points
+    dear = Security("DEAR", points[0], points[-1] - points[0],
+                    {t: D("10000000.00") for t in points})
+    brokers = tuple(
+        Broker(broker.broker_id, {**broker.fees, **{("DEAR", t): D(0) for t in points}})
+        for broker in scn.fees.brokers)
+    market = Market(scn.market.grid, (*scn.market.securities, dear))
+    return scn._replace(market=market, fees=FeeTable(brokers))
 
 
 def _solved(scn: Scenario):
@@ -99,10 +138,37 @@ def check_transforms(scn: Scenario) -> None:
     assert _lots(reversed_ids) == _lots(base)
 
 
+def check_long_only_transforms(scn: Scenario) -> None:
+    base = _solved(scn)
+    copied = _solved(_with_copy(scn))
+    dear = _solved(_with_dear_security(scn))
+    if isinstance(base, type):
+        assert copied is dear is base
+        return
+    assert copied.terminal_wealth == base.terminal_wealth
+    assert _lots(copied) == _lots(base)
+    assert dear == base
+
+
 def test_transforms_on_random_scenarios():
     rng = random.Random(2024)
     for _ in range(400):
         check_transforms(random_scenario(rng))
+
+
+def test_transforms_on_the_expected_mode_twins_of_random_scenarios():
+    rng = random.Random(2024)
+    for _ in range(400):
+        scn = random_scenario(rng)
+        twin = degenerate_twin(scn)
+        assert _solved(twin) == _solved(scn)
+        check_transforms(twin)
+
+
+def test_long_only_transforms_on_random_scenarios():
+    rng = random.Random(2024)
+    for _ in range(400):
+        check_long_only_transforms(random_scenario(rng, allow_short=False))
 
 
 def cents(draw, lo, hi):

@@ -19,13 +19,13 @@ from rebalplan import (
     Security,
     SolverOptions,
     TimeGrid,
-    TradeRules,
     ValueTable,
     build_expected_market,
     load_scenario,
     solve_deterministic,
 )
 from rebalplan.dp import ValueNode
+from rebalplan.market import Deals
 from rebalplan.scenario import MODE_EXPECTED
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,7 +39,7 @@ FIELDS = {
     Broker: ("broker_id", "fees"),
     FeeTable: ("brokers",),
     Market: ("grid", "securities"),
-    TradeRules: ("lot_size", "position_floor"),
+    Deals: ("time", "active", "carried", "per_lot", "floor"),
     LedgerState: ("time_index", "holdings", "cash"),
     ValueNode: ("state", "parent", "trade", "lots"),
     Policy: ("trades", "terminal_wealth"),
@@ -62,7 +62,7 @@ def _records(path):
     reduced = _reduced(loaded)
     policy, table = solve_deterministic(reduced)
     records = [loaded, reduced, loaded.options, loaded.fees, loaded.market,
-               loaded.market.grid, reduced.market, reduced.fees, reduced.trade_rules(),
+               loaded.market.grid, reduced.market, reduced.fees, reduced.deal_book()[0],
                reduced.initial_state(), policy, table]
     records += loaded.fees.brokers + loaded.market.securities
     for sec in loaded.market.securities:

@@ -115,8 +115,8 @@ from rebalplan import LedgerState, load_scenario, solve_deterministic, trace_tex
 scn = load_scenario(sys.argv[1])
 policy, _ = solve_deterministic(scn)
 ledger_step = trace.apply_rebalance
-def off_by_one(state, trade, book, rules):
-    reached = ledger_step(state, trade, book, rules)
+def off_by_one(state, trade, book):
+    reached = ledger_step(state, trade, book)
     if state.time_index == 0:
         reached = LedgerState(1, reached.holdings, reached.cash + Decimal("0.0001"))
     return reached
