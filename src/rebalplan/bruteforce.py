@@ -4,7 +4,8 @@ Enumerates every admissible trade sequence outright and replays each one
 through the ledger, so it shares no enumeration or pruning logic with the
 staged solver it validates. Per-stage candidate vectors come from a plain
 Cartesian product of per-security delta ranges under a deliberately loose
-affordability bound; the ledger's own admissibility check filters them.
+affordability bound, or a forced-sale page's one full sale; the ledger's
+own admissibility check filters them.
 Determinism over speed: serial, fixed iteration order, and the same
 tie-break as the staged solver (fewest lots, then lexicographic sequence).
 """
@@ -12,7 +13,7 @@ tie-break as the staged solver (fewest lots, then lexicographic sequence).
 from __future__ import annotations
 
 from decimal import Decimal
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .dp import Policy, TradeEntry, trade_entries
 from .errors import EmptyTableError, InadmissibleTradeError, InstanceTooLargeError
@@ -38,8 +39,9 @@ def brute_force_solve(scenario: Scenario, *,
     :data:`STAGE_CAP` stages raises :class:`InstanceTooLargeError` before
     the walk starts. The walk raises :class:`InexactArithmeticError` where
     a cash amount would need rounding; the expected-mode reduction rounds
-    means before it. Where no trade sequence is admissible, it raises
-    :class:`EmptyTableError`, as the staged solver does.
+    means before it. Where no trade sequence is admissible (a forced sale
+    cannot buy back the shorts), it raises :class:`EmptyTableError`, as
+    the staged solver does.
     """
     scenario = priced_instance(scenario)
     market = scenario.market
@@ -49,7 +51,6 @@ def brute_force_solve(scenario: Scenario, *,
     stages = len(book)
     if stages > STAGE_CAP:
         raise InstanceTooLargeError(stages, STAGE_CAP, "stages")
-    hold_to_end = scenario.options.hold_to_end
 
     applied = 0
     best_key: tuple[Decimal, int, tuple[TradeEntry, ...]] | None = None
@@ -67,11 +68,7 @@ def brute_force_solve(scenario: Scenario, *,
             return
         page = book[stage]
         t = page.time
-        if stage == stages - 1 and not hold_to_end:
-            candidates: Iterable[dict[str, int]] = [full_sale(state, page)]
-        else:
-            candidates = _stage_candidates(state, page, market, fees, lot)
-        for trade in candidates:
+        for trade in _stage_candidates(state, page, market, fees, lot):
             applied += 1
             if applied > cap:
                 raise InstanceTooLargeError(applied, cap)
@@ -95,8 +92,9 @@ def _stage_candidates(state: LedgerState, page: Deals, market: Market, fees,
                       lot: Decimal) -> Iterator[dict[str, int]]:
     """Superset of the admissible vectors at the page's time, loosely bounded.
 
-    The page gives the time, the ids in circulation and the position floor;
-    the prices and fees come from the raw quotes, not the page's terms.
+    The page gives the time, the ids in circulation, the position floor and
+    the forced sale, whose one :func:`full_sale` it yields; the prices and
+    fees come from the raw quotes, not the page's terms.
     Buying power for each security is capped by current cash plus the gross
     sale value of every other position (fees ignored), which can never
     exclude an admissible vector; exact filtering happens on application.
@@ -104,6 +102,9 @@ def _stage_candidates(state: LedgerState, page: Deals, market: Market, fees,
     their deltas, by turning the per-security ranges as an odometer, so
     the caller's cap trips however wide a range is.
     """
+    if page.forced_sale:
+        yield full_sale(state, page)
+        return
     ids = page.active
     if not ids:
         yield {}

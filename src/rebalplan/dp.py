@@ -22,10 +22,10 @@ state: the walk hands out its prefix dict itself where the last delta is
 zero, the successor's canonical holdings are the layer key, and a node is
 built only for a successor that is kept or ranked against the incumbent.
 
-At the final decision time the default policy is to sell every position
-still in circulation; with ``hold_to_end`` set, trading stays free and any
-position left at the horizon end is valued at zero. Either way the terminal
-objective is the ending cash balance.
+At the final decision time the default policy sells every position still
+in circulation (a forced-sale page); with ``hold_to_end`` set, trading stays
+free and any position left at the horizon end is valued at zero. Either way
+the terminal objective is the ending cash balance.
 
 Ties in terminal wealth are broken by fewest total lots traded, then by the
 lexicographically smallest flattened trade sequence ordered by (time,
@@ -94,6 +94,7 @@ def enumerate_controls(state: LedgerState, book: tuple[Deals, ...]) -> Iterator[
     securities could raise, so the product space is cut without excluding
     any vector whose aggregate cash stays non-negative. Selling one security
     to fund buying another in the same step is admissible, and enumerated.
+    A forced-sale page yields only its :func:`full_sale`, affordable or not.
 
     The ids in circulation, their per-lot amounts and the position floor
     come from the state's page of ``book``, a
@@ -104,6 +105,8 @@ def enumerate_controls(state: LedgerState, book: tuple[Deals, ...]) -> Iterator[
     linear in the number of securities whatever the number of vectors.
     """
     page = book[state.time_index]
+    if page.forced_sale:
+        return iter((full_sale(state, page),))
     per_lot = page.per_lot
     held = state.holdings
     floor = page.floor
@@ -208,15 +211,12 @@ def solve_deterministic(scenario: Scenario, *, prune: bool = True) -> tuple[Poli
     book = scenario.deal_book()
     grid = scenario.market.grid
     cap = scenario.options.max_states
-    stages = len(grid) - 1
 
     root = ValueNode(scenario.initial_state(), None, None, 0)
     layers: list[list[ValueNode]] = [[root]]
     with exact_arithmetic():
-        for i in range(stages):
-            forced = i == stages - 1 and not scenario.options.hold_to_end
-            layers.append(_expand(layers[-1], book, grid.points, forced, prune,
-                                  cap, len(layers)))
+        for _ in book:
+            layers.append(_expand(layers[-1], book, grid.points, prune, cap, len(layers)))
 
     table = ValueTable(grid, layers)
     return extract_policy(table), table
@@ -240,9 +240,10 @@ def extract_policy(table: ValueTable) -> Policy:
 
 
 def _expand(frontier: list[ValueNode], book: tuple[Deals, ...], points: tuple[int, ...],
-            forced: bool, prune: bool, cap: int, layer: int) -> list[ValueNode]:
+            prune: bool, cap: int, layer: int) -> list[ValueNode]:
     """Build layer ``layer`` from its predecessor, keeping at most ``cap`` nodes.
 
+    Every trade, a forced sale too, comes from :func:`enumerate_controls`.
     The layer is one dict. With ``prune`` it is keyed by holdings and keeps
     only the best node per holdings vector; a successor with less cash than
     the incumbent is dropped before its node is built. Without, it is
@@ -251,12 +252,8 @@ def _expand(frontier: list[ValueNode], book: tuple[Deals, ...], points: tuple[in
     kept: dict[tuple[tuple[str, int], ...] | int, ValueNode] = {}
     for node in frontier:
         state = node.state
-        if forced:
-            trades = (full_sale(state, book[state.time_index]),)
-        else:
-            trades = enumerate_controls(state, book)
         lots = node.lots
-        for trade in trades:
+        for trade in enumerate_controls(state, book):
             try:
                 successor = apply_rebalance(state, trade, book)
             except InadmissibleTradeError:

@@ -69,10 +69,6 @@ class LedgerState(_LedgerStateFields):
         held = MappingProxyType(clean) if clean else _NO_HOLDINGS
         return tuple.__new__(cls, (time_index, held, cash))
 
-    def holdings_key(self) -> tuple[tuple[str, int], ...]:
-        """Canonical hashable form of the holdings map."""
-        return tuple(self.holdings.items())
-
 
 # a state from its (time index, canonical holdings, cash) as they are
 _new_state = tuple.__new__

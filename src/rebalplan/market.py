@@ -11,9 +11,9 @@ when sold, from the checked lookups :func:`price_at` and
 one out of range. :func:`deal_book` builds one page per stage for a solve,
 a replay or a trace: the one record of the terms of trade at a time, which
 are the ids in circulation, each security's terms priced on their first
-read, and the position floor. A trade step then costs one multiplication
-per lot delta. The solver's enumerator and forced sale read the same page,
-and the oracle reads its time, ids and floor but prices from the quotes.
+read, the position floor and the forced last sale. A trade step then costs
+one multiplication per lot delta. The solver's enumerator reads the same
+page, and the oracle reads all of it but the terms, pricing from the quotes.
 
 :func:`distribution_errors` is the one rule for price and fee
 distributions. It lists every error, which the loader reports as issues;
@@ -259,6 +259,7 @@ class Deals(NamedTuple):
     ``per_lot`` maps a security id to its :func:`lot_terms` at ``time``,
     priced on the first read. ``floor`` is the fewest lots a position may
     hold after a trade: 0, or minus the short cap where shorting is on.
+    ``forced_sale`` marks a forced sale of every position, affordable or not.
     """
 
     time: int
@@ -266,25 +267,28 @@ class Deals(NamedTuple):
     carried: tuple[str, ...]
     per_lot: Mapping[str, tuple[Decimal, Decimal]]
     floor: int
+    forced_sale: bool
 
 
-def deal_book(market: Market, fees: FeeTable, lot: Decimal,
-              floor: int = 0) -> tuple[Deals, ...]:
+def deal_book(market: Market, fees: FeeTable, lot: Decimal, floor: int = 0,
+              forced_sale: bool = False) -> tuple[Deals, ...]:
     """The pages for trading on ``market`` at ``fees`` in lots of ``lot``, one per stage.
 
     Page ``i`` is for grid index ``i``, and none is for the horizon end.
-    Every page holds positions to ``floor`` lots or more. Nothing is priced
+    Every page holds positions to ``floor`` lots or more; with
+    ``forced_sale``, the last page alone is a forced sale. Nothing is priced
     or kept here: each public call builds its own book, so an edit to a
     quote or a fee between two calls is seen by the second.
     """
     points = market.grid.points
     ids = [tuple(sid for sid, sec in market._by_id.items() if is_active(sec, t))
            for t in points]
+    last = len(points) - 2
     pages = []
     for i, t in enumerate(points[:-1]):
         per_lot = _Terms()
         per_lot._at = (market, t, fees, lot)
-        pages.append(Deals(t, ids[i], ids[i + 1], per_lot, floor))
+        pages.append(Deals(t, ids[i], ids[i + 1], per_lot, floor, forced_sale and i == last))
     return tuple(pages)
 
 

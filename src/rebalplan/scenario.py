@@ -97,12 +97,13 @@ class Scenario(NamedTuple):
     def deal_book(self) -> tuple[Deals, ...]:
         """The :func:`~rebalplan.market.deal_book` for trading this instance as it is.
 
-        Its pages hold positions to ``-short_cap`` lots with shorting on,
-        and to 0 with it off, whatever ``short_cap`` says.
+        Its floor is ``-short_cap`` lots with shorting on, else 0; its last
+        page is a forced sale unless ``hold_to_end`` is set.
         """
         options = self.options
         floor = -options.short_cap if options.allow_short else 0
-        return deal_book(self.market, self.fees, options.lot_size, floor)
+        return deal_book(self.market, self.fees, options.lot_size, floor,
+                         not options.hold_to_end)
 
     def initial_state(self) -> LedgerState:
         return opening_state(self.initial_capital)

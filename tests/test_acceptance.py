@@ -21,6 +21,7 @@ from rebalplan import (
     Broker,
     FeeTable,
     LedgerState,
+    Market,
     Scenario,
     apply_rebalance,
     brute_force_solve,
@@ -52,6 +53,7 @@ from scenariogen import (
     fee_100_scenario,
     random_audit_scenario,
     random_scenario,
+    simple_scenario,
 )
 
 D = Decimal
@@ -346,3 +348,52 @@ def test_no_long_only_answer_exceeds_the_root_bound():
         tight += policy.terminal_wealth == bound
     # a bound loose everywhere, or a sweep that skipped everything, certifies nothing
     assert tight > checked // 2, (tight, checked)
+
+
+def _flat(scn: Scenario, zero_fees: bool) -> Scenario:
+    """``scn`` with each security quoted at its first quote throughout, and with no fee if asked."""
+    securities = tuple(sec._replace(quotes=dict.fromkeys(sec.quotes, sec.quotes[min(sec.quotes)]))
+                       for sec in scn.market.securities)
+    fees = scn.fees
+    if zero_fees:
+        fees = FeeTable(tuple(b._replace(fees=dict.fromkeys(b.fees, D(0))) for b in fees.brokers))
+    return scn._replace(market=Market(scn.market.grid, securities), fees=fees)
+
+
+def test_with_flat_prices_a_long_only_plan_trades_nothing():
+    """Where no price moves, no long-only plan ends above the capital.
+
+    A lot bought costs at least what it brings when sold, and one still held
+    when it matures, or at the horizon end, is lost. So the best wealth is
+    the capital, and the plan that reaches it with the fewest lots trades
+    nothing. Checked against the capital alone, apart from the ledger, with
+    the drawn fees and with none, under the forced last sale and under
+    ``hold_to_end``.
+    """
+    rng2024, rng7 = random.Random(2024), random.Random(7)
+    instances = ([random_scenario(rng2024, allow_short=False) for _ in range(300)]
+                 + [random_scenario(rng7, allow_short=False, hold_to_end=True) for _ in range(300)])
+    assert 0 < sum(scn.options.hold_to_end for scn in instances[:300]) < 300
+    for scn in instances:
+        for zero_fees in (False, True):
+            flat = _flat(scn, zero_fees)
+            policy, _ = solve_deterministic(flat)
+            assert policy.terminal_wealth == flat.initial_capital, flat
+            assert all(trade == {} for _, trade in policy.trades), flat
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a short left open when its security matures is forfeited at zero "
+                          "value, never bought back: ROADMAP item 1, and the FOUND line on "
+                          "forfeited shorts in CHANGES.md")
+def test_with_flat_prices_and_no_fees_a_short_plan_ends_at_the_capital():
+    # the FOUND line's document: shorting 5 lots of A at 10 before it matures
+    # ends at 50 from no capital
+    found = simple_scenario(capital="0.0000", times=(1, 2, 3, 4), maturity=1,
+                            quotes={1: "10.0000", 2: "10.0000"}, fee="0.0000",
+                            allow_short=True, short_cap=5)
+    rng = random.Random(2024)
+    instances = [found] + [_flat(random_scenario(rng, allow_short=True), True) for _ in range(300)]
+    gains = [scn for scn in instances
+             if solve_deterministic(scn)[0].terminal_wealth != scn.initial_capital]
+    assert gains == []

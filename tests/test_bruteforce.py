@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rebalplan import (
     Broker,
     FeeTable,
+    LedgerState,
     Market,
     Policy,
     Scenario,
@@ -26,6 +27,7 @@ from rebalplan import (
     trace_text,
     validate_scenario,
 )
+from rebalplan.bruteforce import _stage_candidates
 from rebalplan.errors import (
     EmptyTableError,
     FeeMissingError,
@@ -81,6 +83,22 @@ def test_oracle_beats_any_hand_written_policy():
         lazy = Policy(tuple((t, {}) for t in scn.market.grid.points[:-1]),
                       scn.initial_capital)
         assert value >= replay_terminal_wealth(scn, lazy)
+
+
+def test_the_oracle_offers_only_the_full_sale_on_a_forced_page():
+    # 'A' at 11.50, fee 0.50 at time 2: no cash buys back the short, and the
+    # forced sale is offered all the same
+    forced = simple_scenario(capital="0.0000", allow_short=True, short_cap=2)
+    held = forced._replace(options=forced.options._replace(hold_to_end=True))
+    # with hold_to_end, every sale down to the floor of -2 lots, and no buy
+    for holdings, sale, sales in (({}, {}, (-2, -1)), ({"A": -2}, {"A": 2}, ()),
+                                  ({"A": 2}, {"A": -2}, (-4, -3, -2, -1))):
+        state = LedgerState(1, holdings, D("0.00"))
+        page = forced.deal_book()[1]
+        assert list(_stage_candidates(state, page, forced.market, forced.fees, D(1))) == [sale]
+        page = held.deal_book()[1]
+        assert list(_stage_candidates(state, page, held.market, held.fees, D(1))) == [
+            {"A": d} for d in sales] + [{}]
 
 
 BUY_A_AT_1 = Policy(((1, {"A": 1}), (2, {"A": -1})), D(0))

@@ -30,9 +30,10 @@ from rebalplan import (
     trace_text,
     wealth,
 )
-from rebalplan.dp import ValueTable
+from rebalplan.dp import ValueNode, ValueTable, _expand
 from rebalplan.errors import (
     EmptyTableError,
+    InadmissibleTradeError,
     InexactArithmeticError,
     RebalplanError,
     StateBudgetExceededError,
@@ -139,6 +140,45 @@ def test_enumerate_controls_yields_nothing_when_cash_cannot_be_recovered():
     fees = FeeTable((Broker("b1", {("A", t): D("6.00") for t in (1, 2)}),))
     state = LedgerState(0, {"A": 1}, D("-1.00"))
     assert list(enumerate_controls(state, deal_book(market, fees, D(1)))) == []
+
+
+def test_the_scenario_marks_only_its_last_page_a_forced_sale():
+    scn = simple_scenario(times=(1, 2, 3, 4))
+    assert [page.forced_sale for page in scn.deal_book()] == [False, False, True]
+    held = simple_scenario(times=(1, 2, 3, 4), hold_to_end=True)
+    assert [page.forced_sale for page in held.deal_book()] == [False, False, False]
+    bare = deal_book(scn.market, scn.fees, scn.options.lot_size)
+    assert [page.forced_sale for page in bare] == [False, False, False]
+
+
+def _short_cap_2(**options):
+    """'A' at 10.00 then 11.50 then 12.00, fee 0.50, no capital, shorts to 2 lots."""
+    return simple_scenario(capital="0.0000", allow_short=True, short_cap=2, **options)
+
+
+def test_a_forced_page_yields_the_full_sale_alone_affordable_or_not():
+    book = _short_cap_2().deal_book()
+    assert book[1].forced_sale
+    nothing = LedgerState(1, {}, D("5.00"))
+    assert list(enumerate_controls(nothing, book)) == [{}]
+    # buying back 2 lots at 11.50 + 0.50 needs 24.00, and the state has none
+    short = LedgerState(1, {"A": -2}, D("0.00"))
+    assert list(enumerate_controls(short, book)) == [{"A": 2}]
+    with pytest.raises(InadmissibleTradeError):
+        apply_rebalance(short, {"A": 2}, book)
+    # so the expansion skips it, and keeps the node that can pay
+    frontier = [ValueNode(short, None, None, 0), ValueNode(nothing, None, None, 0)]
+    layer = _expand(frontier, book, (1, 2, 3), prune=True, cap=10, layer=2)
+    assert [node.state for node in layer] == [LedgerState(2, {}, D("5.00"))]
+
+
+def test_with_hold_to_end_the_last_page_enumerates_like_any_other():
+    long_two = LedgerState(1, {"A": 2}, D("0.00"))
+    assert list(enumerate_controls(long_two, _short_cap_2().deal_book())) == [{"A": -2}]
+    book = _short_cap_2(hold_to_end=True).deal_book()
+    assert not book[1].forced_sale
+    # no cash to buy at 12.00; sales down to the floor of -2 lots
+    assert list(enumerate_controls(long_two, book)) == [{"A": d} for d in (-4, -3, -2, -1)] + [{}]
 
 
 def test_delta_wealth():
@@ -258,7 +298,7 @@ def _solved(scn):
         policy, table = solve_deterministic(scn)
     except InexactArithmeticError as exc:
         return type(exc), str(exc)
-    layers = [[(node.state.holdings_key(), repr(node.state.cash)) for node in layer]
+    layers = [[(tuple(node.state.holdings.items()), repr(node.state.cash)) for node in layer]
               for layer in table.layers]
     return policy.trades, repr(policy.terminal_wealth), layers
 

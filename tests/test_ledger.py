@@ -59,7 +59,7 @@ BOOK = deal_book(MARKET, FEES, D(1))
 def test_holdings_are_kept_in_id_order_without_zeros():
     state = LedgerState(0, {"B": 1, "A": 2, "C": 0}, D("1.00"))
     assert list(state.holdings.items()) == [("A", 2), ("B", 1)]
-    assert state.holdings_key() == (("A", 2), ("B", 1))
+    assert tuple(state.holdings.items()) == (("A", 2), ("B", 1))
     assert state == LedgerState(0, {"A": 2, "B": 1}, D("1.00"))
 
 

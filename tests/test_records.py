@@ -39,7 +39,7 @@ FIELDS = {
     Broker: ("broker_id", "fees"),
     FeeTable: ("brokers",),
     Market: ("grid", "securities"),
-    Deals: ("time", "active", "carried", "per_lot", "floor"),
+    Deals: ("time", "active", "carried", "per_lot", "floor", "forced_sale"),
     LedgerState: ("time_index", "holdings", "cash"),
     ValueNode: ("state", "parent", "trade", "lots"),
     Policy: ("trades", "terminal_wealth"),
