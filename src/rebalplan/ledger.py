@@ -29,12 +29,13 @@ such states builds no map for them.
 
 from __future__ import annotations
 
-from decimal import Decimal
+from decimal import Decimal, Inexact
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .errors import InadmissibleTradeError, ShortCapExceededError
+from .errors import InadmissibleTradeError, InexactArithmeticError, ShortCapExceededError
 from .market import Deals, Market, is_active, price_at
+from .money import LEDGER_CONTEXT
 
 # A trade vector: security id -> lot delta (holdings after minus holdings
 # before). Canonical form carries no zero entries.
@@ -96,12 +97,19 @@ def wealth(state: LedgerState, market: Market, t: int,
     contribute zero: matured paper is worthless, unissued paper cannot be
     held. Normal use evaluates a state at its own grid time; the self-
     financing identity also evaluates a successor state at the trade time.
+    Summed in :data:`~rebalplan.money.LEDGER_CONTEXT`, whatever the caller's
+    context: a total that would need rounding raises
+    :class:`InexactArithmeticError`.
     """
+    ctx = LEDGER_CONTEXT
     total = state.cash
-    for sid, qty in state.holdings.items():
-        sec = market.security(sid)
-        if is_active(sec, t):
-            total += price_at(sec, t) * lot * qty
+    try:
+        for sid, qty in state.holdings.items():
+            sec = market.security(sid)
+            if is_active(sec, t):
+                total = ctx.add(total, ctx.multiply(ctx.multiply(price_at(sec, t), lot), qty))
+    except Inexact:
+        raise InexactArithmeticError(ctx.prec) from None
     return total
 
 

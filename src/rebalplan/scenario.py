@@ -35,9 +35,7 @@ A process that loads many scenarios holds one object for each value they
 repeat. Amounts come from :func:`~rebalplan.money.parse_decimal`'s table.
 Security and broker ids, the entries' and the fee maps' alike, are
 interned with :func:`sys.intern`, so the interpreter's table holds one
-copy of each. And every broker and every load that quotes a fee at one
-``(security, time)`` site keys it by one tuple, from a table that stops at
-:data:`FEE_SITE_CAP` entries.
+copy of each.
 """
 
 from __future__ import annotations
@@ -269,29 +267,6 @@ def _shared_id(eid: object) -> object:
     return sys.intern(eid) if type(eid) is str else eid
 
 
-# The one key tuple of each fee site, (security id, time) -> itself, for an
-# id of at most FEE_SITE_ID_CAP characters and a time of under 64 bits. An
-# entry costs at most about 0.5 KB: the tuple (56 bytes), the id it keeps
-# alive (332 bytes at 64 four-byte characters), the time (36 bytes) and its
-# slots in the dict. So the full table holds at most about 0.5 MB; the
-# 2,000 benchmark scenarios quote fees at 38 sites.
-FEE_SITE_CAP = 1024
-FEE_SITE_ID_CAP = 64
-_FEE_SITES: dict[tuple[object, int], tuple[object, int]] = {}
-
-
-def _fee_site(sid: object, t: int) -> tuple[object, int]:
-    """The shared key of the fee site ``(sid, t)``."""
-    site = (sid, t)
-    shared = _FEE_SITES.get(site)
-    if shared is not None:
-        return shared
-    if (len(_FEE_SITES) < FEE_SITE_CAP and type(sid) is str and len(sid) <= FEE_SITE_ID_CAP
-            and t.bit_length() < 64):
-        _FEE_SITES[site] = site
-    return site
-
-
 def _encodes(text: str) -> bool:
     """True iff ``text`` can be written as UTF-8: a JSON escape can hold a lone surrogate."""
     try:
@@ -414,7 +389,7 @@ def _parse_brokers(raw: object, price_scale: int, prob_scale: int,
                                               broker=bid, security=sid))
                 continue
             for t, value in _by_time(by_time, fee, issues, sid, bid).items():
-                fees[_fee_site(sid, t)] = value
+                fees[sid, t] = value
         brokers.append(Broker(bid, fees))
     return brokers
 

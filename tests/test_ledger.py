@@ -1,6 +1,6 @@
 import json
 import random
-from decimal import Decimal
+from decimal import Context, Decimal, localcontext
 from pathlib import Path
 
 import pytest
@@ -25,11 +25,13 @@ from rebalplan.errors import (
     FeeMissingError,
     InactiveSecurityError,
     InadmissibleTradeError,
+    InexactArithmeticError,
     QuoteMissingError,
     ShortCapExceededError,
 )
 from rebalplan.ledger import full_sale, opening_state
 from rebalplan.market import deal_book
+from scenariogen import twenty_nine_digit_doc
 
 D = Decimal
 
@@ -87,6 +89,33 @@ def test_wealth_of_pure_cash():
 def test_wealth_ignores_matured_positions():
     state = LedgerState(1, {"M": 5}, D("50.00"))
     assert wealth(state, MARKET, 2) == D("50.00")
+
+
+def test_wealth_that_would_round_raises_in_any_context():
+    # the exact 10000000000000000.999999999999 needs 29 digits
+    scn = scenario_from_dict(twenty_nine_digit_doc())
+    bought = apply_rebalance(scn.initial_state(), {"A": 1}, scn.deal_book())
+    with pytest.raises(InexactArithmeticError):
+        wealth(bought, scn.market, 2)
+
+
+def test_wealth_is_exact_in_a_narrow_caller_context():
+    state = LedgerState(0, {"A": 5}, D("12345.67"))
+    with localcontext(Context(prec=6)):
+        assert wealth(state, MARKET, 1) == D("12395.67")
+
+
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                   reason="a direct apply_rebalance call computes cash in the caller's context: "
+                          "ROADMAP item 11, and the FOUND line on direct apply_rebalance calls "
+                          "in CHANGES.md")
+def test_a_direct_round_trip_that_would_round_raises():
+    # outside any exact block the sale rounds to 10000000000000001.00000000000
+    scn = scenario_from_dict(twenty_nine_digit_doc())
+    book = scn.deal_book()
+    bought = apply_rebalance(scn.initial_state(), {"A": 1}, book)
+    with pytest.raises(InexactArithmeticError):
+        apply_rebalance(bought, {"A": -1}, book)
 
 
 def test_apply_rebalance_charges_price_plus_fee():

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import rebalplan.cli as cli
 import rebalplan.money as money
-import rebalplan.scenario as scenario_module
 from rebalplan import (
     Scenario,
     dump_scenario,
@@ -359,7 +358,7 @@ def test_a_well_formed_amount_still_loads_at_every_site():
         assert scenario_from_dict(_with_amount(site, "2.5"))
 
 
-def test_two_loads_share_their_amounts_ids_and_fee_sites():
+def test_two_loads_share_their_amounts_and_ids():
     # ids longer than one character, which the interpreter shares anyway
     doc = minimal_doc()
     doc["securities"][0]["id"] = "ACME"
@@ -372,21 +371,10 @@ def test_two_loads_share_their_amounts_ids_and_fee_sites():
     assert sec_two.security_id is sec_one.security_id
     broker_one, broker_two = one.fees.brokers[0], two.fees.brokers[0]
     assert broker_two.broker_id is broker_one.broker_id
-    sites = list(zip(broker_one.fees, broker_two.fees))
-    assert len(sites) == 3 and all(a is b for a, b in sites)
-    assert all(site[0] is sec_one.security_id for site in broker_one.fees)
+    assert list(broker_two.fees) == list(broker_one.fees) and len(broker_one.fees) == 3
+    assert all(site[0] is sec_one.security_id
+               for broker in (broker_one, broker_two) for site in broker.fees)
     assert dump_scenario(two) == dump_scenario(one)
-
-
-def test_a_full_fee_site_table_still_loads_and_stays_at_its_cap(monkeypatch):
-    monkeypatch.setattr(scenario_module, "_FEE_SITES", {})
-    monkeypatch.setattr(scenario_module, "FEE_SITE_CAP", 2)
-    text = json.dumps(minimal_doc())
-    one, two = (scenario_from_dict(json.loads(text)) for _ in range(2))
-    assert len(scenario_module._FEE_SITES) == 2
-    assert two == one and dump_scenario(two) == dump_scenario(one)
-    kept = [a is b for a, b in zip(one.fees.brokers[0].fees, two.fees.brokers[0].fees)]
-    assert kept == [True, True, False]
 
 
 def _edit(doc, path, value):
