@@ -7,6 +7,7 @@ these classes, so operations never fold distinct failure modes into one.
 from __future__ import annotations
 
 from decimal import Decimal
+from typing import NamedTuple
 
 
 class RebalplanError(Exception):
@@ -167,16 +168,14 @@ class ScenarioParseError(RebalplanError):
         self.column = column
 
 
-class ValidationIssue:
+class ValidationIssue(NamedTuple):
     """One semantic problem found while validating a scenario."""
 
-    def __init__(self, code: str, message: str, *, security: str | None = None,
-                 time: int | None = None, broker: str | None = None):
-        self.code = code
-        self.message = message
-        self.security = security
-        self.time = time
-        self.broker = broker
+    code: str
+    message: str
+    security: str | None = None
+    time: int | None = None
+    broker: str | None = None
 
     def __str__(self) -> str:
         context = ", ".join(

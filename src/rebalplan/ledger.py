@@ -18,8 +18,7 @@ first prices each delta and notes the position it moves to, the second
 reads those positions (or the unmoved ones) in id order, so the
 successor's holdings come out canonical, and the state is built from them
 in one tuple construction, without the cleaning the :class:`LedgerState`
-constructor does. The opening state is built the same
-way, its empty holdings being canonical already.
+constructor does.
 
 Every state that holds nothing, the opening state, a successor that sold
 or forfeited every position and a constructed one alike, shares the one
@@ -73,15 +72,6 @@ class LedgerState(_LedgerStateFields):
 
 # a state from its (time index, canonical holdings, cash) as they are
 _new_state = tuple.__new__
-
-
-def opening_state(cash: Decimal) -> LedgerState:
-    """The state at grid index 0: nothing held, ``cash`` in hand.
-
-    Built as :func:`apply_rebalance` builds a successor, its empty holdings
-    being canonical already.
-    """
-    return _new_state(LedgerState, (0, _NO_HOLDINGS, cash))
 
 
 def trade_lots(trade: TradeVector) -> int:

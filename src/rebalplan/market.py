@@ -1,9 +1,9 @@
 """Static market description: securities, quotes, fees, discrete distributions.
 
 Every record here is immutable after construction, and a :class:`Market`
-keeps nothing but its grid, its securities and their index by id. Prices
-are per unit of a security; a security is tradable exactly on the closed
-window [issue_time, issue_time + maturity] and is worthless outside it.
+keeps nothing but its grid and its securities. Prices are per unit of a
+security; a security is tradable exactly on the closed window
+[issue_time, issue_time + maturity] and is worthless outside it.
 
 :func:`lot_terms` is the one rule for what a lot costs to buy and brings
 when sold, from the checked lookups :func:`price_at` and
@@ -133,41 +133,38 @@ class FeeTable(NamedTuple):
     brokers: tuple[Broker, ...]
 
 
-class Market:
-    """A time grid plus securities, indexed for lookup.
+class _MarketFields(NamedTuple):
+    grid: TimeGrid
+    securities: tuple[Security, ...]
 
-    ``grid`` and ``securities`` are read-only, and two markets are equal
-    when their grids and securities are. The id index is derived from them
-    and takes no part in equality or the ``repr``. A market is not
-    hashable, as its securities hold dicts. Every market, the expected-mode
-    reduction's too, is built by the constructor.
+
+class Market(_MarketFields):
+    """A time grid plus securities, no two with the same id.
+
+    ``_replace`` checks the ids as the constructor does. A market is not
+    hashable, as its securities hold dicts.
     """
 
-    __slots__ = ("_grid", "_securities", "_by_id")
+    __slots__ = ()
 
-    def __init__(self, grid: TimeGrid, securities: tuple[Security, ...]):
-        by_id = {}
-        for sec in sorted(securities, key=lambda s: s.security_id):
-            if sec.security_id in by_id:
-                raise ValueError(f"duplicate security id {sec.security_id!r}")
-            by_id[sec.security_id] = sec
-        self._grid = grid
-        self._securities = securities
-        self._by_id = by_id
+    def __new__(cls, grid: TimeGrid, securities: tuple[Security, ...]) -> "Market":
+        ids = sorted(sec.security_id for sec in securities)
+        for sid, following in zip(ids, ids[1:]):
+            if sid == following:
+                raise ValueError(f"duplicate security id {sid!r}")
+        return tuple.__new__(cls, (grid, securities))
 
-    grid = property(attrgetter("_grid"))
-    securities = property(attrgetter("_securities"))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self._grid, self._securities) == (other._grid, other._securities)
-
-    def __repr__(self):
-        return f"Market(grid={self._grid!r}, securities={self._securities!r})"
+    @classmethod
+    def _make(cls, iterable) -> "Market":
+        """The market ``_replace`` asks for, checked as the constructor checks it."""
+        return cls(*iterable)
 
     def security(self, security_id: str) -> Security:
-        return self._by_id[security_id]
+        """The security with this id; ``KeyError`` if there is none."""
+        for sec in self.securities:
+            if sec.security_id == security_id:
+                return sec
+        raise KeyError(security_id)
 
 
 def is_active(security: Security, t: int) -> bool:
@@ -242,11 +239,11 @@ class _Terms(dict):
     unknown id) and keeps nothing.
     """
 
-    __slots__ = ("_at",)  # (market, time, fee table, lot), set by deal_book
+    __slots__ = ("_at",)  # (securities by id, time, fee table, lot), set by deal_book
 
     def __missing__(self, sid: str) -> tuple[Decimal, Decimal]:
-        market, t, fees, lot = self._at
-        terms = self[sid] = lot_terms(market.security(sid), t, fees, lot)
+        by_id, t, fees, lot = self._at
+        terms = self[sid] = lot_terms(by_id[sid], t, fees, lot)
         return terms
 
 
@@ -281,13 +278,14 @@ def deal_book(market: Market, fees: FeeTable, lot: Decimal, floor: int = 0,
     quote or a fee between two calls is seen by the second.
     """
     points = market.grid.points
-    ids = [tuple(sid for sid, sec in market._by_id.items() if is_active(sec, t))
-           for t in points]
+    by_id = {sec.security_id: sec
+             for sec in sorted(market.securities, key=attrgetter("security_id"))}
+    ids = [tuple(sid for sid, sec in by_id.items() if is_active(sec, t)) for t in points]
     last = len(points) - 2
     pages = []
     for i, t in enumerate(points[:-1]):
         per_lot = _Terms()
-        per_lot._at = (market, t, fees, lot)
+        per_lot._at = (by_id, t, fees, lot)
         pages.append(Deals(t, ids[i], ids[i + 1], per_lot, floor, forced_sale and i == last))
     return tuple(pages)
 

@@ -53,7 +53,7 @@ from .errors import (
     ScenarioValidationError,
     ValidationIssue,
 )
-from .ledger import LedgerState, opening_state
+from .ledger import LedgerState
 from .market import (
     Broker,
     Deals,
@@ -104,7 +104,7 @@ class Scenario(NamedTuple):
                          not options.hold_to_end)
 
     def initial_state(self) -> LedgerState:
-        return opening_state(self.initial_capital)
+        return LedgerState(0, {}, self.initial_capital)
 
 
 def load_scenario(path: str | Path, mode: str | None = None) -> Scenario:

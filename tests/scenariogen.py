@@ -137,6 +137,19 @@ def flat_doc(securities: int, capital: str) -> dict:
     }
 
 
+def ties_doc(securities: int, capital: str) -> dict:
+    """``securities`` securities quoted 1.0000 at time 1 and 2.0000 at times 2-3, with zero fees.
+
+    Every security doubles and then holds still, so a great many plans tie
+    on wealth and on lots, and only the sequence tie-break orders them.
+    """
+    doc = flat_doc(securities, capital)
+    rising = {"1": "1.0000", "2": "2.0000", "3": "2.0000"}
+    for sec in doc["securities"]:
+        sec["quotes"] = rising
+    return doc
+
+
 # ---------------------------------------------------------------------------
 # randomized instances
 

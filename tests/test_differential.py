@@ -16,7 +16,8 @@ def test_the_differential_finds_the_working_tree_equal_to_itself():
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.splitlines()
-    assert lines[0] == "14 inputs: audit 2, batch 4, example 3, malformed 2, random 2, wide 1"
+    assert lines[0] == ("16 inputs: audit 2, batch 4, example 3, malformed 2, random 2, "
+                        "ties 2, wide 1")
     assert lines[1:] == [
         "well-formed inputs that differ: 0",
         "malformed inputs that differ: newly rejected 0, rejected differently 0, "

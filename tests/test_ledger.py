@@ -29,7 +29,7 @@ from rebalplan.errors import (
     QuoteMissingError,
     ShortCapExceededError,
 )
-from rebalplan.ledger import full_sale, opening_state
+from rebalplan.ledger import full_sale
 from rebalplan.market import deal_book
 from scenariogen import twenty_nine_digit_doc
 
@@ -66,7 +66,7 @@ def test_holdings_are_kept_in_id_order_without_zeros():
 
 
 def test_a_state_that_holds_nothing_shares_the_opening_mapping():
-    opening = opening_state(D("100.00"))
+    opening = LedgerState(0, {}, D("100.00"))
     bought = apply_rebalance(opening, {"A": 2}, BOOK)
     sold = apply_rebalance(bought, {"A": -2}, BOOK)
     forfeited = apply_rebalance(opening, {"M": 1}, BOOK)  # M matures after t=1

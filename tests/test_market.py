@@ -44,6 +44,14 @@ def test_a_market_refuses_a_repeated_security_id():
         Market(TimeGrid((1, 2)), (sec(1, 1), sec(1, 1)))
 
 
+def test_a_market_finds_a_security_from_its_id():
+    a, b = sec(1, 1), sec(1, 1)._replace(security_id="B")
+    market = Market(TimeGrid((1, 2)), (b, a))
+    assert market.security("A") is a and market.security("B") is b
+    with pytest.raises(KeyError):
+        market.security("Z")
+
+
 def test_the_deal_book_has_no_page_at_the_horizon_end():
     # A circulates at 1 and 2; no broker quotes a fee for it at 2
     market = Market(TimeGrid((1, 2, 3)), (sec(1, 1, {1: "10", 2: "10"}),))
@@ -80,6 +88,11 @@ def test_replace_rebuilds_the_one_field_records():
     dist = DiscreteDistribution(((D("10"), D("0.5")), (D("12"), D("0.5"))))
     certain = ((D("11"), D("1")),)
     assert dist._replace(outcomes=certain) == DiscreteDistribution(certain)
+    a, b = sec(1, 1), sec(1, 1)._replace(security_id="B")
+    market = Market(grid, (a,))
+    with pytest.raises(ValueError, match="duplicate security id 'A'"):
+        market._replace(securities=(a, a))
+    assert market._replace(securities=(a, b)) == Market(grid, (a, b))
 
 
 @pytest.mark.parametrize("issue,maturity,t,expected", [

@@ -25,6 +25,11 @@ instance's own. Two more hold on long-only instances:
 With shorts, a copy would double the short capacity, and a dear security
 could be shorted and then forfeited.
 
+All of them, and the unpruned solve and the oracle, also run on tie-heavy
+instances (``ties_doc``): every security doubles and then holds still, so
+a great many plans tie on wealth and on lots, the case a bound or a
+tie-break gets wrong first.
+
 An input that fails must fail the same way once transformed.
 """
 
@@ -33,6 +38,7 @@ from __future__ import annotations
 import random
 from decimal import Decimal
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,12 +51,14 @@ from rebalplan import (
     Security,
     SolverOptions,
     TimeGrid,
+    brute_force_solve,
+    scenario_from_dict,
     solve_deterministic,
 )
 from rebalplan.errors import RebalplanError
 from rebalplan.ledger import trade_lots
 
-from scenariogen import degenerate_twin, random_scenario
+from scenariogen import degenerate_twin, random_scenario, ties_doc
 
 D = Decimal
 
@@ -169,6 +177,26 @@ def test_long_only_transforms_on_random_scenarios():
     rng = random.Random(2024)
     for _ in range(400):
         check_long_only_transforms(random_scenario(rng, allow_short=False))
+
+
+# (securities, capital) of the tie-heavy instances: the oracle can take
+# the first three, and the last two prune to layers of 861 and 455 nodes
+ORACLE_TIES = [(2, "3.0000"), (2, "6.0000"), (3, "4.0000")]
+WIDE_TIES = [(2, "40.0000"), (3, "12.0000")]
+
+
+@pytest.mark.parametrize("securities,capital", ORACLE_TIES)
+def test_the_oracle_agrees_on_ties(securities, capital):
+    scn = scenario_from_dict(ties_doc(securities, capital))
+    assert solve_deterministic(scn)[0] == brute_force_solve(scn)[0]
+
+
+@pytest.mark.parametrize("securities,capital", ORACLE_TIES + WIDE_TIES)
+def test_transforms_on_ties(securities, capital):
+    scn = scenario_from_dict(ties_doc(securities, capital))
+    assert solve_deterministic(scn, prune=False)[0] == solve_deterministic(scn)[0]
+    check_transforms(scn)
+    check_long_only_transforms(scn)
 
 
 def cents(draw, lo, hi):

@@ -1,0 +1,47 @@
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+
+import pairs  # noqa: E402
+
+# the committed summaries written since the pairs were first summarized
+# with inclusive quartiles; earlier files used other formulas
+COMMITTED = [ROOT / f"BENCH_{n}.json" for n in range(13, 25)]
+
+
+@pytest.mark.parametrize("path", COMMITTED, ids=[p.stem for p in COMMITTED])
+def test_the_committed_summaries_come_back_from_their_runs(path):
+    bench = json.loads(path.read_text(encoding="utf-8"))
+    for workload in bench["workloads"].values():
+        for name, committed in workload["metrics"].items():
+            got = pairs.summarize(committed["parent"]["runs"], committed["change"]["runs"],
+                                  committed["better"], committed["bound"])
+            for side in ("parent", "change"):
+                assert got.pop(side) == committed[side], name
+            # one file computed the relative change as a ratio minus 1,
+            # which differs in the last bits
+            assert got == pytest.approx({key: committed[key] for key in got}, rel=1e-12), name
+
+
+def test_a_workload_summary_counts_every_run():
+    def result(seed, failed, correct=True):
+        return {"correct": correct, "attempted": 10, "failed": failed, "metrics": {
+            spec["name"]: {"value": float(seed), "unit": spec["unit"]}
+            for spec in END_TO_END}}
+
+    seeds = [1, 2, 3, 4]
+    summary = pairs.workload_summary(
+        {"parent": [result(s, 0) for s in seeds],
+         "change": [result(s, 1, correct=s != 3) for s in seeds]}, seeds, END_TO_END)
+    assert (summary["pairs"], summary["seeds"], summary["correct"]) == (4, seeds, False)
+    assert summary["failed"] == {"parent": 0, "change": 4}
+    assert summary["attempted"] == {"parent": 40, "change": 40}
+    assert set(summary["metrics"]) == {spec["name"] for spec in END_TO_END}
+    for metric in summary["metrics"].values():
+        assert metric["change_wins"] == 0 and metric["relative_change"] == 0

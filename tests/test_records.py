@@ -25,6 +25,7 @@ from rebalplan import (
     solve_deterministic,
 )
 from rebalplan.dp import ValueNode
+from rebalplan.errors import ValidationIssue
 from rebalplan.market import Deals
 from rebalplan.scenario import MODE_EXPECTED
 
@@ -120,3 +121,13 @@ def test_the_records_repr_as_in_a_fresh_process():
     records = [_records(path) for path in EXAMPLES]
     assert {type(r) for rs in records for r in rs} == set(FIELDS)
     assert json.loads(done.stdout) == [[repr(r) for r in rs] for rs in records]
+
+
+def test_validation_issues_are_read_only_values():
+    issue = ValidationIssue("BadValue", "fee must be non-negative", security="A", time=1)
+    assert issue == ValidationIssue("BadValue", "fee must be non-negative", security="A", time=1)
+    assert issue != issue._replace(broker="b1")
+    assert str(issue) == "BadValue: fee must be non-negative [security=A, time=1]"
+    assert repr(issue) == f"ValidationIssue({issue})"
+    with pytest.raises(AttributeError):
+        issue.code = "BadGrid"

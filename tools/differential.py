@@ -14,14 +14,15 @@ compares what each records for every input:
   exact sums weighted by those probabilities, ``ws``, the outcomes' own
   optima (perfect foresight), and ``eev``, the replayed wealth, where the
   policy is admissible in every outcome;
-- the oracle's policy and wealth, for the examples and ``batch``;
+- the oracle's policy and wealth, for the examples, ``batch`` and ``ties``;
 - the CLI's exit code, stdout and stderr for ``validate``, ``solve`` and
   ``oracle`` on each example, as written and with ``--mode exp``.
 
 Inputs: the documented examples; ``batch`` seeds 1 and 3 and ``wide`` seed
-1 from ``bench/workloads.py``; 300 ``random_scenario(Random(2024))`` and 100
-``random_audit_scenario(Random(5))`` from ``tests/scenariogen.py``; and a
-fixed set of documents whose amounts are written in malformed ways. The
+1 from ``bench/workloads.py``; 300 ``random_scenario(Random(2024))``, 100
+``random_audit_scenario(Random(5))`` and the tie-heavy ``ties_doc(2,
+"40.0000")`` and ``ties_doc(3, "12.0000")`` from ``tests/scenariogen.py``;
+and a fixed set of documents whose amounts are written in malformed ways. The
 generators are always this checkout's, so both trees see the same inputs.
 
 Every well-formed input must record the same on both sides. A malformed
@@ -57,6 +58,7 @@ EXAMPLES = ROOT / "docs" / "examples"
 
 RANDOM_SEED, RANDOM_COUNT = 2024, 300
 AUDIT_SEED, AUDIT_COUNT = 5, 100
+TIES = ((2, "40.0000"), (3, "12.0000"))  # (securities, capital)
 MUTATION_SEED, MUTATION_COUNT = 19, 3000
 SHOWN_DIFFERENCES = 10
 
@@ -291,7 +293,7 @@ def run_tree(inputs_path: str, limit: int | None) -> None:
     if tree not in Path(rebalplan.__file__).resolve().parents:
         sys.exit(f"rebalplan was imported from {rebalplan.__file__}, not from {tree}")
     sys.path.insert(0, str(ROOT / "tests"))
-    from scenariogen import random_audit_scenario, random_scenario
+    from scenariogen import random_audit_scenario, random_scenario, ties_doc
 
     with open(inputs_path, encoding="utf-8") as lines:
         for line in lines:
@@ -306,6 +308,10 @@ def run_tree(inputs_path: str, limit: int | None) -> None:
         for i in range(count)[:limit]:
             record = {"id": f"{name}:{seed}:{i}", **_scenario_record(make(rng))}
             print(json.dumps(record, sort_keys=True))
+    for securities, capital in TIES[:limit]:
+        item = {"doc": ties_doc(securities, capital), "oracle": True}
+        record = {"id": f"ties:{securities}:{capital}", **_document_record(item)}
+        print(json.dumps(record, sort_keys=True))
 
 
 # ---------------------------------------------------------------------------
