@@ -47,7 +47,7 @@ from .market import Deals, TimeGrid
 from .money import exact_arithmetic, whole_lots
 from .scenario import Scenario
 
-# One flattened trade: (grid time, security id, lot delta).
+# One flattened trade: (grid time, or the stage in the search, security id, lot delta).
 TradeEntry = tuple[int, str, int]
 
 
@@ -209,16 +209,15 @@ def solve_deterministic(scenario: Scenario, *, prune: bool = True) -> tuple[Poli
     """
     scenario = priced_instance(scenario)
     book = scenario.deal_book()
-    grid = scenario.market.grid
     cap = scenario.options.max_states
 
     root = ValueNode(scenario.initial_state(), None, None, 0)
     layers: list[list[ValueNode]] = [[root]]
     with exact_arithmetic():
         for _ in book:
-            layers.append(_expand(layers[-1], book, grid.points, prune, cap, len(layers)))
+            layers.append(_expand(layers[-1], book, prune, cap))
 
-    table = ValueTable(grid, layers)
+    table = ValueTable(scenario.market.grid, layers)
     return extract_policy(table), table
 
 
@@ -233,15 +232,15 @@ def extract_policy(table: ValueTable) -> Policy:
     points = table.grid.points
     best, *rest = table.layers[-1]
     for node in rest:
-        if _precedes(node, best, points):
+        if _precedes(node, best):
             best = node
-    steps = tuple((t, dict(trade)) for t, trade in _history(best, points))
+    steps = tuple((points[stage], dict(trade)) for stage, trade in _history(best))
     return Policy(steps, best.state.cash)
 
 
-def _expand(frontier: list[ValueNode], book: tuple[Deals, ...], points: tuple[int, ...],
-            prune: bool, cap: int, layer: int) -> list[ValueNode]:
-    """Build layer ``layer`` from its predecessor, keeping at most ``cap`` nodes.
+def _expand(frontier: list[ValueNode], book: tuple[Deals, ...], prune: bool,
+            cap: int) -> list[ValueNode]:
+    """Build the layer after ``frontier``, keeping at most ``cap`` nodes.
 
     Every trade, a forced sale too, comes from :func:`enumerate_controls`.
     The layer is one dict. With ``prune`` it is keyed by holdings and keeps
@@ -264,15 +263,15 @@ def _expand(frontier: list[ValueNode], book: tuple[Deals, ...], points: tuple[in
             if cur is None:
                 kept[key] = ValueNode(successor, node, trade, lots + trade_lots(trade))
                 if len(kept) > cap:
-                    raise StateBudgetExceededError(cap, len(kept), layer)
+                    raise StateBudgetExceededError(cap, len(kept), successor.time_index)
             elif successor.cash >= cur.state.cash:
                 child = ValueNode(successor, node, trade, lots + trade_lots(trade))
-                if _precedes(child, cur, points):
+                if _precedes(child, cur):
                     kept[key] = child
     return [kept[key] for key in sorted(kept)]
 
 
-def _precedes(a: ValueNode, b: ValueNode, points: tuple[int, ...]) -> bool:
+def _precedes(a: ValueNode, b: ValueNode) -> bool:
     """True iff ``a`` ranks strictly before ``b`` in the tie-broken order.
 
     Most cash first, then fewest lots, then the smallest flattened trade
@@ -285,20 +284,20 @@ def _precedes(a: ValueNode, b: ValueNode, points: tuple[int, ...]) -> bool:
         return a.state.cash > b.state.cash
     if a.lots != b.lots:
         return a.lots < b.lots
-    return _sequence(a, points) < _sequence(b, points)
+    return _sequence(a) < _sequence(b)
 
 
-def _history(node: ValueNode, points: tuple[int, ...]) -> list[tuple[int, dict[str, int]]]:
-    """The (time, trade) steps from the root to ``node``, root first."""
+def _history(node: ValueNode) -> list[tuple[int, dict[str, int]]]:
+    """The (stage, trade) steps from the root to ``node``, root first."""
     steps = []
     while node.parent is not None:
-        steps.append((points[node.state.time_index - 1], node.trade))
+        steps.append((node.state.time_index - 1, node.trade))
         node = node.parent
     steps.reverse()
     return steps
 
 
-def _sequence(node: ValueNode, points: tuple[int, ...]) -> tuple[TradeEntry, ...]:
-    """The node's history flattened to (time, security id, delta) entries."""
-    return tuple(entry for t, trade in _history(node, points)
-                 for entry in trade_entries(t, trade))
+def _sequence(node: ValueNode) -> tuple[TradeEntry, ...]:
+    """The node's history flattened to (stage, security id, delta) entries."""
+    return tuple(entry for stage, trade in _history(node)
+                 for entry in trade_entries(stage, trade))

@@ -10,7 +10,7 @@ that react to observed prices are out of scope.
 
 Both are built by one rule (``_instance``) from a price per distribution
 site and the mean fees. Every mean, of a price or of a fee distribution, is
-taken by one rule: the first error
+taken by :func:`expected_price`: the first error
 :func:`~rebalplan.market.distribution_errors` finds is raised, naming its
 security and time, and otherwise the exact mean is rounded half-even to the
 price scale, once.
@@ -41,14 +41,12 @@ def expected_value(dist: DiscreteDistribution) -> Decimal:
     return total
 
 
-def expected_price(dist: DiscreteDistribution, price_scale: int) -> Decimal:
-    """Mean outcome of a price distribution, checked first, rounded half-even to the scale."""
-    return _checked_mean(dist, price_scale)
+def expected_price(dist: DiscreteDistribution, price_scale: int, security: str | None = None,
+                   time: int | None = None, fees: bool = False) -> Decimal:
+    """Mean outcome of a price (with ``fees``, fee) distribution, rounded half-even to the scale.
 
-
-def _checked_mean(dist: DiscreteDistribution, price_scale: int, security: str | None = None,
-                  time: int | None = None, fees: bool = False) -> Decimal:
-    """Raise the first error of ``dist`` at ``security, time``, else round its mean half-even."""
+    The first error of ``dist`` at ``security, time`` is raised instead.
+    """
     errors = distribution_errors(dist, security, time, fees)
     if errors:
         raise errors[0]
@@ -82,7 +80,7 @@ def build_expected_market(scenario: Scenario) -> Scenario:
             sid = sec.security_id
             means[sid] = site = {}
             for t, dist in sorted(sec.distributions.items()):
-                site[t] = _checked_mean(dist, scale, sid, t)
+                site[t] = expected_price(dist, scale, sid, t)
     return _instance(scenario, means, expected_fee_table(scenario.fees, scale))
 
 
@@ -147,7 +145,7 @@ def expected_fee_table(fees: FeeTable, price_scale: int) -> FeeTable:
             if isinstance(fee, DiscreteDistribution):
                 if flat is None:
                     flat = dict(broker.fees)
-                flat[sid, t] = _checked_mean(fee, price_scale, sid, t, fees=True)
+                flat[sid, t] = expected_price(fee, price_scale, sid, t, fees=True)
         if flat is not None:
             broker = Broker(broker.broker_id, flat)
             changed = True

@@ -139,19 +139,19 @@ class _MarketFields(NamedTuple):
 
 
 class Market(_MarketFields):
-    """A time grid plus securities, no two with the same id.
+    """A time grid plus securities in id order, no two with the same id.
 
-    ``_replace`` checks the ids as the constructor does. A market is not
-    hashable, as its securities hold dicts.
+    ``_replace`` sorts and checks the ids as the constructor does. A market
+    is not hashable, as its securities hold dicts.
     """
 
     __slots__ = ()
 
     def __new__(cls, grid: TimeGrid, securities: tuple[Security, ...]) -> "Market":
-        ids = sorted(sec.security_id for sec in securities)
-        for sid, following in zip(ids, ids[1:]):
-            if sid == following:
-                raise ValueError(f"duplicate security id {sid!r}")
+        securities = tuple(sorted(securities, key=attrgetter("security_id")))
+        for sec, following in zip(securities, securities[1:]):
+            if sec.security_id == following.security_id:
+                raise ValueError(f"duplicate security id {sec.security_id!r}")
         return tuple.__new__(cls, (grid, securities))
 
     @classmethod
@@ -278,8 +278,7 @@ def deal_book(market: Market, fees: FeeTable, lot: Decimal, floor: int = 0,
     quote or a fee between two calls is seen by the second.
     """
     points = market.grid.points
-    by_id = {sec.security_id: sec
-             for sec in sorted(market.securities, key=attrgetter("security_id"))}
+    by_id = {sec.security_id: sec for sec in market.securities}
     ids = [tuple(sid for sid, sec in by_id.items() if is_active(sec, t)) for t in points]
     last = len(points) - 2
     pages = []

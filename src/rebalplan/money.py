@@ -12,8 +12,8 @@ the calling code has set:
 - :func:`parse_decimal` reads in :data:`LEDGER_CONTEXT`: a value that needs
   more than its 28 digits at the scale, or more fractional digits than the
   scale, is rejected.
-- :func:`format_decimal` pads in :data:`EXACT_CONTEXT`'s precision with
-  ``Inexact`` trapped, so padding never rounds.
+- :func:`format_decimal` pads in :data:`EXACT_CONTEXT`; a value with
+  digits finer than the scale is printed with all of them, not rounded.
 - :func:`round_half_even` rounds in :data:`EXACT_CONTEXT`, the one place a
   value is rounded: an expected value is summed there exactly and then
   rounded half-even, once.
@@ -50,14 +50,6 @@ EXACT_CONTEXT = decimal.Context(prec=120)
 # precision, but a result that would have to round raises instead.
 LEDGER_CONTEXT = decimal.Context(
     prec=28,
-    traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow,
-           decimal.Inexact],
-)
-
-
-# Padding to a scale: exact, or an error that format_decimal handles.
-_PADDING_CONTEXT = decimal.Context(
-    prec=EXACT_CONTEXT.prec,
     traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow,
            decimal.Inexact],
 )
@@ -167,15 +159,14 @@ def format_decimal(value: Decimal, scale: int) -> str:
     """Canonical string form: padded to ``scale`` digits, never rounded.
 
     Values genuinely finer than ``scale`` (possible with a fractional lot
-    size) are emitted with all their digits intact. The padding runs at
-    :data:`EXACT_CONTEXT`'s precision, so it does not depend on the
-    caller's, and the result is always positional, never in exponent form.
+    size) are emitted with all their digits intact, up to 120 significant
+    digits. Both steps run in :data:`EXACT_CONTEXT`, so neither depends on
+    the caller's, and the result is always positional, never in exponent form.
     """
-    try:
-        value = value.quantize(quantum(scale), context=_PADDING_CONTEXT)
-    except decimal.Inexact:
-        value = value.normalize(context=_PADDING_CONTEXT)
-    return format(value, "f")
+    padded = value.quantize(quantum(scale), context=EXACT_CONTEXT)
+    if padded != value:
+        padded = value.normalize(context=EXACT_CONTEXT)
+    return format(padded, "f")
 
 
 def round_half_even(value: Decimal, scale: int) -> Decimal:

@@ -145,7 +145,10 @@ def _object_without_repeats(pairs: list[tuple[str, object]]) -> dict:
 
 
 def dump_scenario(scenario: Scenario) -> str:
-    """Canonical JSON text; loading it back yields an equal Scenario."""
+    """Canonical JSON text; loading it back yields an equal Scenario.
+
+    That holds where its brokers are in id order, as every loaded scenario's are.
+    """
     return json.dumps(scenario_to_dict(scenario), indent=2) + "\n"
 
 
@@ -197,7 +200,7 @@ def scenario_from_dict(data: object, mode: str | None = None) -> Scenario:
 
     scenario = Scenario(
         initial_capital=capital,
-        market=Market(grid, tuple(sorted(securities, key=lambda s: s.security_id))),
+        market=Market(grid, tuple(securities)),
         fees=FeeTable(tuple(sorted(brokers, key=lambda b: b.broker_id))),
         options=options,
     )
@@ -212,7 +215,6 @@ class _FieldError(RebalplanError):
 
 
 _DEFAULTS = SolverOptions()._asdict()
-_OPTION_NAMES = frozenset(_DEFAULTS)
 
 
 def _is_int(value: object) -> bool:
@@ -245,7 +247,7 @@ def _parse_options(raw: object, issues: list[ValidationIssue]) -> SolverOptions:
         issues.append(ValidationIssue("BadOption", "options must be an object"))
         return SolverOptions()
     for key in raw:
-        if key not in _OPTION_NAMES:
+        if key not in _DEFAULTS:
             issues.append(ValidationIssue("BadOption", f"unknown option {key!r}"))
     options = _DEFAULTS.copy()
     for name, what, read in _OPTION_RULES:

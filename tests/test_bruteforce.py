@@ -153,9 +153,12 @@ def test_a_quote_or_fee_out_of_range_raises_its_typed_error(call, quote, fee, er
         assert getattr(info.value, bad) == D(quote if bad == "price" else fee)
 
 
-def test_the_oracle_raises_a_typed_error_when_no_sequence_survives():
-    # a negative capital built in code: not even the all-zero trades are admissible
-    scn = simple_scenario(capital="-5")
+@pytest.mark.parametrize("capital", ["-5", "-50"])
+def test_the_oracle_raises_a_typed_error_when_no_sequence_survives(capital):
+    # a negative capital built in code: not even the all-zero trades are
+    # admissible; below minus one lot's 10.50 every buy range is empty too,
+    # so the oracle's stage yields no candidate at all
+    scn = simple_scenario(capital=capital)
     with pytest.raises(EmptyTableError):
         solve_deterministic(scn)
     with pytest.raises(EmptyTableError):

@@ -168,7 +168,7 @@ def test_a_forced_page_yields_the_full_sale_alone_affordable_or_not():
         apply_rebalance(short, {"A": 2}, book)
     # so the expansion skips it, and keeps the node that can pay
     frontier = [ValueNode(short, None, None, 0), ValueNode(nothing, None, None, 0)]
-    layer = _expand(frontier, book, (1, 2, 3), prune=True, cap=10, layer=2)
+    layer = _expand(frontier, book, prune=True, cap=10)
     assert [node.state for node in layer] == [LedgerState(2, {}, D("5.00"))]
 
 

@@ -93,6 +93,8 @@ def test_replace_rebuilds_the_one_field_records():
     with pytest.raises(ValueError, match="duplicate security id 'A'"):
         market._replace(securities=(a, a))
     assert market._replace(securities=(a, b)) == Market(grid, (a, b))
+    # a market holds its securities in id order however they are given
+    assert market._replace(securities=(b, a)).securities == (a, b)
 
 
 @pytest.mark.parametrize("issue,maturity,t,expected", [

@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 import rebalplan.cli as cli
 import rebalplan.money as money
 from rebalplan import (
+    Broker,
+    FeeTable,
+    Market,
     Scenario,
+    Security,
+    SolverOptions,
+    TimeGrid,
     dump_scenario,
     load_scenario,
     price_at,
@@ -70,6 +76,31 @@ def test_documented_examples_round_trip(tmp_path):
         assert again == scn
         # and the canonical form is a fixed point
         assert dump_scenario(again) == text
+
+
+def _built_in_code(security_ids, broker_ids):
+    """Capital 100, times 1 and 2, each security quoted 10 and each broker charging 0.5."""
+    securities = tuple(Security(sid, 1, 1, {1: D("10.0000"), 2: D("10.0000")}, {})
+                       for sid in security_ids)
+    brokers = tuple(Broker(bid, {(sid, t): D("0.5000") for sid in security_ids for t in (1, 2)})
+                    for bid in broker_ids)
+    return Scenario(D("100.0000"), Market(TimeGrid((1, 2)), securities), FeeTable(brokers),
+                    SolverOptions())
+
+
+def test_a_scenario_built_in_code_round_trips_whatever_its_securities_order():
+    scn = _built_in_code(("B", "A"), ("b1",))
+    assert [sec.security_id for sec in scn.market.securities] == ["A", "B"]
+    again = scenario_from_dict(json.loads(dump_scenario(scn)))
+    assert again == scn
+    assert dump_scenario(again) == dump_scenario(scn)
+
+
+def test_a_scenario_built_in_code_comes_back_with_its_brokers_in_id_order():
+    scn = _built_in_code(("A",), ("z", "a"))
+    again = scenario_from_dict(json.loads(dump_scenario(scn)))
+    assert [broker.broker_id for broker in again.fees.brokers] == ["a", "z"]
+    assert again == scn._replace(fees=FeeTable(scn.fees.brokers[::-1]))
 
 
 def test_generated_scenarios_round_trip():
