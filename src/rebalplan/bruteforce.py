@@ -41,7 +41,8 @@ def brute_force_solve(scenario: Scenario, *,
     a cash amount would need rounding; the expected-mode reduction rounds
     means before it. Where no trade sequence is admissible (a forced sale
     cannot buy back the shorts), it raises :class:`EmptyTableError`, as
-    the staged solver does.
+    the staged solver does. The walk keeps only the best key, (-cash, lots,
+    sequence); the plan is rebuilt from that sequence, one trade per page.
     """
     scenario = priced_instance(scenario)
     market = scenario.market
@@ -53,21 +54,17 @@ def brute_force_solve(scenario: Scenario, *,
         raise InstanceTooLargeError(stages, STAGE_CAP, "stages")
 
     applied = 0
-    best_key: tuple[Decimal, int, tuple[TradeEntry, ...]] | None = None
-    best_trades: tuple[tuple[int, dict[str, int]], ...] = ()
+    best: tuple[Decimal, int, tuple[TradeEntry, ...]] | None = None
 
-    def walk(state: LedgerState, stage: int,
-             trades: list[tuple[int, dict[str, int]]], lots: int,
+    def walk(state: LedgerState, stage: int, lots: int,
              seq: tuple[TradeEntry, ...]) -> None:
-        nonlocal applied, best_key, best_trades
+        nonlocal applied, best
         if stage == stages:
             key = (-state.cash, lots, seq)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_trades = tuple((t, dict(trade)) for t, trade in trades)
+            if best is None or key < best:
+                best = key
             return
         page = book[stage]
-        t = page.time
         for trade in _stage_candidates(state, page, market, fees, lot):
             applied += 1
             if applied > cap:
@@ -76,16 +73,17 @@ def brute_force_solve(scenario: Scenario, *,
                 successor = apply_rebalance(state, trade, book)
             except InadmissibleTradeError:
                 continue
-            trades.append((t, trade))
-            walk(successor, stage + 1, trades, lots + trade_lots(trade),
-                 seq + trade_entries(t, trade))
-            trades.pop()
+            walk(successor, stage + 1, lots + trade_lots(trade),
+                 seq + trade_entries(page.time, trade))
 
     with exact_arithmetic():
-        walk(scenario.initial_state(), 0, [], 0, ())
-    if best_key is None:
+        walk(scenario.initial_state(), 0, 0, ())
+    if best is None:
         raise EmptyTableError("no trade sequence reaches the horizon end")
-    return Policy(best_trades, -best_key[0]), -best_key[0]
+    neg_cash, _, seq = best
+    trades = tuple((page.time, {sid: delta for t, sid, delta in seq if t == page.time})
+                   for page in book)
+    return Policy(trades, -neg_cash), -neg_cash
 
 
 def _stage_candidates(state: LedgerState, page: Deals, market: Market, fees,

@@ -136,18 +136,10 @@ def _instance(scenario: Scenario, prices: dict[str, dict[int, Decimal]],
 
 
 def expected_fee_table(fees: FeeTable, price_scale: int) -> FeeTable:
-    """The table at checked, rounded mean fees; a broker or table with no distribution is shared."""
-    brokers = []
-    changed = False
-    for broker in fees.brokers:
-        flat = None
-        for (sid, t), fee in broker.fees.items():
-            if isinstance(fee, DiscreteDistribution):
-                if flat is None:
-                    flat = dict(broker.fees)
-                flat[sid, t] = expected_price(fee, price_scale, sid, t, fees=True)
-        if flat is not None:
-            broker = Broker(broker.broker_id, flat)
-            changed = True
-        brokers.append(broker)
-    return FeeTable(tuple(brokers)) if changed else fees
+    """A new table, each fee distribution at its checked, rounded mean; scalar fees pass through."""
+    return FeeTable(tuple(
+        Broker(broker.broker_id, {
+            (sid, t): expected_price(fee, price_scale, sid, t, fees=True)
+            if isinstance(fee, DiscreteDistribution) else fee
+            for (sid, t), fee in broker.fees.items()})
+        for broker in fees.brokers))

@@ -5,18 +5,19 @@ package is a ``decimal.Decimal`` quantized to a configurable number of
 fractional digits. Sums, differences and products of such values are exact,
 so solver results can be compared with ``==`` instead of a float tolerance.
 
-Each conversion runs in one fixed context of this module, never in the
-caller's, so a value parses, prints and rounds alike whatever precision
-the calling code has set:
+Each conversion runs in one fixed context of this module, or in none,
+never in the caller's, so a value parses, prints and rounds alike whatever
+precision the calling code has set:
 
 - :func:`parse_decimal` reads in :data:`LEDGER_CONTEXT`: a value that needs
   more than its 28 digits at the scale, or more fractional digits than the
   scale, is rejected.
-- :func:`format_decimal` pads in :data:`EXACT_CONTEXT`; a value with
-  digits finer than the scale is printed with all of them, not rounded.
+- :func:`format_decimal` reads no context: it prints the value's own
+  digits, padded to the scale, so a value with digits finer than the scale
+  is printed with all of them, never rounded.
 - :func:`round_half_even` rounds in :data:`EXACT_CONTEXT`, the one place a
   value is rounded: an expected value is summed there exactly and then
-  rounded half-even, once.
+  rounded half-even, once. Sums and means use that context too.
 
 The contexts are passed to each operation, so no ``localcontext`` is
 entered per value.
@@ -156,17 +157,18 @@ class exact_arithmetic:
 
 
 def format_decimal(value: Decimal, scale: int) -> str:
-    """Canonical string form: padded to ``scale`` digits, never rounded.
+    """Canonical string form: the value's own digits, never rounded, any size.
 
-    Values genuinely finer than ``scale`` (possible with a fractional lot
-    size) are emitted with all their digits intact, up to 120 significant
-    digits. Both steps run in :data:`EXACT_CONTEXT`, so neither depends on
-    the caller's, and the result is always positional, never in exponent form.
+    The fraction is padded to ``scale`` digits; digits finer than it (possible
+    with a fractional lot size) are all kept, trailing zeros past it dropped.
+    No context is read; the result is positional, never in exponent form. A
+    non-finite value raises :class:`FixedPointError`.
     """
-    padded = value.quantize(quantum(scale), context=EXACT_CONTEXT)
-    if padded != value:
-        padded = value.normalize(context=EXACT_CONTEXT)
-    return format(padded, "f")
+    if not value.is_finite():
+        raise FixedPointError(f"{value!r} is not a finite amount")
+    whole, _, frac = format(value, "f").partition(".")
+    frac = (frac[:scale] + frac[scale:].rstrip("0")).ljust(scale, "0")
+    return f"{whole}.{frac}" if frac else whole
 
 
 def round_half_even(value: Decimal, scale: int) -> Decimal:

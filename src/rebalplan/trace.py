@@ -50,8 +50,6 @@ TRACE_HEADER = (
     "time", "security", "holdings_before", "holdings_after",
     "trade_cash", "fee_paid", "cash_after", "wealth",
 )
-# the header as the CSV writer prints it: no field needs quoting
-_HEADER_LINE = ",".join(TRACE_HEADER) + "\n"
 
 
 def replay_policy(scenario: Scenario, policy: Policy) -> list[LedgerState]:
@@ -123,8 +121,7 @@ def _rows(scenario: Scenario, policy: Policy) -> list[list[str]]:
 def trace_text(scenario: Scenario, policy: Policy) -> str:
     rows = build_trace_rows(scenario, policy)
     buffer = io.StringIO()
-    buffer.write(_HEADER_LINE)
-    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    csv.writer(buffer, lineterminator="\n").writerows([TRACE_HEADER, *rows])
     return buffer.getvalue()
 
 

@@ -101,7 +101,8 @@ def test_criterion_1_oracle_equivalence_sweep(sweep_bank):
         for scn, (oracle_policy, oracle_value) in bank:
             policy, _ = solve_deterministic(scn)
             assert policy.terminal_wealth == oracle_value
-            assert policy.trades == oracle_policy.trades
+            # repr, not ==: the key order of each trade is what the CLI prints
+            assert repr(policy.trades) == repr(oracle_policy.trades)
             shorted += scn.options.allow_short
         elapsed = build_seconds + time.time() - t0
         assert elapsed < 60

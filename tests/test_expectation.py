@@ -201,6 +201,14 @@ def test_expected_fees_are_averaged_then_minimized():
     assert effective_fee(derived.market.security("A"), 1, derived.fees) == D("0.45")
 
 
+def test_the_reduction_keeps_each_broker_map_in_key_order():
+    scn = scenario_from_dict(fee_distribution_doc("expected"))
+    b1, b2 = build_expected_market(scn).fees.brokers
+    assert list(b1.fees.items()) == list(scn.fees.brokers[0].fees.items())
+    assert [(key, str(fee)) for key, fee in b2.fees.items()] == \
+        [(("A", t), "0.1000") for t in (1, 2, 3)]
+
+
 def test_solve_stochastic_buys_into_positive_expected_drift():
     policy, _ = solve_deterministic(build_expected_market(stochastic_scenario()))
     value = policy.terminal_wealth

@@ -46,6 +46,8 @@ def test_a_decimal_given_in_code_must_be_finite():
     for value in (Decimal("NaN"), Decimal("Infinity"), Decimal("-Infinity"), Decimal("sNaN")):
         with pytest.raises(FixedPointError, match="must be a decimal string"):
             parse_decimal(value, 4)
+        with pytest.raises(FixedPointError, match="not a finite amount"):
+            format_decimal(value, 4)
 
 
 def test_format_pads_to_scale():
@@ -57,6 +59,13 @@ def test_format_pads_to_scale():
     # small exponents print positionally, not as 0E-7 or 1.2E-7
     assert format_decimal(Decimal("0"), 7) == "0.0000000"
     assert format_decimal(Decimal("0.00000012"), 8) == "0.00000012"
+    # past any context's precision: every digit, none rounded
+    long = "1." + "1" * 129 + "7"
+    assert format_decimal(Decimal(long), 4) == long
+    assert format_decimal(Decimal("9" * 115), 12) == "9" * 115 + "." + "0" * 12
+    # trailing zeros past the scale go, finer digits stay
+    assert format_decimal(Decimal("1.2345670"), 4) == "1.234567"
+    assert format_decimal(Decimal("-0"), 4) == "-0.0000"
 
 
 def test_format_keeps_finer_digits_intact():

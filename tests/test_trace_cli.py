@@ -211,16 +211,16 @@ def test_cli_exit_io_on_unwritable_output(tmp_path, capsys):
     assert code == 4
 
 
-def test_cli_validate_accepts_the_examples(capsys):
-    for name in ("buy_then_liquidate.json", "two_point_upside.json"):
-        assert cli.main(["validate", "--scenario", str(DOCS / name)]) == 0
+_LAST_LINE = {"validate": "scenario OK", "solve": "terminal wealth",
+              "oracle": "oracle check OK"}
 
 
-def test_cli_oracle_agrees_on_the_examples(capsys):
-    for name in ("buy_then_liquidate.json", "round_trip_too_costly.json",
-                 "two_point_upside.json"):
-        assert cli.main(["oracle", "--scenario", str(DOCS / name)]) == 0
-        assert "oracle check OK" in capsys.readouterr().out
+@pytest.mark.parametrize("mode", [[], ["--mode", "exp"]], ids=["as-written", "exp"])
+@pytest.mark.parametrize("command", sorted(_LAST_LINE))
+@pytest.mark.parametrize("doc", sorted(DOCS.glob("*.json")), ids=lambda path: path.stem)
+def test_cli_runs_every_example(doc, command, mode, capsys):
+    assert cli.main([command, "--scenario", str(doc), *mode]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith(_LAST_LINE[command])
 
 
 def test_cli_oracle_mismatch_exits_five(monkeypatch, capsys):
