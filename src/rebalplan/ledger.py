@@ -22,8 +22,8 @@ constructor does.
 
 Every state that holds nothing, the opening state, a successor that sold
 or forfeited every position and a constructed one alike, shares the one
-read-only empty mapping :data:`_NO_HOLDINGS`, so a search that keeps many
-such states builds no map for them.
+read-only empty mapping, :data:`~rebalplan.market._NO_ENTRIES` (the map of
+a security or broker given no entries), so a search builds no map for them.
 """
 
 from __future__ import annotations
@@ -33,16 +33,12 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .errors import InadmissibleTradeError, InexactArithmeticError, ShortCapExceededError
-from .market import Deals, Market, is_active, price_at
+from .market import _NO_ENTRIES, Deals, Market, _rebuild, is_active, price_at
 from .money import LEDGER_CONTEXT
 
 # A trade vector: security id -> lot delta (holdings after minus holdings
 # before). Canonical form carries no zero entries.
 TradeVector = Mapping[str, int]
-
-
-# the holdings of every state that holds nothing
-_NO_HOLDINGS = MappingProxyType({})
 
 
 class _LedgerStateFields(NamedTuple):
@@ -55,18 +51,19 @@ class LedgerState(_LedgerStateFields):
     """Position on the grid, holdings carried into that time, and cash.
 
     The holdings are stored canonical: id order, zero positions dropped, in
-    a read-only mapping, :data:`_NO_HOLDINGS` where nothing is held. The
-    constructor cleans the holdings it is given; the ledger builds the
-    states it makes with :data:`_new_state`, which takes holdings that are
-    canonical already.
+    a read-only mapping, :data:`~rebalplan.market._NO_ENTRIES` where nothing
+    is held. The constructor and ``_replace`` clean the holdings they are
+    given; the ledger builds the states it makes with :data:`_new_state`,
+    which takes holdings that are canonical already.
     """
 
     __slots__ = ()
+    _make = _rebuild
 
     def __new__(cls, time_index: int, holdings: Mapping[str, int],
                 cash: Decimal) -> "LedgerState":
         clean = {sid: holdings[sid] for sid in sorted(holdings) if holdings[sid] != 0}
-        held = MappingProxyType(clean) if clean else _NO_HOLDINGS
+        held = MappingProxyType(clean) if clean else _NO_ENTRIES
         return tuple.__new__(cls, (time_index, held, cash))
 
 
@@ -115,10 +112,6 @@ def apply_rebalance(state: LedgerState, trade: TradeVector,
     bound on selling beyond the page's position floor. Positions not
     carried to the next grid time are forfeited (dropped at zero value),
     keeping states canonical.
-
-    The successor's holdings come out of the carried-position pass
-    canonical, so it is built as they are, not cleaned again, and one that
-    holds nothing shares :data:`_NO_HOLDINGS`.
     """
     index = state.time_index
     page = book[index]
@@ -146,7 +139,7 @@ def apply_rebalance(state: LedgerState, trade: TradeVector,
             qty = held.get(sid, 0)
         if qty:
             carried[sid] = qty
-    holdings = MappingProxyType(carried) if carried else _NO_HOLDINGS
+    holdings = MappingProxyType(carried) if carried else _NO_ENTRIES
     return _new_state(LedgerState, (index + 1, holdings, cash))
 
 

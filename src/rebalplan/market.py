@@ -41,6 +41,12 @@ from .errors import (
 )
 from .money import EXACT_CONTEXT, LEDGER_CONTEXT
 
+# The _make of each record whose constructor checks or cleans its fields
+# (TimeGrid, Market, LedgerState), so _replace, which builds through _make,
+# checks and cleans too. The named tuple's own takes the fields as given, and
+# fails its length check on TimeGrid, whose __len__ counts the points.
+_rebuild = classmethod(lambda cls, fields: cls(*fields))
+
 
 class _TimeGridFields(NamedTuple):
     points: tuple[int, ...]
@@ -63,17 +69,10 @@ class TimeGrid(_TimeGridFields):
             raise ValueError(f"time grid must be strictly increasing: {points}")
         return tuple.__new__(cls, (points,))
 
+    _make = _rebuild
+
     def __len__(self) -> int:
         return len(self.points)
-
-    @classmethod
-    def _make(cls, iterable) -> "TimeGrid":
-        """The grid ``_replace`` asks for, checked as the constructor checks it.
-
-        The named tuple's own ``_make`` would count fields with ``__len__``.
-        """
-        (points,) = iterable
-        return cls(points)
 
     @property
     def end(self) -> int:
@@ -154,10 +153,7 @@ class Market(_MarketFields):
                 raise ValueError(f"duplicate security id {sec.security_id!r}")
         return tuple.__new__(cls, (grid, securities))
 
-    @classmethod
-    def _make(cls, iterable) -> "Market":
-        """The market ``_replace`` asks for, checked as the constructor checks it."""
-        return cls(*iterable)
+    _make = _rebuild
 
     def security(self, security_id: str) -> Security:
         """The security with this id; ``KeyError`` if there is none."""

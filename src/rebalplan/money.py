@@ -55,8 +55,9 @@ LEDGER_CONTEXT = decimal.Context(
            decimal.Inexact],
 )
 
-# quantum(scale) for every scale a scenario may declare (0..12)
-_QUANTA = tuple(Decimal((0, (1,), -scale)) for scale in range(13))
+# the scales a scenario may declare run 0..MAX_SCALE; quantum(scale) for each
+MAX_SCALE = 12
+_QUANTA = tuple(Decimal((0, (1,), -scale)) for scale in range(MAX_SCALE + 1))
 
 # parse_decimal's table, (text, scale) -> the Decimal parsed from it, for a
 # plain str of at most AMOUNT_TEXT_CAP characters at a scenario scale. An
@@ -89,9 +90,9 @@ def parse_decimal(text: str | Decimal, scale: int, *, what: str = "value") -> De
     """Parse a document amount, rejecting anything not exact at ``scale``.
 
     The one rule for an amount: a string of an optional ``-``, ASCII digits
-    and an optional ``.`` and digits, or a finite ``Decimal`` given in code.
-    A string read before at the same scale returns the object parsed then
-    (see :data:`AMOUNT_TABLE_CAP`).
+    and an optional ``.`` and digits, or a finite ``Decimal`` given in code;
+    a zero of either sign reads as ``0``. A string read before at the same
+    scale returns the object parsed then (see :data:`AMOUNT_TABLE_CAP`).
     """
     shared = type(text) is str and len(text) <= AMOUNT_TEXT_CAP and 0 <= scale < len(_QUANTA)
     if shared:
@@ -117,6 +118,8 @@ def parse_decimal(text: str | Decimal, scale: int, *, what: str = "value") -> De
             f"{what} {text!r} needs more than {LEDGER_CONTEXT.prec} "
             f"significant digits at scale {scale}"
         ) from exc
+    if not value:
+        value = value.copy_abs()
     if shared and len(_AMOUNTS) < AMOUNT_TABLE_CAP:
         _AMOUNTS[text, scale] = value
     return value

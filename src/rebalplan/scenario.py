@@ -3,7 +3,8 @@
 A scenario is UTF-8 JSON. Every amount and probability is a decimal string
 so files survive editing and diffing without picking up binary-float noise:
 an optional ``-``, ASCII digits and an optional ``.`` with more digits, as in
-``"10.5000"``, and nothing else (:func:`~rebalplan.money.parse_decimal`). Field layout:
+``"10.5000"``, and nothing else, ``"-0"`` reading as zero
+(:func:`~rebalplan.money.parse_decimal`). Field layout:
 
     {
       "initial_capital": "100.0000",
@@ -66,7 +67,7 @@ from .market import (
     distribution_errors,
     is_active,
 )
-from .money import FixedPointError, format_decimal, parse_decimal
+from .money import MAX_SCALE, FixedPointError, format_decimal, parse_decimal
 
 MODE_DETERMINISTIC = "deterministic"
 MODE_EXPECTED = "expected"
@@ -181,8 +182,7 @@ def scenario_from_dict(data: object, mode: str | None = None) -> Scenario:
 
     grid = None
     times = data.get("times")
-    if (not isinstance(times, list) or not times
-            or any(not isinstance(t, int) or isinstance(t, bool) for t in times)):
+    if not isinstance(times, list) or not times or not all(map(_is_int, times)):
         issues.append(ValidationIssue("BadGrid", "times must be a non-empty list of integers"))
     else:
         try:
@@ -226,13 +226,17 @@ def _lot_size(value: object, options: dict) -> Decimal | None:
     return lot if lot > 0 else None
 
 
+def _scale(value: object, _: dict) -> int | None:
+    return value if _is_int(value) and 0 <= value <= MAX_SCALE else None
+
+
 # One rule per option, in the order its issues are reported: what the value
 # must be, and a reader given the options read so far, which returns the
 # value or None if it is not that.
 _OPTION_RULES = (
     ("mode", f"one of {MODES}", lambda v, _: v if v in MODES else None),
-    ("price_scale", "an integer in 0..12", lambda v, _: v if _is_int(v) and 0 <= v <= 12 else None),
-    ("prob_scale", "an integer in 0..12", lambda v, _: v if _is_int(v) and 0 <= v <= 12 else None),
+    ("price_scale", f"an integer in 0..{MAX_SCALE}", _scale),
+    ("prob_scale", f"an integer in 0..{MAX_SCALE}", _scale),
     ("lot_size", "positive", _lot_size),
     ("allow_short", "a boolean", lambda v, _: v if isinstance(v, bool) else None),
     ("short_cap", "a non-negative integer", lambda v, _: v if _is_int(v) and v >= 0 else None),

@@ -65,6 +65,16 @@ def test_holdings_are_kept_in_id_order_without_zeros():
     assert state == LedgerState(0, {"A": 2, "B": 1}, D("1.00"))
 
 
+def test_replace_cleans_the_holdings_as_the_constructor_does():
+    state = LedgerState(0, {"B": 1, "A": 0}, D(5))
+    replaced = state._replace(holdings={"B": 0, "A": 2})
+    assert replaced == LedgerState(0, {"A": 2}, D(5))
+    assert list(replaced.holdings.items()) == [("A", 2)]
+    with pytest.raises(TypeError):
+        replaced.holdings["A"] = 3
+    assert state._replace(holdings={"A": 0}).holdings is LedgerState(0, {}, D(0)).holdings
+
+
 def test_a_state_that_holds_nothing_shares_the_opening_mapping():
     opening = LedgerState(0, {}, D("100.00"))
     bought = apply_rebalance(opening, {"A": 2}, BOOK)

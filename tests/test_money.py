@@ -25,6 +25,15 @@ def test_parse_accepts_exact_values():
     assert parse_decimal(Decimal(3), 4) == Decimal(3)
 
 
+def test_a_negative_zero_parses_as_zero():
+    for text in ("-0", "-0.0000", Decimal("-0"), Decimal("-0.00")):
+        value = parse_decimal(text, 4)
+        assert repr(value) == "Decimal('0.0000')" and format_decimal(value, 4) == "0.0000"
+    # a table hit hands out the zero it kept
+    assert parse_decimal("-0", 4) is parse_decimal("-0", 4)
+    assert not parse_decimal("-0", 4).is_signed()
+
+
 def test_parse_rejects_excess_digits():
     with pytest.raises(FixedPointError):
         parse_decimal("10.00001", 4)

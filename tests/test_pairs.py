@@ -51,3 +51,11 @@ def test_a_workload_summary_counts_every_run():
     assert set(summary["metrics"]) == {spec["name"] for spec in END_TO_END}
     for metric in summary["metrics"].values():
         assert metric["change_wins"] == 0 and metric["relative_change"] == 0
+
+
+def test_tied_parent_runs_leave_the_gap_over_their_spread_unset():
+    got = pairs.summarize([20.0] * 10, [19.5] * 10, "lower", 0.15)
+    assert got["parent"]["q1"] == got["parent"]["q3"] == 20.0
+    assert got["median_gap_over_parent_iqr"] is None
+    assert got["change_wins"] == 10 and got["relative_change"] == -0.025
+    assert got["within_bound"]

@@ -389,6 +389,26 @@ def test_a_well_formed_amount_still_loads_at_every_site():
         assert scenario_from_dict(_with_amount(site, "2.5"))
 
 
+@pytest.mark.parametrize("site,zero,negative", [
+    ("capital", "0", "-0"), ("fee", "0.0000", "-0"), ("fee", "0", "-0.0000")])
+def test_a_negative_zero_amount_loads_dumps_and_traces_as_zero(tmp_path, capsys, site, zero,
+                                                              negative):
+    def solved(text):
+        doc = json.loads((DOCS / "buy_then_liquidate.json").read_text(encoding="utf-8"))
+        if site == "capital":
+            doc["initial_capital"] = text
+        else:
+            doc["brokers"][0]["fees"]["A"] = dict.fromkeys(("1", "2", "3"), text)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["solve", "--scenario", str(path)]) == 0
+        return load_scenario(path), capsys.readouterr().out
+
+    (plain, plain_out), (signed, signed_out) = solved(zero), solved(negative)
+    assert signed == plain and dump_scenario(signed) == dump_scenario(plain)
+    assert signed_out == plain_out and "-0" not in signed_out + dump_scenario(signed)
+
+
 def test_two_loads_share_their_amounts_and_ids():
     # ids longer than one character, which the interpreter shares anyway
     doc = minimal_doc()

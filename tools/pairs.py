@@ -21,7 +21,7 @@ across the pairs:
 - ``worse_by``, the relative change in the direction that is worse;
 - ``within_bound``, whether ``worse_by`` is at most the metric's bound;
 - ``median_gap_over_parent_iqr``, the gap between the medians over the
-  parent's interquartile range.
+  parent's interquartile range, or null where the parent's runs have none.
 
 The output holds the keys of the committed ``BENCH_*.json`` files.
 ``change``, ``claim`` and ``notes`` are written as null, for the author to
@@ -41,6 +41,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+from differential import _extract
+
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(1, 11)
 TRACE_SECONDS = 1
@@ -54,6 +56,7 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
         return {"median": statistics.median(runs), "q1": q1, "q3": q3, "runs": runs}
 
     old, new = side(parent), side(change)
+    gap, spread = abs(new["median"] - old["median"]), old["q3"] - old["q1"]
     relative = (new["median"] - old["median"]) / old["median"]
     lower = better == "lower"
     worse_by = relative if lower else -relative
@@ -64,7 +67,7 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
         "relative_change": relative,
         "worse_by": worse_by,
         "within_bound": worse_by <= bound,
-        "median_gap_over_parent_iqr": abs(new["median"] - old["median"]) / (old["q3"] - old["q1"]),
+        "median_gap_over_parent_iqr": gap / spread if spread else None,
     }
 
 
@@ -108,9 +111,7 @@ def _tree(into: Path, parent: str | None) -> Path:
     if parent is None:
         shutil.copytree(ROOT / "src", into / "src", ignore=junk)
     else:
-        archive = subprocess.run(["git", "archive", "--format=tar", parent, "src"], cwd=ROOT,
-                                 check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+        _extract(parent, into)
     return into
 
 
