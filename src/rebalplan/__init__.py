@@ -38,7 +38,7 @@ from .scenario import (
     scenario_from_dict,
     validate_scenario,
 )
-from .trace import build_trace_rows, replay_policy, replay_terminal_wealth, trace_text
+from .trace import replay_policy, replay_terminal_wealth, trace_text
 
 __all__ = [
     "Broker",
@@ -58,7 +58,6 @@ __all__ = [
     "apply_rebalance",
     "brute_force_solve",
     "build_expected_market",
-    "build_trace_rows",
     "dump_scenario",
     "effective_fee",
     "enumerate_controls",

@@ -4,9 +4,10 @@ The replay runs a policy's trades through the ledger step by step:
 :func:`replay_policy` returns the states it visits and
 :func:`replay_terminal_wealth` the ending cash over the full horizon.
 
-The trace prints one CSV row per (time, traded or held security). Row
-columns: time, security, holdings_before, holdings_after, trade_cash,
-fee_paid, cash_after, wealth. Subtracting trade_cash and fee_paid from the
+:func:`trace_text`, the one trace entry point, returns the CSV text: the
+header, then one row per (time, traded or held security). Row columns:
+time, security, holdings_before, holdings_after, trade_cash, fee_paid,
+cash_after, wealth. Subtracting trade_cash and fee_paid from the
 previous row's cash reproduces cash_after row by row, starting from the
 initial capital. Within a decision time, sells and holds print before buys
 so the running cash column never dips below zero. The wealth column is the
@@ -18,13 +19,13 @@ carrying the terminal cash and wealth.
 
 The replay and the rows price the instance the solver solves, the
 :func:`~rebalplan.expectation.priced_instance`, in the solver's exact
-context, :data:`~rebalplan.money.LEDGER_CONTEXT`, entered once per public
-call; an amount that would need rounding raises
-:class:`~rebalplan.errors.InexactArithmeticError` rather than printing a
-rounded figure. Each public call replays on a deal book of its own. The
-trace replays the policy first, in the same exact block, so a policy
-whose trade times do not follow the grid, or that stops before the last
-decision time, raises the replay's ``ValueError`` before any row is
+context, :data:`~rebalplan.money.LEDGER_CONTEXT`. Each public call settles
+that instance once and enters the context once; an amount that would need
+rounding raises :class:`~rebalplan.errors.InexactArithmeticError` rather
+than printing a rounded figure. Each public call replays on a deal book of
+its own. The trace replays the policy first, in the same exact block, so a
+policy whose trade times do not follow the grid, or that stops before the
+last decision time, raises the replay's ``ValueError`` before any row is
 priced.
 
 A decision time where nothing is held or traded prints no row and costs no
@@ -60,68 +61,60 @@ def replay_policy(scenario: Scenario, policy: Policy) -> list[LedgerState]:
     rounding; the policy's trade times must match the grid step for step.
     """
     with exact_arithmetic():
-        return _states(scenario, policy)
+        return _states(priced_instance(scenario), policy)
 
 
 def replay_terminal_wealth(scenario: Scenario, policy: Policy) -> Decimal:
     """Ending cash after replaying the policy over the full horizon."""
     with exact_arithmetic():
-        return _full_horizon_states(scenario, policy)[-1].cash
-
-
-def build_trace_rows(scenario: Scenario, policy: Policy) -> list[list[str]]:
-    with exact_arithmetic():
-        return _rows(scenario, policy)
-
-
-def _rows(scenario: Scenario, policy: Policy) -> list[list[str]]:
-    scenario = priced_instance(scenario)
-    market = scenario.market
-    fees = scenario.fees
-    lot = scenario.options.lot_size
-    scale = scenario.options.price_scale
-    money = lambda d: format_decimal(d, scale)  # noqa: E731
-
-    rows: list[list[str]] = []
-    states = _full_horizon_states(scenario, policy)
-    for (t, trade), state, reached in zip(policy.trades, states, states[1:]):
-        cash = state.cash
-        held = state.holdings
-        # a time where nothing is held or traded prints no row
-        if held or any(trade.values()):
-            touched = set(held) | {s for s, d in trade.items() if d != 0}
-            mark = wealth(state, market, t, lot)
-            for sid in sorted(touched, key=lambda sid: (trade.get(sid, 0) > 0, sid)):
-                delta = trade.get(sid, 0)
-                before = held.get(sid, 0)
-                after = before + delta
-                if delta != 0:
-                    sec = market.security(sid)
-                    trade_cash = price_at(sec, t) * lot * delta
-                    fee_paid = effective_fee(sec, t, fees) * lot * abs(delta)
-                else:
-                    trade_cash = Decimal(0)
-                    fee_paid = Decimal(0)
-                cash = cash - trade_cash - fee_paid
-                mark -= fee_paid
-                rows.append([
-                    str(t), sid, str(before), str(after),
-                    money(trade_cash), money(fee_paid), money(cash), money(mark),
-                ])
-        if cash != reached.cash:
-            # the per-security decomposition must match the ledger, also under -O
-            raise AssertionError(
-                f"trace cash {cash} at time {t} differs from the ledger's {reached.cash}")
-
-    end = money(states[-1].cash)
-    rows.append([str(market.grid.end), "", "", "", "", "", end, end])
-    return rows
+        return _full_horizon_states(priced_instance(scenario), policy)[-1].cash
 
 
 def trace_text(scenario: Scenario, policy: Policy) -> str:
-    rows = build_trace_rows(scenario, policy)
+    """The policy's trace as CSV text: the header, a row per touched security, the summary row."""
     buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows([TRACE_HEADER, *rows])
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(TRACE_HEADER)
+    with exact_arithmetic():
+        scenario = priced_instance(scenario)
+        market = scenario.market
+        fees = scenario.fees
+        lot = scenario.options.lot_size
+        scale = scenario.options.price_scale
+        money = lambda d: format_decimal(d, scale)  # noqa: E731
+
+        states = _full_horizon_states(scenario, policy)
+        for (t, trade), state, reached in zip(policy.trades, states, states[1:]):
+            cash = state.cash
+            held = state.holdings
+            # a time where nothing is held or traded prints no row
+            if held or any(trade.values()):
+                touched = set(held) | {s for s, d in trade.items() if d != 0}
+                mark = wealth(state, market, t, lot)
+                for sid in sorted(touched, key=lambda sid: (trade.get(sid, 0) > 0, sid)):
+                    delta = trade.get(sid, 0)
+                    before = held.get(sid, 0)
+                    after = before + delta
+                    if delta != 0:
+                        sec = market.security(sid)
+                        trade_cash = price_at(sec, t) * lot * delta
+                        fee_paid = effective_fee(sec, t, fees) * lot * abs(delta)
+                    else:
+                        trade_cash = Decimal(0)
+                        fee_paid = Decimal(0)
+                    cash = cash - trade_cash - fee_paid
+                    mark -= fee_paid
+                    writer.writerow([
+                        str(t), sid, str(before), str(after),
+                        money(trade_cash), money(fee_paid), money(cash), money(mark),
+                    ])
+            if cash != reached.cash:
+                # the per-security decomposition must match the ledger, also under -O
+                raise AssertionError(
+                    f"trace cash {cash} at time {t} differs from the ledger's {reached.cash}")
+
+        end = money(states[-1].cash)
+        writer.writerow([str(market.grid.end), "", "", "", "", "", end, end])
     return buffer.getvalue()
 
 
@@ -129,7 +122,6 @@ def _full_horizon_states(scenario: Scenario, policy: Policy) -> list[LedgerState
     """As :func:`_states`, for a policy that trades at every decision time.
 
     A policy that stops before the last decision time raises ``ValueError``.
-    Runs in the caller's :func:`~rebalplan.money.exact_arithmetic` block.
     """
     states = _states(scenario, policy)
     if states[-1].time_index != len(scenario.market.grid) - 1:
@@ -138,7 +130,7 @@ def _full_horizon_states(scenario: Scenario, policy: Policy) -> list[LedgerState
 
 
 def _states(scenario: Scenario, policy: Policy) -> list[LedgerState]:
-    scenario = priced_instance(scenario)
+    """States the policy visits on the priced ``scenario``, in the caller's exact block."""
     book = scenario.deal_book()
     points = scenario.market.grid.points
     state = scenario.initial_state()

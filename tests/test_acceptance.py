@@ -33,6 +33,7 @@ from rebalplan import (
     load_scenario,
     price_at,
     replay_terminal_wealth,
+    scenario_from_dict,
     solve_deterministic,
     wealth,
 )
@@ -54,6 +55,7 @@ from scenariogen import (
     random_audit_scenario,
     random_scenario,
     simple_scenario,
+    ties_doc,
 )
 
 D = Decimal
@@ -262,20 +264,9 @@ def test_criterion_8_monotonicity_in_capital():
         info["detail"] = "(20 scenarios at S0 and S0+10)"
 
 
-def _wide_scenario() -> Scenario:
-    rng = random.Random(99999)
-    while True:
-        scn = random_scenario(rng, allow_short=False, hold_to_end=False)
-        if len(scn.market.grid) >= 3 and len(scn.market.securities) >= 2:
-            big = scn._replace(initial_capital=scn.initial_capital + 40)
-            _, table = solve_deterministic(big)
-            if max(len(layer) for layer in table.layers) > 64:
-                return big
-
-
 def test_criterion_9_state_budget_bounds_the_widest_layer(tmp_path, capsys):
     with report(9, "a cap at the widest layer changes nothing; one less exits 3") as info:
-        scn = _wide_scenario()
+        scn = scenario_from_dict(ties_doc(3, "12.0000"))
         _, table = solve_deterministic(scn)
         sizes = [len(layer) for layer in table.layers]
         widest = max(sizes)

@@ -47,6 +47,7 @@ from scenariogen import (
     many_lots_doc,
     random_scenario,
     simple_scenario,
+    ties_doc,
     twenty_nine_digit_doc,
 )
 
@@ -266,8 +267,9 @@ def _capped(scn, max_states):
 
 
 def test_state_budget_cap_bites():
+    # the 41 ways to invest all 40 lots tie, so even an exact bound keeps more than 3
     with pytest.raises(StateBudgetExceededError):
-        solve_deterministic(_capped(fee_050_scenario(), 3))
+        solve_deterministic(_capped(scenario_from_dict(ties_doc(2, "40.0000")), 3))
 
 
 def test_state_budget_trips_inside_the_layer_being_built():
@@ -280,7 +282,7 @@ def test_state_budget_trips_inside_the_layer_being_built():
 
 def test_the_budget_bounds_memory_inside_one_node():
     # the root alone has 501,501 trades; the cap must trip after 11 of them
-    scn = scenario_from_dict(flat_doc(2, "1000"))
+    scn = scenario_from_dict(ties_doc(2, "1000.0000"))
     tracemalloc.start()
     try:
         with pytest.raises(StateBudgetExceededError) as caught:

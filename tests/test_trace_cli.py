@@ -15,7 +15,6 @@ from rebalplan import (
     Policy,
     brute_force_solve,
     build_expected_market,
-    build_trace_rows,
     load_scenario,
     solve_deterministic,
     trace_text,
@@ -27,6 +26,7 @@ from scenariogen import (
     flat_doc,
     many_lots_doc,
     random_scenario,
+    ties_doc,
     twenty_nine_digit_doc,
 )
 
@@ -45,6 +45,11 @@ def test_trace_layout_for_the_documented_example():
     assert rows[3] == ["3", "", "", "", "", "", "104.5000", "104.5000"]
 
 
+def _trace_rows(scn, policy):
+    """The trace's rows after the header."""
+    return list(csv.reader(io.StringIO(trace_text(scn, policy))))[1:]
+
+
 def replay_cash_column(scn, rows):
     cash = scn.initial_capital
     for row in rows:
@@ -61,7 +66,7 @@ def test_trace_cash_column_replays_from_the_trade_columns():
     for _ in range(25):
         scn = random_scenario(rng)
         policy, _ = solve_deterministic(scn)
-        rows = build_trace_rows(scn, policy)
+        rows = _trace_rows(scn, policy)
         replay_cash_column(scn, rows)
         # cash never shown negative: sells settle before buys
         for row in rows:
@@ -72,7 +77,7 @@ def test_trace_cash_column_replays_from_the_trade_columns():
 def test_wealth_column_leaks_only_fees_within_a_time():
     scn = fee_050_scenario()
     policy, _ = solve_deterministic(scn)
-    rows = build_trace_rows(scn, policy)
+    rows = _trace_rows(scn, policy)
     by_time = {}
     for row in rows:
         if row[1]:
@@ -162,9 +167,10 @@ def test_cli_exit_validation_on_broken_file(tmp_path, capsys):
     assert cli.main(["validate", "--scenario", str(bad)]) == 2
 
 
-def test_cli_exit_budget_when_the_frontier_cap_bites(capsys):
-    code = cli.main(["solve", "--scenario", str(DOCS / "buy_then_liquidate.json"),
-                     "--max-states", "2"])
+def test_cli_exit_budget_when_the_frontier_cap_bites(tmp_path, capsys):
+    path = tmp_path / "ties.json"
+    path.write_text(json.dumps(ties_doc(2, "40.0000")), encoding="utf-8")
+    code = cli.main(["solve", "--scenario", str(path), "--max-states", "3"])
     assert code == 3
 
 
