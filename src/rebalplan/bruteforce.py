@@ -12,15 +12,16 @@ tie-break as the staged solver (fewest lots, then lexicographic sequence).
 
 from __future__ import annotations
 
-from decimal import Decimal
+from decimal import Decimal, Inexact
 from typing import Iterator
 
 from .dp import Policy, TradeEntry, trade_entries
-from .errors import EmptyTableError, InadmissibleTradeError, InstanceTooLargeError
+from .errors import (EmptyTableError, InadmissibleTradeError, InexactArithmeticError,
+                     InstanceTooLargeError)
 from .expectation import priced_instance
 from .ledger import LedgerState, apply_rebalance, full_sale, trade_lots
 from .market import Deals, Market, effective_fee, price_at
-from .money import exact_arithmetic, whole_lots
+from .money import LEDGER_CONTEXT, whole_lots
 from .scenario import Scenario
 
 POLICY_CAP = 10_000_000
@@ -60,7 +61,7 @@ def brute_force_solve(scenario: Scenario, *,
              seq: tuple[TradeEntry, ...]) -> None:
         nonlocal applied, best
         if stage == stages:
-            key = (-state.cash, lots, seq)
+            key = (state.cash.copy_negate(), lots, seq)
             if best is None or key < best:
                 best = key
             return
@@ -76,14 +77,13 @@ def brute_force_solve(scenario: Scenario, *,
             walk(successor, stage + 1, lots + trade_lots(trade),
                  seq + trade_entries(page.time, trade))
 
-    with exact_arithmetic():
-        walk(scenario.initial_state(), 0, 0, ())
+    walk(scenario.initial_state(), 0, 0, ())
     if best is None:
         raise EmptyTableError("no trade sequence reaches the horizon end")
     neg_cash, _, seq = best
     trades = tuple((page.time, {sid: delta for t, sid, delta in seq if t == page.time})
                    for page in book)
-    return Policy(trades, -neg_cash), -neg_cash
+    return Policy(trades, neg_cash.copy_negate()), neg_cash.copy_negate()
 
 
 def _stage_candidates(state: LedgerState, page: Deals, market: Market, fees,
@@ -108,24 +108,29 @@ def _stage_candidates(state: LedgerState, page: Deals, market: Market, fees,
         yield {}
         return
     t = page.time
+    ctx = LEDGER_CONTEXT
     gross: list[Decimal] = []
     sellable: list[int] = []
     unit_cost: list[Decimal] = []
-    for sid in ids:
-        sec = market.security(sid)
-        price = price_at(sec, t)
-        fee = effective_fee(sec, t, fees)
-        bound = state.holdings.get(sid, 0) - page.floor
-        sellable.append(bound)
-        gross.append(price * lot * bound)
-        unit_cost.append((price + fee) * lot)
-    gross_total = sum(gross, Decimal(0))
-
+    gross_total = Decimal(0)
     ranges = []
-    for i in range(len(ids)):
-        budget = state.cash + gross_total - gross[i]
-        hi = whole_lots(budget, unit_cost[i])
-        ranges.append(range(-sellable[i], hi + 1))
+    try:
+        for sid in ids:
+            sec = market.security(sid)
+            price = price_at(sec, t)
+            fee = effective_fee(sec, t, fees)
+            bound = state.holdings.get(sid, 0) - page.floor
+            sellable.append(bound)
+            gross.append(ctx.multiply(ctx.multiply(price, lot), bound))
+            unit_cost.append(ctx.multiply(ctx.add(price, fee), lot))
+        for amount in gross:
+            gross_total = ctx.add(gross_total, amount)
+        for i in range(len(ids)):
+            budget = ctx.subtract(ctx.add(state.cash, gross_total), gross[i])
+            hi = whole_lots(budget, unit_cost[i])
+            ranges.append(range(-sellable[i], hi + 1))
+    except Inexact:
+        raise InexactArithmeticError(ctx.prec) from None
     if not all(ranges):
         return
     deltas = [r.start for r in ranges]

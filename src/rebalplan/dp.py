@@ -37,14 +37,15 @@ flattened from that chain, and only when two nodes tie on cash and lots.
 
 from __future__ import annotations
 
-from decimal import Decimal
+from decimal import Decimal, Inexact
 from typing import Iterator, NamedTuple, Optional
 
-from .errors import EmptyTableError, InadmissibleTradeError, StateBudgetExceededError
+from .errors import (EmptyTableError, InadmissibleTradeError, InexactArithmeticError,
+                     StateBudgetExceededError)
 from .expectation import priced_instance
 from .ledger import LedgerState, apply_rebalance, full_sale, trade_lots
 from .market import Deals, TimeGrid
-from .money import exact_arithmetic, whole_lots
+from .money import LEDGER_CONTEXT, whole_lots
 from .scenario import Scenario
 
 # One flattened trade: (grid time, or the stage in the search, security id, lot delta).
@@ -103,6 +104,8 @@ def enumerate_controls(state: LedgerState, book: tuple[Deals, ...]) -> Iterator[
     the first vector. The vectors are then made one at a time, in
     lexicographic order of their deltas, by an iterative walk: memory stays
     linear in the number of securities whatever the number of vectors.
+    Its amounts are computed in :data:`~rebalplan.money.LEDGER_CONTEXT`,
+    so any caller context yields them or :class:`InexactArithmeticError`.
     """
     page = book[state.time_index]
     if page.forced_sale:
@@ -121,10 +124,13 @@ def enumerate_controls(state: LedgerState, book: tuple[Deals, ...]) -> Iterator[
 
     # raisable[i]: most cash securities i.. could still contribute by selling
     raisable = [Decimal(0)] * (len(terms) + 1)
-    for i in range(len(terms) - 1, -1, -1):
-        _, _, sell_net, sell_bound = terms[i]
-        gain = sell_net * sell_bound if sell_net > 0 else Decimal(0)
-        raisable[i] = raisable[i + 1] + gain
+    try:
+        for i in range(len(terms) - 1, -1, -1):
+            _, _, sell_net, sell_bound = terms[i]
+            raisable[i] = (sell_net.fma(sell_bound, raisable[i + 1], LEDGER_CONTEXT)
+                           if sell_net > 0 else raisable[i + 1])
+    except Inexact:
+        raise InexactArithmeticError(LEDGER_CONTEXT.prec) from None
     return _walk(terms, raisable, state.cash)
 
 
@@ -132,14 +138,14 @@ def _deltas(term: tuple[str, Decimal, Decimal, int], headroom: Decimal) -> range
     """The lot deltas of one security that keep ``headroom`` recoverable.
 
     ``headroom`` is the cash left before this security plus what the later
-    ones could still raise.
+    ones could still raise. :func:`_walk` retypes an inexact amount.
     """
     _, buy_cost, sell_net, sell_bound = term
     if headroom >= 0:
         # the quotient truncates; operands are non-negative here, so it floors
         hi = whole_lots(headroom, buy_cost)
         if sell_net < 0:
-            lo = -min(sell_bound, whole_lots(headroom, -sell_net))
+            lo = -min(sell_bound, whole_lots(headroom, sell_net.copy_negate()))
         else:
             lo = -sell_bound
         return range(lo, hi + 1)
@@ -147,8 +153,8 @@ def _deltas(term: tuple[str, Decimal, Decimal, int], headroom: Decimal) -> range
     # this one; only net-positive sales can do that.
     if sell_net <= 0:
         return range(0)
-    lots_needed = whole_lots(-headroom, sell_net)
-    if lots_needed * sell_net < -headroom:
+    lots_needed = whole_lots(headroom.copy_negate(), sell_net)
+    if LEDGER_CONTEXT.multiply(sell_net, lots_needed) < headroom.copy_negate():
         lots_needed += 1
     return range(-sell_bound, -lots_needed + 1)
 
@@ -165,36 +171,37 @@ def _walk(terms: list[tuple[str, Decimal, Decimal, int]], raisable: list[Decimal
     """
     last = len(terms) - 1
     last_sid = terms[last][0]
-    stack = [(0, cash, {}, iter(_deltas(terms[0], cash + raisable[1])))]
-    while stack:
-        level, cash, prefix, deltas = stack[-1]
-        if level == last:
-            stack.pop()
+    add = LEDGER_CONTEXT.add
+    try:
+        stack = [(0, cash, {}, iter(_deltas(terms[0], add(cash, raisable[1]))))]
+        while stack:
+            level, cash, prefix, deltas = stack[-1]
+            if level == last:
+                stack.pop()
+                for delta in deltas:
+                    if delta:
+                        trade = prefix.copy()
+                        trade[last_sid] = delta
+                        yield trade
+                    else:
+                        yield prefix
+                continue
+            sid, buy_cost, sell_net, _ = terms[level]
             for delta in deltas:
+                after = (buy_cost if delta >= 0 else sell_net).fma(-delta, cash, LEDGER_CONTEXT)
                 if delta:
-                    trade = prefix.copy()
-                    trade[last_sid] = delta
-                    yield trade
+                    chosen = prefix.copy()
+                    chosen[sid] = delta
                 else:
-                    yield prefix
-            continue
-        sid, buy_cost, sell_net, _ = terms[level]
-        for delta in deltas:
-            if delta >= 0:
-                after = cash - buy_cost * delta
+                    chosen = prefix
+                nxt = level + 1
+                stack.append((nxt, after, chosen,
+                              iter(_deltas(terms[nxt], add(after, raisable[nxt + 1])))))
+                break
             else:
-                after = cash + sell_net * -delta
-            if delta:
-                chosen = prefix.copy()
-                chosen[sid] = delta
-            else:
-                chosen = prefix
-            nxt = level + 1
-            stack.append((nxt, after, chosen,
-                          iter(_deltas(terms[nxt], after + raisable[nxt + 1]))))
-            break
-        else:
-            stack.pop()
+                stack.pop()
+    except Inexact:
+        raise InexactArithmeticError(LEDGER_CONTEXT.prec) from None
 
 
 def solve_deterministic(scenario: Scenario, *, prune: bool = True) -> tuple[Policy, ValueTable]:
@@ -213,9 +220,8 @@ def solve_deterministic(scenario: Scenario, *, prune: bool = True) -> tuple[Poli
 
     root = ValueNode(scenario.initial_state(), None, None, 0)
     layers: list[list[ValueNode]] = [[root]]
-    with exact_arithmetic():
-        for _ in book:
-            layers.append(_expand(layers[-1], book, prune, cap))
+    for _ in book:
+        layers.append(_expand(layers[-1], book, prune, cap))
 
     table = ValueTable(scenario.market.grid, layers)
     return extract_policy(table), table

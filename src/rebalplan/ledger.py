@@ -13,12 +13,13 @@ The terms of trade come from the page of the deal book the caller hands
 the step (:func:`~rebalplan.market.deal_book`): the per-lot amounts, which
 it prices by the one rule, :func:`~rebalplan.market.lot_terms`, the
 position floor and the ids in circulation. The step is one pass
-over the trade and one over the securities carried to the next time: the
-first prices each delta and notes the position it moves to, the second
-reads those positions (or the unmoved ones) in id order, so the
-successor's holdings come out canonical, and the state is built from them
-in one tuple construction, without the cleaning the :class:`LedgerState`
-constructor does.
+over the trade, in its own order, and one over the securities carried to
+the next time: the first prices each delta in
+:data:`~rebalplan.money.LEDGER_CONTEXT`, exactly in any caller context, and
+notes the position it moves to, the second reads those positions (or the
+unmoved ones) in id order, so the successor's holdings come out canonical,
+and the state is built from them in one tuple construction, without the
+cleaning the :class:`LedgerState` constructor does.
 
 Every state that holds nothing, the opening state, a successor that sold
 or forfeited every position and a constructed one alike, shares the one
@@ -106,12 +107,15 @@ def apply_rebalance(state: LedgerState, trade: TradeVector,
 
     ``book`` is the caller's :func:`~rebalplan.market.deal_book`; the step
     reads its page for the state's time index. New cash is old cash minus,
-    per lot delta in id order, the page's per-lot amount for its side times
-    the delta: the signed redistribution plus fees on every lot moved. The
-    trade is admissible iff that cash is non-negative; there is no lower
-    bound on selling beyond the page's position floor. Positions not
-    carried to the next grid time are forfeited (dropped at zero value),
-    keeping states canonical.
+    per lot delta in the trade's own order, the page's per-lot amount for
+    its side times the delta (one fused multiply-add in
+    :data:`~rebalplan.money.LEDGER_CONTEXT`, so cash that would need
+    rounding raises :class:`InexactArithmeticError` in any caller context):
+    the signed redistribution plus fees on every lot moved. The trade is
+    admissible iff that cash is non-negative; there is no lower bound on
+    selling beyond the page's position floor. Positions not carried to the
+    next grid time are forfeited (dropped at zero value), keeping states
+    canonical.
     """
     index = state.time_index
     page = book[index]
@@ -120,18 +124,19 @@ def apply_rebalance(state: LedgerState, trade: TradeVector,
     held = state.holdings
     cash = state.cash
     moved = {}
-    for sid in sorted(trade):
-        delta = trade[sid]
-        if delta == 0:
-            continue
-        deal = per_lot[sid]
-        cash -= deal[0 if delta > 0 else 1] * delta
-        qty = moved[sid] = held.get(sid, 0) + delta
-        if qty < floor:
-            raise ShortCapExceededError(sid, qty, floor)
+    try:
+        for sid, delta in trade.items():
+            if delta == 0:
+                continue
+            cash = per_lot[sid][0 if delta > 0 else 1].fma(-delta, cash, LEDGER_CONTEXT)
+            qty = moved[sid] = held.get(sid, 0) + delta
+            if qty < floor:
+                raise ShortCapExceededError(sid, qty, floor)
+    except Inexact:
+        raise InexactArithmeticError(LEDGER_CONTEXT.prec) from None
 
     if cash < 0:
-        raise InadmissibleTradeError(-cash)
+        raise InadmissibleTradeError(cash.copy_negate())
     carried = {}
     for sid in page.carried:
         qty = moved.get(sid)

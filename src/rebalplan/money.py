@@ -19,8 +19,8 @@ precision the calling code has set:
   value is rounded: an expected value is summed there exactly and then
   rounded half-even, once. Sums and means use that context too.
 
-The contexts are passed to each operation, so no ``localcontext`` is
-entered per value.
+The contexts are passed to each operation, here and wherever the package
+computes an amount, so no ``localcontext`` is entered.
 
 A process that loads many scenarios reads the same few amounts again and
 again, so :func:`parse_decimal` keeps the ``Decimal`` it made for each
@@ -43,12 +43,12 @@ from decimal import Decimal
 from .errors import InexactArithmeticError
 
 # Joint-outcome probabilities are products of many quantized factors; the
-# default 28-digit context would silently round them. Wrap any computation
-# whose exactness matters beyond ~28 digits in this context.
+# default 28-digit context would silently round them. Pass it to any
+# operation whose exactness matters beyond ~28 digits.
 EXACT_CONTEXT = decimal.Context(prec=120)
 
-# The solver, the replay and the oracle run in this context: the default
-# precision, but a result that would have to round raises instead.
+# Every amount the solver, the replay, the trace and the oracle compute is
+# computed in this context: the default precision, but a rounding raises.
 LEDGER_CONTEXT = decimal.Context(
     prec=28,
     traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow,
@@ -140,23 +140,6 @@ def whole_lots(cash: Decimal, per_lot: Decimal) -> int:
         return int(LEDGER_CONTEXT.divide_int(cash, per_lot))
     except decimal.InvalidOperation as exc:
         raise InexactArithmeticError(LEDGER_CONTEXT.prec) from exc
-
-
-class exact_arithmetic:
-    """Context manager running its block in :data:`LEDGER_CONTEXT`.
-
-    A result that would be rounded raises :class:`InexactArithmeticError`.
-    """
-
-    def __enter__(self):
-        self._local = decimal.localcontext(LEDGER_CONTEXT)
-        self._local.__enter__()
-
-    def __exit__(self, kind, exc, tb):
-        self._local.__exit__(kind, exc, tb)
-        if kind is not None and issubclass(kind, decimal.Inexact):
-            raise InexactArithmeticError(LEDGER_CONTEXT.prec) from exc
-        return False
 
 
 def format_decimal(value: Decimal, scale: int) -> str:

@@ -19,14 +19,14 @@ carrying the terminal cash and wealth.
 
 The replay and the rows price the instance the solver solves, the
 :func:`~rebalplan.expectation.priced_instance`, in the solver's exact
-context, :data:`~rebalplan.money.LEDGER_CONTEXT`. Each public call settles
-that instance once and enters the context once; an amount that would need
-rounding raises :class:`~rebalplan.errors.InexactArithmeticError` rather
-than printing a rounded figure. Each public call replays on a deal book of
-its own. The trace replays the policy first, in the same exact block, so a
-policy whose trade times do not follow the grid, or that stops before the
-last decision time, raises the replay's ``ValueError`` before any row is
-priced.
+context, :data:`~rebalplan.money.LEDGER_CONTEXT`, passed to each operation
+whatever the caller's context. Each public call settles that instance once;
+an amount that would need rounding raises
+:class:`~rebalplan.errors.InexactArithmeticError` rather than printing a
+rounded figure. Each public call replays on a deal book of its own. The
+trace replays the policy first, so a policy whose trade times do not follow
+the grid, or that stops before the last decision time, raises the replay's
+``ValueError`` before any row is priced.
 
 A decision time where nothing is held or traded prints no row and costs no
 row work. At every time, the cash the rows reach must equal the ledger's,
@@ -38,13 +38,14 @@ from __future__ import annotations
 
 import csv
 import io
-from decimal import Decimal
+from decimal import Decimal, Inexact
 
 from .dp import Policy
+from .errors import InexactArithmeticError
 from .expectation import priced_instance
 from .ledger import LedgerState, apply_rebalance, wealth
 from .market import effective_fee, price_at
-from .money import exact_arithmetic, format_decimal
+from .money import LEDGER_CONTEXT, format_decimal
 from .scenario import Scenario
 
 TRACE_HEADER = (
@@ -60,14 +61,12 @@ def replay_policy(scenario: Scenario, policy: Policy) -> list[LedgerState]:
     scenario, and :class:`InexactArithmeticError` if a cash amount would need
     rounding; the policy's trade times must match the grid step for step.
     """
-    with exact_arithmetic():
-        return _states(priced_instance(scenario), policy)
+    return _states(priced_instance(scenario), policy)
 
 
 def replay_terminal_wealth(scenario: Scenario, policy: Policy) -> Decimal:
     """Ending cash after replaying the policy over the full horizon."""
-    with exact_arithmetic():
-        return _full_horizon_states(priced_instance(scenario), policy)[-1].cash
+    return _full_horizon_states(priced_instance(scenario), policy)[-1].cash
 
 
 def trace_text(scenario: Scenario, policy: Policy) -> str:
@@ -75,46 +74,48 @@ def trace_text(scenario: Scenario, policy: Policy) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(TRACE_HEADER)
-    with exact_arithmetic():
-        scenario = priced_instance(scenario)
-        market = scenario.market
-        fees = scenario.fees
-        lot = scenario.options.lot_size
-        scale = scenario.options.price_scale
-        money = lambda d: format_decimal(d, scale)  # noqa: E731
+    scenario = priced_instance(scenario)
+    market = scenario.market
+    fees = scenario.fees
+    lot = scenario.options.lot_size
+    scale = scenario.options.price_scale
+    money = lambda d: format_decimal(d, scale)  # noqa: E731
+    ctx = LEDGER_CONTEXT
 
-        states = _full_horizon_states(scenario, policy)
-        for (t, trade), state, reached in zip(policy.trades, states, states[1:]):
-            cash = state.cash
-            held = state.holdings
-            # a time where nothing is held or traded prints no row
-            if held or any(trade.values()):
-                touched = set(held) | {s for s, d in trade.items() if d != 0}
-                mark = wealth(state, market, t, lot)
-                for sid in sorted(touched, key=lambda sid: (trade.get(sid, 0) > 0, sid)):
-                    delta = trade.get(sid, 0)
-                    before = held.get(sid, 0)
-                    after = before + delta
+    states = _full_horizon_states(scenario, policy)
+    for (t, trade), state, reached in zip(policy.trades, states, states[1:]):
+        cash = state.cash
+        held = state.holdings
+        # a time where nothing is held or traded prints no row
+        if held or any(trade.values()):
+            touched = set(held) | {s for s, d in trade.items() if d != 0}
+            mark = wealth(state, market, t, lot)
+            for sid in sorted(touched, key=lambda sid: (trade.get(sid, 0) > 0, sid)):
+                delta = trade.get(sid, 0)
+                before = held.get(sid, 0)
+                after = before + delta
+                trade_cash = fee_paid = Decimal(0)
+                try:
                     if delta != 0:
                         sec = market.security(sid)
-                        trade_cash = price_at(sec, t) * lot * delta
-                        fee_paid = effective_fee(sec, t, fees) * lot * abs(delta)
-                    else:
-                        trade_cash = Decimal(0)
-                        fee_paid = Decimal(0)
-                    cash = cash - trade_cash - fee_paid
-                    mark -= fee_paid
-                    writer.writerow([
-                        str(t), sid, str(before), str(after),
-                        money(trade_cash), money(fee_paid), money(cash), money(mark),
-                    ])
-            if cash != reached.cash:
-                # the per-security decomposition must match the ledger, also under -O
-                raise AssertionError(
-                    f"trace cash {cash} at time {t} differs from the ledger's {reached.cash}")
+                        trade_cash = ctx.multiply(ctx.multiply(price_at(sec, t), lot), delta)
+                        fee_paid = ctx.multiply(ctx.multiply(effective_fee(sec, t, fees), lot),
+                                                abs(delta))
+                    cash = ctx.subtract(ctx.subtract(cash, trade_cash), fee_paid)
+                    mark = ctx.subtract(mark, fee_paid)
+                except Inexact:
+                    raise InexactArithmeticError(ctx.prec) from None
+                writer.writerow([
+                    str(t), sid, str(before), str(after),
+                    money(trade_cash), money(fee_paid), money(cash), money(mark),
+                ])
+        if cash != reached.cash:
+            # the per-security decomposition must match the ledger, also under -O
+            raise AssertionError(
+                f"trace cash {cash} at time {t} differs from the ledger's {reached.cash}")
 
-        end = money(states[-1].cash)
-        writer.writerow([str(market.grid.end), "", "", "", "", "", end, end])
+    end = money(states[-1].cash)
+    writer.writerow([str(market.grid.end), "", "", "", "", "", end, end])
     return buffer.getvalue()
 
 
@@ -130,7 +131,7 @@ def _full_horizon_states(scenario: Scenario, policy: Policy) -> list[LedgerState
 
 
 def _states(scenario: Scenario, policy: Policy) -> list[LedgerState]:
-    """States the policy visits on the priced ``scenario``, in the caller's exact block."""
+    """States the policy visits on the priced ``scenario``."""
     book = scenario.deal_book()
     points = scenario.market.grid.points
     state = scenario.initial_state()

@@ -2,7 +2,7 @@ import itertools
 import json
 import random
 import tracemalloc
-from decimal import Decimal
+from decimal import Context, Decimal, localcontext
 from pathlib import Path
 
 import pytest
@@ -74,6 +74,31 @@ def test_enumerate_controls_can_only_sell_without_cash():
     state = LedgerState(0, {"A": 2}, D("0.00"))
     controls = tuple(enumerate_controls(state, scn.deal_book()))
     assert sorted(t.get("A", 0) for t in controls) == [-2, -1, 0]
+
+
+def test_enumerate_controls_is_exact_in_a_narrow_caller_context():
+    # one lot of 5e15 is affordable; at 6 digits a cash of 1e16 would also afford two
+    scn = scenario_from_dict(twenty_nine_digit_doc())
+    with localcontext(Context(prec=6)):
+        controls = list(enumerate_controls(scn.initial_state(), scn.deal_book()))
+    assert controls == [{}, {"A": 1}]
+
+
+def _answers(scn):
+    policy, table = solve_deterministic(scn)
+    oracle, value = brute_force_solve(scn)
+    return (policy.trades, repr(policy.terminal_wealth),
+            [[repr(node.state) for node in layer] for layer in table.layers],
+            oracle.trades, repr(value), repr(replay_terminal_wealth(scn, policy)),
+            trace_text(scn, policy))
+
+
+@pytest.mark.parametrize("path", sorted(DOCS.glob("*.json")), ids=lambda path: path.stem)
+def test_every_answer_is_the_same_in_a_narrow_caller_context(path):
+    scn = scenario_from_dict(json.loads(path.read_text(encoding="utf-8")))
+    expected = _answers(scn)
+    with localcontext(Context(prec=6)):
+        assert _answers(scn) == expected
 
 
 def test_enumerate_controls_with_nothing_in_circulation():

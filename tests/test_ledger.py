@@ -115,17 +115,22 @@ def test_wealth_is_exact_in_a_narrow_caller_context():
         assert wealth(state, MARKET, 1) == D("12395.67")
 
 
-@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
-                   reason="a direct apply_rebalance call computes cash in the caller's context: "
-                          "ROADMAP item 11, and the FOUND line on direct apply_rebalance calls "
-                          "in CHANGES.md")
 def test_a_direct_round_trip_that_would_round_raises():
-    # outside any exact block the sale rounds to 10000000000000001.00000000000
+    # the exact cash after the sale, 10000000000000000.999999999999, needs 29 digits
     scn = scenario_from_dict(twenty_nine_digit_doc())
     book = scn.deal_book()
     bought = apply_rebalance(scn.initial_state(), {"A": 1}, book)
     with pytest.raises(InexactArithmeticError):
         apply_rebalance(bought, {"A": -1}, book)
+
+
+def test_a_direct_step_is_exact_in_a_narrow_caller_context():
+    # 1,000 lots at 10.5000 + 0.5000 against 100.01: at 6 digits the deficit reads 10400.0
+    scn = scenario_from_dict(json.loads((DOCS / "buy_then_liquidate.json").read_text()))
+    with localcontext(Context(prec=6)):
+        with pytest.raises(InadmissibleTradeError) as info:
+            apply_rebalance(LedgerState(0, {}, D("100.01")), {"A": 1000}, scn.deal_book())
+    assert str(info.value.deficit) == "10399.99000000"
 
 
 def test_apply_rebalance_charges_price_plus_fee():

@@ -25,10 +25,12 @@ Inputs: the documented examples; ``batch`` seeds 1 and 3 and ``wide`` seed
 and a fixed set of documents whose amounts are written in malformed ways. The
 generators are always this checkout's, so both trees see the same inputs.
 
-Every well-formed input must record the same on both sides. A malformed
-amount may change from loading to rejected, or be rejected with other
-issues, but never go from rejected to loading. The exit status is 0 when
-that holds and 1 otherwise.
+Every well-formed input must record the same on both sides, but for the
+solve's layer sizes: an input whose records differ in those alone, as when
+a change prunes more nodes and keeps every answer, is counted apart and
+does not fail the run. A malformed amount may change from loading to
+rejected, or be rejected with other issues, but never go from rejected to
+loading. The exit status is 0 when that holds and 1 otherwise.
 
     python tools/differential.py --parent HEAD~1
     python tools/differential.py --parent-src path/to/src --limit 5
@@ -333,6 +335,14 @@ def _loads(record: dict) -> bool:
     return "repr" in record["load"]
 
 
+def _without_layers(record: dict) -> dict:
+    """``record`` with the solve's layer sizes left out."""
+    solve = record.get("solve")
+    if solve is None or "layers" not in solve:
+        return record
+    return {**record, "solve": {k: v for k, v in solve.items() if k != "layers"}}
+
+
 def compare(parent_src: Path, limit: int | None) -> int:
     """Run both trees over the inputs, print the counts and differences; the exit status."""
     inputs = build_inputs(limit)
@@ -351,11 +361,16 @@ def compare(parent_src: Path, limit: int | None) -> int:
         with open(paths["parent"], encoding="utf-8") as a, \
                 open(paths["change"], encoding="utf-8") as b:
             pairs = [(json.loads(x), json.loads(y)) for x, y in zip(a, b, strict=True)]
+    return report(pairs)
 
+
+def report(pairs: list[tuple[dict, dict]]) -> int:
+    """Print the counts and differences of the (parent, change) record pairs; the exit status."""
     counts: dict[str, int] = {}
     malformed = {"newly rejected": 0, "rejected differently": 0, "newly loading": 0,
                  "other": 0}
     differences = []
+    layers_only = []
     for old, new in pairs:
         if old["id"] != new["id"]:
             print(f"records out of step: {old['id']} against {new['id']}", file=sys.stderr)
@@ -363,6 +378,9 @@ def compare(parent_src: Path, limit: int | None) -> int:
         kind = old["id"].split(":")[0]
         counts[kind] = counts.get(kind, 0) + 1
         if old == new:
+            continue
+        if _without_layers(old) == _without_layers(new):
+            layers_only.append((kind, old, new))
             continue
         differences.append((kind, old, new))
         if kind == "malformed":
@@ -379,9 +397,10 @@ def compare(parent_src: Path, limit: int | None) -> int:
     malformed_shown = [d for d in differences if d[0] == "malformed"]
     print(f"{len(pairs)} inputs: " + ", ".join(f"{k} {n}" for k, n in sorted(counts.items())))
     print(f"well-formed inputs that differ: {len(well_formed)}")
+    print(f"inputs that differ in layer sizes only: {len(layers_only)}")
     print("malformed inputs that differ: "
           + ", ".join(f"{k} {n}" for k, n in malformed.items()))
-    for _, old, new in (well_formed + malformed_shown)[:SHOWN_DIFFERENCES]:
+    for _, old, new in (well_formed + malformed_shown + layers_only)[:SHOWN_DIFFERENCES]:
         print(f"--- {old['id']}")
         for field in sorted(set(old) | set(new)):
             if old.get(field) != new.get(field):
