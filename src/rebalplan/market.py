@@ -12,8 +12,10 @@ one out of range. :func:`deal_book` builds one page per stage for a solve,
 a replay or a trace: the one record of the terms of trade at a time, which
 are the ids in circulation, each security's terms priced on their first
 read, the position floor and the forced last sale. A trade step then costs
-one multiplication per lot delta. The solver's enumerator reads the same
-page, and the oracle reads all of it but the terms, pricing from the quotes.
+one multiplication per lot delta. The book reads each security's window
+once, and prices and keeps nothing itself. The solver's enumerator reads
+the same page, and the oracle reads all of it but the terms, pricing from
+the quotes.
 
 :func:`distribution_errors` is the one rule for price and fee
 distributions. It lists every error, which the loader reports as issues;
@@ -164,7 +166,11 @@ class Market(_MarketFields):
 
 
 def is_active(security: Security, t: int) -> bool:
-    """True iff ``t`` lies in the closed circulation window of the security."""
+    """True iff ``t`` lies in the closed circulation window of the security.
+
+    :func:`deal_book` makes the same comparison on the windows it reads
+    once, for each page's ``active`` and ``carried`` ids.
+    """
     return security.issue_time <= t <= security.window_end
 
 
@@ -269,19 +275,26 @@ def deal_book(market: Market, fees: FeeTable, lot: Decimal, floor: int = 0,
 
     Page ``i`` is for grid index ``i``, and none is for the horizon end.
     Every page holds positions to ``floor`` lots or more; with
-    ``forced_sale``, the last page alone is a forced sale. Nothing is priced
+    ``forced_sale``, the last page alone is a forced sale. Each security's
+    window is read once, and the ids in circulation at every grid time come
+    from those windows by :func:`is_active`'s comparison. Nothing is priced
     or kept here: each public call builds its own book, so an edit to a
     quote or a fee between two calls is seen by the second.
     """
     points = market.grid.points
-    by_id = {sec.security_id: sec for sec in market.securities}
-    ids = [tuple(sid for sid, sec in by_id.items() if is_active(sec, t)) for t in points]
+    securities = market.securities
+    by_id = {sec.security_id: sec for sec in securities}
+    # is_active's closed window, read once per security
+    spans = [(sec.security_id, sec.issue_time, sec.window_end) for sec in securities]
+    ids = [tuple([sid for sid, start, end in spans if start <= t <= end]) for t in points]
     last = len(points) - 2
     pages = []
     for i, t in enumerate(points[:-1]):
         per_lot = _Terms()
         per_lot._at = (by_id, t, fees, lot)
-        pages.append(Deals(t, ids[i], ids[i + 1], per_lot, floor, forced_sale and i == last))
+        # one tuple construction: Deals checks nothing
+        pages.append(tuple.__new__(Deals, (t, ids[i], ids[i + 1], per_lot, floor,
+                                           forced_sale and i == last)))
     return tuple(pages)
 
 

@@ -54,8 +54,9 @@ from .errors import (
     ScenarioValidationError,
     ValidationIssue,
 )
-from .ledger import LedgerState
+from .ledger import LedgerState, _new_state
 from .market import (
+    _NO_ENTRIES,
     Broker,
     Deals,
     DiscreteDistribution,
@@ -105,7 +106,12 @@ class Scenario(NamedTuple):
                          not options.hold_to_end)
 
     def initial_state(self) -> LedgerState:
-        return LedgerState(0, {}, self.initial_capital)
+        """The state at grid index 0: the capital in cash and nothing held.
+
+        Built in one tuple construction, as the ledger builds its successors,
+        its empty holdings the shared :data:`~rebalplan.market._NO_ENTRIES`.
+        """
+        return _new_state(LedgerState, (0, _NO_ENTRIES, self.initial_capital))
 
 
 def load_scenario(path: str | Path, mode: str | None = None) -> Scenario:

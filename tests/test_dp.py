@@ -361,12 +361,19 @@ def test_the_deal_book_does_not_depend_on_its_first_caller(doc, first_use):
 
 
 def test_a_solve_sees_quotes_and_fees_edited_in_place_after_an_earlier_solve():
+    # each public call builds its own deal book, so no call keeps a price
     scn = scenario_from_dict(json.loads((DOCS / "buy_then_liquidate.json").read_text()))
-    assert solve_deterministic(scn)[0].terminal_wealth == D("104.50000000")
+    first = solve_deterministic(scn)[0]
+    assert first.terminal_wealth == D("104.50000000")
     assert brute_force_solve(scn)[1] == D("104.50000000")
+    assert replay_terminal_wealth(scn, first) == D("104.50000000")
+    assert "2,A,9,0,-103.5000,4.5000,104.5000,104.5000" in trace_text(scn, first).splitlines()
     # a loaded scenario's quotes and fees are plain dicts
     scn.market.security("A").quotes[2] = D("20.0000")
     scn.fees.brokers[0].fees[("A", 1)] = D("0.0000")
+    # the replay and the trace of the first policy price it on the edits
+    assert replay_terminal_wealth(scn, first) == D("185.50000000")
+    assert "2,A,9,0,-180.0000,4.5000,185.5000,185.5000" in trace_text(scn, first).splitlines()
     assert solve_deterministic(scn)[0].terminal_wealth == D("195.00000000")
     assert brute_force_solve(scn)[1] == D("195.00000000")
     # as a fresh load of the same edits solves it

@@ -13,7 +13,9 @@ from rebalplan import (
     FeeTable,
     LedgerState,
     Market,
+    Scenario,
     Security,
+    SolverOptions,
     TimeGrid,
     apply_rebalance,
     effective_fee,
@@ -30,7 +32,7 @@ from rebalplan.errors import (
     ShortCapExceededError,
 )
 from rebalplan.ledger import full_sale
-from rebalplan.market import deal_book
+from rebalplan.market import _NO_ENTRIES, deal_book
 from scenariogen import twenty_nine_digit_doc
 
 D = Decimal
@@ -84,6 +86,17 @@ def test_a_state_that_holds_nothing_shares_the_opening_mapping():
     for state in (sold, forfeited, built):
         assert state.holdings == {} and state.holdings is opening.holdings
     assert bought.holdings is not opening.holdings
+
+
+def test_a_scenario_opens_from_its_capital_holding_nothing():
+    loaded = [scenario_from_dict(json.loads(path.read_text(encoding="utf-8")))
+              for path in sorted(DOCS.glob("*.json"))]
+    negative = Scenario(D("-5.0000"), MARKET, FEES, SolverOptions())
+    for scn in (*loaded, negative):
+        opening = scn.initial_state()
+        assert opening == LedgerState(0, {}, scn.initial_capital)
+        assert type(opening) is LedgerState
+        assert opening.holdings is _NO_ENTRIES
 
 
 def test_wealth_marks_holdings_to_market():

@@ -1,4 +1,5 @@
 from decimal import Decimal
+from random import Random
 
 import pytest
 
@@ -21,7 +22,8 @@ from rebalplan.errors import (
     NonpositivePriceError,
     QuoteMissingError,
 )
-from rebalplan.market import Market, deal_book
+from rebalplan.market import Deals, Market, deal_book
+from scenariogen import random_scenario
 
 D = Decimal
 
@@ -67,6 +69,44 @@ def test_the_deal_book_has_no_page_at_the_horizon_end():
     unissued = Market(TimeGrid((1, 2)), (sec(2, 1, {2: "10"}),))
     with pytest.raises(InactiveSecurityError):
         deal_book(unissued, fees, D(1))[0].per_lot["A"]
+
+
+def _circulating(market, t):
+    return tuple(s.security_id for s in market.securities if is_active(s, t))
+
+
+def _pages_follow_is_active(market, book):
+    points = market.grid.points
+    assert [page.time for page in book] == list(points[:-1])
+    for page, t, following in zip(book, points, points[1:]):
+        assert type(page) is Deals
+        assert page.active == _circulating(market, t)
+        assert page.carried == _circulating(market, following)
+
+
+def test_deal_book_pages_list_the_ids_is_active_puts_in_circulation():
+    # the book makes is_active's window comparison itself
+    rng = Random(2024)
+    for _ in range(300):
+        scn = random_scenario(rng)
+        _pages_follow_is_active(scn.market, scn.deal_book())
+    # windows random_scenario never draws
+    market = Market(TimeGrid((2, 5, 9, 14)), (
+        Security("A", 0, 3),   # opens before the first time, closes between 2 and 5
+        Security("B", 4, 20),  # opens between 2 and 5, closes after the last time
+        Security("C", 5, 0),   # maturity 0 on a grid time
+        Security("D", 6, 2),   # the whole window between 5 and 9
+        Security("E", 9, 5),   # closes on the last time
+        Security("F", 0, 30),  # opens before the first time and closes after the last
+        Security("G", 1, 0),   # maturity 0 before the first time
+    ))
+    book = deal_book(market, FeeTable(()), D(1), floor=-2, forced_sale=True)
+    _pages_follow_is_active(market, book)
+    assert [(page.time, page.active, page.carried, page.floor, page.forced_sale)
+            for page in book] == [
+        (2, ("A", "F"), ("B", "C", "F"), -2, False),
+        (5, ("B", "C", "F"), ("B", "E", "F"), -2, False),
+        (9, ("B", "E", "F"), ("B", "E", "F"), -2, True)]
 
 
 def test_records_built_without_maps_share_one_read_only_mapping():

@@ -59,3 +59,34 @@ def test_tied_parent_runs_leave_the_gap_over_their_spread_unset():
     assert got["median_gap_over_parent_iqr"] is None
     assert got["change_wins"] == 10 and got["relative_change"] == -0.025
     assert got["within_bound"]
+
+
+# inclusive quartiles 102.25 and 106.75: a parent spread of 4.5 around 104.5
+PARENT_RUNS = [float(value) for value in range(100, 110)]
+
+
+def _gain_shown(better, change):
+    def results(values):
+        return [{"correct": True, "attempted": 1, "failed": 0,
+                 "metrics": {"m": {"value": value, "unit": "s"}}} for value in values]
+
+    spec = {"name": "m", "unit": "s", "better": better, "bound": 0.25}
+    summary = pairs.workload_summary({"parent": results(PARENT_RUNS), "change": results(change)},
+                                     list(range(1, 11)), [spec])
+    return summary["metrics"]["m"]["gain_shown"]
+
+
+@pytest.mark.parametrize("better,sign", [("lower", -1), ("higher", 1)])
+def test_a_gain_is_shown_by_nine_wins_in_ten_and_a_median_gap_beyond_the_parent_spread(
+        better, sign):
+    def moved(by, losses=0, ties=0):
+        """The parent's runs moved ``by`` the better way, the first ones lost or tied."""
+        return [run + sign * (-1 if i < losses else 0 if i < losses + ties else by)
+                for i, run in enumerate(PARENT_RUNS)]
+
+    assert _gain_shown(better, moved(10, losses=1))
+    assert _gain_shown(better, moved(10, ties=1))
+    assert not _gain_shown(better, moved(10, losses=2))
+    assert not _gain_shown(better, moved(10, losses=1, ties=1))
+    assert not _gain_shown(better, moved(4.5))  # a gap equal to the spread
+    assert not _gain_shown(better, moved(-10))  # ten pairs worse

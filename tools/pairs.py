@@ -21,7 +21,10 @@ across the pairs:
 - ``worse_by``, the relative change in the direction that is worse;
 - ``within_bound``, whether ``worse_by`` is at most the metric's bound;
 - ``median_gap_over_parent_iqr``, the gap between the medians over the
-  parent's interquartile range, or null where the parent's runs have none.
+  parent's interquartile range, or null where the parent's runs have none;
+- ``gain_shown``, whether the change is strictly better in at least nine
+  tenths of the pairs, ties counting for neither, and its median is better
+  than the parent's by more than the parent's interquartile range.
 
 The output holds the keys of the committed ``BENCH_*.json`` files.
 ``change``, ``claim`` and ``notes`` are written as null, for the author to
@@ -81,9 +84,15 @@ def workload_summary(results: dict[str, list[dict]], seeds: list[int],
     for spec in end_to_end:
         name = spec["name"]
         runs = {side: [r["metrics"][name]["value"] for r in results[side]] for side in SIDES}
+        summary = summarize(runs["parent"], runs["change"], spec["better"], spec["bound"])
+        old, new = summary["parent"], summary["change"]
+        gain = old["median"] - new["median"]
+        if spec["better"] != "lower":
+            gain = -gain
+        summary["gain_shown"] = (10 * summary["change_wins"] >= 9 * len(runs["parent"])
+                                 and gain > old["q3"] - old["q1"])
         metrics[name] = {"unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
-                         **summarize(runs["parent"], runs["change"], spec["better"],
-                                     spec["bound"])}
+                         **summary}
     return {
         "pairs": len(seeds),
         "seeds": seeds,
